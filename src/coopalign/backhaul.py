@@ -1,4 +1,18 @@
-"""Backhaul message objects and per-link rate accounting."""
+"""Backhaul message objects, per-link rate accounting, and the exchange
+engine both cooperation protocols run on.
+
+An exchange is a table of steps, one per backhaul link, applied in order
+once per round.  Every payload, and every correction a receiving node
+applies to it, is a signed sum of shifted reads of lattice-label tables;
+a term is written
+
+    (sign, table, ((coordinate name, shift), ...), slab offset)
+
+and reads ``table`` of its node at label u + shift on the named
+coordinates, with the slab coordinate pinned to the round's slab plus the
+offset.  Reads outside a table are zero.  The destination's result is the
+block it stores as its slab of the round.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, SymbolRangeError
+from .errors import ParameterError, ProtocolError, SymbolRangeError
+from .indices import AXIS, window
 
 
 @dataclass(eq=False)
@@ -107,3 +122,119 @@ class BackhaulLedger:
 
     def trace_records(self) -> list:
         return [m.trace_record() for m in self.messages]
+
+
+# ============================================================
+# exchange engine
+# ============================================================
+
+
+@dataclass(frozen=True)
+class Step:
+    """One backhaul link of a round: the source sends the sum of ``send``
+    terms, the destination adds its ``receive`` terms to the payload and
+    stores the result as its slab of the round.
+
+    ``halfwidth`` is the payload alphabet half-width in units of q on the
+    first round and on later rounds.  A nonempty ``carry`` makes the
+    destination solve b[u] = block[u] + b[u + carry] by back-substitution,
+    sweeping down the first carry coordinate, whose shift must be +1.
+    """
+
+    source: int
+    destination: int
+    send: tuple
+    receive: tuple
+    halfwidth: tuple
+    carry: tuple = ()
+
+
+@dataclass(eq=False)
+class NodeState:
+    """One node's working memory: read-only tables plus the ``store``
+    table, which the exchange fills one slab per round along
+    ``slab_coord``.  Stored entries must lie within +-``bound``."""
+
+    node: int
+    q: int
+    bound: int
+    slab_coord: tuple
+    store: str
+    tables: dict
+    slabs: set = field(default_factory=set)
+    range_violation: bool = False
+
+    def add_term(self, out, term, slab, round_index):
+        """Add one term, read around ``slab``, into the block ``out``."""
+        sign, name, shifts, offset = term
+        table = self.tables[name]
+        axis = AXIS[self.slab_coord]
+        pinned = slab + offset
+        if (name == self.store and 1 <= pinned <= table.shape[axis]
+                and pinned not in self.slabs):
+            raise ProtocolError(f"slab {pinned} read before it was stored",
+                                round_index=round_index, node=self.node)
+        w = window(table.shape, out.shape[0],
+                   {AXIS[c]: d for c, d in shifts}, {axis: pinned})
+        if w is None:
+            return
+        src, dst = w
+        if sign > 0:
+            out[dst] += table[src]
+        else:
+            out[dst] -= table[src]
+
+    def store_slab(self, slab, block, strict, round_index):
+        if np.abs(block).max() > self.bound:
+            if strict:
+                raise ProtocolError(
+                    "inconsistent combination: stored entry outside "
+                    f"half-width {self.bound}", round_index=round_index,
+                    node=self.node)
+            self.range_violation = True
+        table = self.tables[self.store]
+        idx = [slice(None)] * table.ndim
+        idx[AXIS[self.slab_coord]] = slab - 1
+        table[tuple(idx)] = block
+        self.slabs.add(slab)
+
+
+def _back_substitute(block, carry, slab_axis):
+    """In place: b[u] = block[u] + b[u + carry], zero outside the block."""
+    free = [ax for ax in range(block.ndim + 1) if ax != slab_axis]
+    shifts = {free.index(AXIS[c]): d for c, d in carry}
+    w = window(block.shape, block.shape[0], shifts, {})
+    if w is None:
+        return
+    sweep = free.index(AXIS[carry[0][0]])
+    src, dst = list(w[0]), list(w[1])
+    # the read lands one step further down the sweep, already final
+    for k in range(block.shape[sweep] - 1, 0, -1):
+        src[sweep], dst[sweep] = k, k - 1
+        block[tuple(dst)] += block[tuple(src)]
+
+
+def run_round(steps, nodes, round_index, slab, ledger, first=False,
+              strict=True):
+    """Run every step of one round on slab ``slab``, logging each message.
+
+    In strict mode a stored block outside its node's bound raises
+    ProtocolError; otherwise the node is flagged and the round goes on.
+    """
+    for step in steps:
+        src, dst = nodes[step.source], nodes[step.destination]
+        upper = src.tables[src.store].shape[0]
+        block = np.zeros((upper,) * 8, dtype=np.int64)
+        for term in step.send:
+            src.add_term(block, term, slab, round_index)
+        msg = BackhaulMessage(
+            source=step.source, destination=step.destination,
+            round_index=round_index, payload=block.ravel(),
+            alphabet_halfwidth=step.halfwidth[0 if first else 1] * src.q)
+        ledger.add(msg)
+        block = block.copy()
+        for term in step.receive:
+            dst.add_term(block, term, slab, round_index)
+        if step.carry:
+            _back_substitute(block, step.carry, AXIS[dst.slab_coord])
+        dst.store_slab(slab, block, strict, round_index)

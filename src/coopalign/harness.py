@@ -184,10 +184,7 @@ def _channel_listing(ch: ChannelMatrix):
     return [[[float(v.real), float(v.imag)] for v in row] for row in ch.h]
 
 
-def _protocol_rows(config, trial, ledger, detail, label, load_spans_cube):
-    report = _budget_report(ledger.total_symbols / 3.0, config.N, config.eps,
-                            np.asarray(config.P_grid), label,
-                            dense_limit=True, load_spans_cube=load_spans_cube)
+def _report_rows(config, trial, report, detail=""):
     rows = []
     for i, P in enumerate(report.P_grid):
         l2 = np.log2(P)
@@ -197,19 +194,6 @@ def _protocol_rows(config, trial, ledger, detail, label, load_spans_cube):
                      "load_bits": float(report.rb_bar[i]),
                      "rate_bits": float(report.rates[i].mean()),
                      "detail": detail})
-    return rows
-
-
-def _report_rows(config, trial, report):
-    rows = []
-    for i, P in enumerate(report.P_grid):
-        l2 = np.log2(P)
-        rows.append({"trial": trial, "P": float(P), "scheme": config.scheme,
-                     "alpha": float(report.rb_bar[i] / l2),
-                     "dof": float(report.rates[i].mean() / l2),
-                     "load_bits": float(report.rb_bar[i]),
-                     "rate_bits": float(report.rates[i].mean()),
-                     "detail": ""})
     return rows
 
 
@@ -239,12 +223,14 @@ def run_trial(config: ExperimentConfig, trial: int):
     if scheme == "rx-coop":
         streams = tuple(SubstreamTable.random(i + 1, config.N, config.q, rng)
                         for i in range(3))
-        res = run_rx_protocol(streams, ch)
+        res = run_rx_protocol(streams)
         exact = all(np.array_equal(res.recovered[i], streams[i].values)
                     for i in range(3))
-        rows = _protocol_rows(config, trial, res.ledger,
-                              "exact" if exact else "contaminated",
-                              "rx-coop", load_spans_cube=False)
+        report = _budget_report(res.ledger.total_symbols / 3.0, config.N,
+                                config.eps, np.asarray(config.P_grid),
+                                scheme, dense_limit=True, load_spans_cube=False)
+        rows = _report_rows(config, trial, report,
+                            "exact" if exact else "contaminated")
         trace = [dict(r, trial=trial) for r in res.ledger.trace_records()]
         return rows, _channel_listing(ch), trace
 
@@ -256,9 +242,10 @@ def run_trial(config: ExperimentConfig, trial: int):
                                config.c1, config.c2)
         chk = verify_diagonalization(streams, ch, params, built=res.built,
                                      inv=InverseChannel.of(ch))
-        rows = _protocol_rows(config, trial, res.ledger,
-                              "%.3e" % chk.residual, "tx-coop",
-                              load_spans_cube=True)
+        report = _budget_report(res.ledger.total_symbols / 3.0, config.N,
+                                config.eps, np.asarray(config.P_grid),
+                                scheme, dense_limit=True, load_spans_cube=True)
+        rows = _report_rows(config, trial, report, "%.3e" % chk.residual)
         trace = [dict(r, trial=trial) for r in res.ledger.trace_records()]
         trace.append({"stage": "airtime", "source": 0, "destination": 0,
                       "round": res.rounds + 1, "length": 3,

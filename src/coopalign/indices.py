@@ -73,40 +73,43 @@ def iter_cube(upper, repeat=NUM_COORDS):
         yield IndexVector(tup)
 
 
-def gather_block(table, out_upper, shifts=None, fixed=None):
-    """Shifted block read with zero fill.
+def window(shape, out_upper, shifts, fixed):
+    """Index pair (source, output) of a shifted block read, or None when
+    the read lies wholly outside the table.
 
-    ``table`` holds values for coordinates {1..size} per axis (array index =
-    coordinate - 1).  Axes listed in ``fixed`` are pinned to a single
-    coordinate and dropped from the output; every remaining (free) axis is
-    read at coordinate u + shifts[axis] for output coordinate u in
-    {1..out_upper}.  Reads outside the table are zero, so the result is the
-    zero-convention lookup evaluated on a full block.
+    A table of ``shape`` holds coordinates {1..size} per axis (array index =
+    coordinate - 1).  Axes in ``fixed`` are pinned to one coordinate and
+    dropped from the output; every other axis is read at coordinate
+    u + shifts[axis] for output coordinate u in {1..out_upper}.  Output
+    entries whose read falls outside the table are not covered.
     """
-    table = np.asarray(table)
-    shifts = shifts or {}
-    fixed = fixed or {}
-    free_axes = [ax for ax in range(table.ndim) if ax not in fixed]
-    out_shape = (out_upper,) * len(free_axes)
-    out = np.zeros(out_shape, dtype=table.dtype)
-
-    for ax, coord in fixed.items():
-        if not 1 <= coord <= table.shape[ax]:
-            return out
-
-    src = [None] * table.ndim
+    src = [None] * len(shape)
     dst = []
-    for ax in free_axes:
+    for ax, size in enumerate(shape):
+        if ax in fixed:
+            if not 1 <= fixed[ax] <= size:
+                return None
+            src[ax] = fixed[ax] - 1
+            continue
         d = int(shifts.get(ax, 0))
         lo = max(1, 1 + d)                      # smallest source coordinate
-        hi = min(table.shape[ax], out_upper + d)
+        hi = min(size, out_upper + d)
         if lo > hi:
-            return out
+            return None
         src[ax] = slice(lo - 1, hi)
         dst.append(slice(lo - d - 1, hi - d))
-    for ax, coord in fixed.items():
-        src[ax] = coord - 1
-    out[tuple(dst)] = table[tuple(src)]
+    return tuple(src), tuple(dst)
+
+
+def gather_block(table, out_upper, shifts=None, fixed=None):
+    """Shifted block read with zero fill: the zero-convention lookup of
+    ``table`` evaluated on a full block (see ``window``)."""
+    table = np.asarray(table)
+    fixed = fixed or {}
+    out = np.zeros((out_upper,) * (table.ndim - len(fixed)), dtype=table.dtype)
+    w = window(table.shape, out_upper, shifts or {}, fixed)
+    if w is not None:
+        out[w[1]] = table[w[0]]
     return out
 
 

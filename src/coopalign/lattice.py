@@ -227,18 +227,6 @@ def monomial_value(channel, s: IndexVector) -> complex:
     return complex(out)
 
 
-def monomial_value_log(channel, s: IndexVector) -> complex:
-    """Log-domain evaluation of the same product; cross-check path for
-    large exponents where cancellation or overflow could bite."""
-    h = _as_gain_array(channel).ravel()
-    acc = 0.0 + 0.0j
-    for k in range(9):
-        e = s.coords[k]
-        if e:
-            acc += e * np.log(np.complex128(h[k]))
-    return complex(np.exp(acc))
-
-
 def monomial_table(channel, upper) -> np.ndarray:
     """All carrier values on the cube {1..upper}^9 as a dense array."""
     h = _as_gain_array(channel).ravel()

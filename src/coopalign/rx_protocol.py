@@ -2,180 +2,75 @@
 receiver unravel its own symbols from the lattice combinations.
 
 The lattice cube {1..N+1}^9 is processed slab by slab along coordinate (3,1),
-top down.  In round r (0-based) the slab at (3,1) = N-r is resolved:
+top down.  In round r (0-based) the slab at (3,1) = N-r is resolved by the
+three steps of RX_STEPS, run on the exchange engine in backhaul.py:
 
   3 -> 1  interference sums receiver 3 already knows on the slab above,
           shifted and topped up with its own resolved symbols; receiver 1
-          subtracts its stored sums and is left with fresh user-1 symbols,
+          subtracts its own sums and is left with fresh user-1 symbols,
   1 -> 2  receiver 1's fresh interference sums plus its own symbols;
           receiver 2 subtracts a raw combination and telescopes a running
           difference along coordinate (2,3) to peel user-2 symbols,
   2 -> 3  receiver 2's cleaned combination plus a previously resolved
-          symbol; receiver 3 subtracts its stored sums to finish the slab.
+          symbol; receiver 3 subtracts its sums to finish the slab.
 
-Round 0 degenerates to the seed: the slab above the cube is empty, so the
-3 -> 1 payload is plain user-1 symbols.  All payloads are 8-d blocks over the
-free coordinates, ravelled in canonical (lexicographic) order.
+Receiver i's interference sums on a slab are its combinations minus its
+own resolved symbols shifted by -1 on (i,i), so each one is the term pair
+(+obs, -resolved) in the table.  Round 0 degenerates to the seed: the slab
+above the cube is empty, so the 3 -> 1 payload is plain user-1 symbols.
+All payloads are 8-d blocks over the free coordinates, ravelled in
+canonical (lexicographic) order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .backhaul import BackhaulLedger, BackhaulMessage
+from .backhaul import BackhaulLedger, NodeState, Step, run_round
 from .detection import DetectionReport, genie_detect
-from .errors import ParameterError, ProtocolError
-from .indices import AXIS, gather_block
-from .lattice import ObservationTable, SubstreamTable
-
-_AX31 = AXIS[(3, 1)]
-# positions of the free coordinates once (3,1) is pinned
-_F = {name: k for k, name in enumerate(
-    ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3)))}
+from .errors import ParameterError
+from .lattice import SubstreamTable
 
 _DETECTOR_MODES = ("exact-genie", "genie-with-errors")
 
-
-@dataclass(eq=False)
-class ReceiverState:
-    """One receiver's working memory while the exchange runs."""
-
-    node: int
-    n: int
-    q: int
-    obs: ObservationTable
-    resolved: np.ndarray = None
-    resolved_slabs: set = field(default_factory=set)
-    known_sums: dict = field(default_factory=dict)
-    range_violation: bool = False
-
-    def __post_init__(self):
-        if self.resolved is None:
-            self.resolved = np.zeros((self.n,) * 9, dtype=np.int64)
-
-    def extract_known_sums(self, slab):
-        """Interference sums on one slab: the receiver's combinations minus
-        its own resolved symbols (shifted on the diagonal coordinate)."""
-        own = gather_block(self.resolved, self.n + 1,
-                           shifts={AXIS[(self.node, self.node)]: -1},
-                           fixed={_AX31: slab})
-        self.known_sums[slab] = self.obs.slab((3, 1), slab) - own
-
-    def store_slab(self, slab, block, strict, round_index):
-        if np.abs(block).max() > self.q:
-            if strict:
-                raise ProtocolError(
-                    "inconsistent subtraction: resolved symbol outside "
-                    f"half-width {self.q}", round_index=round_index,
-                    node=self.node)
-            self.range_violation = True
-        idx = [slice(None)] * 9
-        idx[_AX31] = slab - 1
-        self.resolved[tuple(idx)] = block
-        self.resolved_slabs.add(slab)
+# terms: (sign, table, ((coordinate, shift), ...), slab offset); offset 0 is
+# the slab resolved this round, +1 the slab above it
+RX_STEPS = (
+    Step(3, 1,
+         send=((+1, "obs", (), 1),
+               (-1, "resolved", (((3, 3), -1),), 1),
+               (+1, "resolved", (((1, 2), 1), ((1, 3), -1), ((3, 2), -1)), 1)),
+         receive=((-1, "obs", (((1, 2), 1), ((3, 2), -1)), 1),
+                  (+1, "resolved", (((1, 1), -1), ((1, 2), 1), ((3, 2), -1)), 1)),
+         halfwidth=(1, 3)),
+    Step(1, 2,
+         send=((+1, "obs", (((1, 2), 1),), 0),
+               (-1, "resolved", (((1, 1), -1), ((1, 2), 1)), 0),
+               (+1, "resolved", (((1, 2), 1), ((1, 3), -1), ((2, 1), -1),
+                                 ((2, 3), 1)), 0)),
+         receive=((-1, "obs", (((1, 2), 1), ((1, 3), -1), ((2, 3), 1)), 0),),
+         halfwidth=(3, 3),
+         carry=(((2, 3), 1), ((1, 2), 1), ((1, 3), -1), ((2, 2), -1))),
+    Step(2, 3,
+         send=((+1, "obs", (((2, 3), 1),), 0),
+               (-1, "resolved", (((2, 2), -1), ((2, 3), 1)), 0),
+               (+1, "resolved", (((2, 1), -1), ((2, 3), 1), ((3, 2), -1)), 1)),
+         receive=((-1, "obs", (((2, 1), -1), ((2, 3), 1)), 1),
+                  (+1, "resolved", (((2, 1), -1), ((2, 3), 1), ((3, 3), -1)), 1)),
+         halfwidth=(2, 3)),
+)
 
 
-def _require_slab(state, slab, r):
-    if slab not in state.known_sums:
-        raise ProtocolError(f"prerequisite sums for slab {slab} unresolved",
-                            round_index=r, node=state.node)
-
-
-def rx3_emit(state3: ReceiverState, r) -> BackhaulMessage:
-    """Start round r: receiver 3 sends the slab-above sums, re-labelled, plus
-    its own already-resolved symbols.  At r=0 this is the plain seed."""
-    n = state3.n
-    hi = n - r + 1
-    _require_slab(state3, hi, r)
-    if r > 0 and hi not in state3.resolved_slabs:
-        raise ProtocolError("prerequisite symbols unresolved", round_index=r, node=3)
-    lump = state3.known_sums[hi][(slice(0, n),) * 8]
-    own = gather_block(state3.resolved, n,
-                       shifts={AXIS[(1, 2)]: 1, AXIS[(1, 3)]: -1, AXIS[(3, 2)]: -1},
-                       fixed={_AX31: hi})
-    payload = lump + own
-    halfwidth = state3.q if r == 0 else 3 * state3.q
-    return BackhaulMessage(source=3, destination=1, round_index=r,
-                           payload=payload.ravel(), alphabet_halfwidth=halfwidth)
-
-
-def rx1_absorb_and_emit(state1: ReceiverState, msg: BackhaulMessage, r,
-                        strict=True) -> BackhaulMessage:
-    """Receiver 1 peels its slab, refreshes its sums, and forwards them with
-    its own symbols added for receiver 2."""
-    n = state1.n
-    hi, lo = n - r + 1, n - r
-    _require_slab(state1, hi, r)
-    payload = msg.payload.reshape((n,) * 8)
-    sub = gather_block(state1.known_sums[hi], n,
-                       shifts={_F[(1, 2)]: 1, _F[(3, 2)]: -1})
-    state1.store_slab(lo, payload - sub, strict, r)
-    state1.extract_known_sums(lo)
-
-    part = gather_block(state1.known_sums[lo], n, shifts={_F[(1, 2)]: 1})
-    own = gather_block(state1.resolved, n,
-                       shifts={AXIS[(1, 2)]: 1, AXIS[(1, 3)]: -1,
-                               AXIS[(2, 1)]: -1, AXIS[(2, 3)]: 1},
-                       fixed={_AX31: lo})
-    return BackhaulMessage(source=1, destination=2, round_index=r,
-                           payload=(part + own).ravel(),
-                           alphabet_halfwidth=3 * state1.q)
-
-
-def rx2_absorb_and_emit(state2: ReceiverState, msg: BackhaulMessage, r,
-                        strict=True) -> BackhaulMessage:
-    """Receiver 2 subtracts a raw combination, leaving a two-term symbol
-    difference, telescopes it along (2,3) from the top, then forwards a
-    cleaned combination to receiver 3."""
-    n = state2.n
-    lo = n - r
-    payload = msg.payload.reshape((n,) * 8)
-    raw = gather_block(state2.obs.values, n,
-                       shifts={AXIS[(1, 2)]: 1, AXIS[(1, 3)]: -1, AXIS[(2, 3)]: 1},
-                       fixed={_AX31: lo})
-    diff = payload - raw
-
-    # b[u] = diff[u] + b[u shifted]; the shifted read lands one step higher
-    # on (2,3), already final (or empty), so fill descending
-    block = np.zeros((n,) * 8, dtype=np.int64)
-    shifts = {_F[(1, 2)]: 1, _F[(1, 3)]: -1, _F[(2, 2)]: -1, _F[(2, 3)]: 1}
-    pos23 = _F[(2, 3)]
-    for k in range(n, 0, -1):
-        carried = gather_block(block, n, shifts=shifts)
-        sel = [slice(None)] * 8
-        sel[pos23] = k - 1
-        sel = tuple(sel)
-        block[sel] = diff[sel] + carried[sel]
-    state2.store_slab(lo, block, strict, r)
-
-    raw_fwd = gather_block(state2.obs.values, n, shifts={AXIS[(2, 3)]: 1},
-                           fixed={_AX31: lo})
-    own_now = gather_block(state2.resolved, n,
-                           shifts={AXIS[(2, 2)]: -1, AXIS[(2, 3)]: 1},
-                           fixed={_AX31: lo})
-    own_prev = gather_block(state2.resolved, n,
-                            shifts={AXIS[(2, 1)]: -1, AXIS[(2, 3)]: 1,
-                                    AXIS[(3, 2)]: -1},
-                            fixed={_AX31: lo + 1})
-    halfwidth = 2 * state2.q if r == 0 else 3 * state2.q
-    return BackhaulMessage(source=2, destination=3, round_index=r,
-                           payload=(raw_fwd - own_now + own_prev).ravel(),
-                           alphabet_halfwidth=halfwidth)
-
-
-def rx3_absorb(state3: ReceiverState, msg: BackhaulMessage, r, strict=True):
-    """Receiver 3 closes the round: subtract its stored sums, store the
-    fresh slab, and extract the sums the next round will need."""
-    n = state3.n
-    hi, lo = n - r + 1, n - r
-    _require_slab(state3, hi, r)
-    payload = msg.payload.reshape((n,) * 8)
-    sub = gather_block(state3.known_sums[hi], n,
-                       shifts={_F[(2, 1)]: -1, _F[(2, 3)]: 1})
-    state3.store_slab(lo, payload - sub, strict, r)
-    state3.extract_known_sums(lo)
+def receiver_nodes(tables, q):
+    """Fresh receiver states over the detected combination tables."""
+    n = tables[0].n
+    return {i: NodeState(node=i, q=q, bound=q, slab_coord=(3, 1),
+                         store="resolved",
+                         tables={"obs": tables[i - 1].values,
+                                 "resolved": np.zeros((n,) * 9, dtype=np.int64)})
+            for i in (1, 2, 3)}
 
 
 @dataclass
@@ -193,9 +88,8 @@ class RxProtocolResult:
                      for i in range(3))
 
 
-def run_rx_protocol(all_streams, channel=None, params=None,
-                    detector_mode="exact-genie", error_rate=0.0, rng_seed=0
-                    ) -> RxProtocolResult:
+def run_rx_protocol(all_streams, detector_mode="exact-genie", error_rate=0.0,
+                    rng_seed=0) -> RxProtocolResult:
     """Run the full N-round receiver-side exchange on one time slot.
 
     detector_mode "exact-genie" uses exact combinations and raises on any
@@ -209,28 +103,19 @@ def run_rx_protocol(all_streams, channel=None, params=None,
     report = genie_detect(all_streams, error_rate=rate, rng_seed=rng_seed)
 
     n, q = all_streams[0].n, all_streams[0].q
-    states = {i: ReceiverState(node=i, n=n, q=q, obs=report.tables[i - 1])
-              for i in (1, 2, 3)}
-    for st in states.values():
-        st.extract_known_sums(n + 1)
-
+    nodes = receiver_nodes(report.tables, q)
     ledger = BackhaulLedger()
     for r in range(n):
-        m31 = rx3_emit(states[3], r)
-        ledger.add(m31)
-        m12 = rx1_absorb_and_emit(states[1], m31, r, strict=strict)
-        ledger.add(m12)
-        m23 = rx2_absorb_and_emit(states[2], m12, r, strict=strict)
-        ledger.add(m23)
-        rx3_absorb(states[3], m23, r, strict=strict)
+        run_round(RX_STEPS, nodes, r, n - r, ledger, first=r == 0,
+                  strict=strict)
     if strict:
         for m in ledger.messages:
             m.validate_alphabet()
 
     contaminated = tuple(
-        bool(report.symbol_error_flags[i - 1]) or states[i].range_violation
+        bool(report.symbol_error_flags[i - 1]) or nodes[i].range_violation
         for i in (1, 2, 3))
-    recovered = tuple(states[i].resolved for i in (1, 2, 3))
+    recovered = tuple(nodes[i].tables["resolved"] for i in (1, 2, 3))
     return RxProtocolResult(recovered=recovered, ledger=ledger, report=report,
                             contaminated=contaminated, rounds=n)
 
@@ -240,8 +125,7 @@ def expected_message_count(n: int) -> int:
     return 3 * n ** 9
 
 
-def run_rx_slots(slot_streams, channel=None, params=None, error_slot=None,
-                 error_rate=1.0, rng_seed=0):
+def run_rx_slots(slot_streams, error_slot=None, error_rate=1.0, rng_seed=0):
     """Run the protocol independently on a sequence of time slots.
 
     Slot error_slot (if given) runs with injected detection errors; every
@@ -252,12 +136,7 @@ def run_rx_slots(slot_streams, channel=None, params=None, error_slot=None,
     for t, streams in enumerate(slot_streams):
         ss = np.random.SeedSequence(entropy=rng_seed, spawn_key=(t,))
         seed = int(ss.generate_state(1, np.uint64)[0])
-        if error_slot is not None and t == error_slot:
-            res = run_rx_protocol(streams, channel, params,
-                                  detector_mode="genie-with-errors",
-                                  error_rate=error_rate, rng_seed=seed)
-        else:
-            res = run_rx_protocol(streams, channel, params,
-                                  detector_mode="exact-genie", rng_seed=seed)
-        results.append(res)
+        mode = "genie-with-errors" if t == error_slot else "exact-genie"
+        results.append(run_rx_protocol(streams, detector_mode=mode,
+                                       error_rate=error_rate, rng_seed=seed))
     return results

@@ -3,7 +3,8 @@ transmitter the receive combinations of its own receiver, then channel
 inversion so each receiver sees only its own symbols.
 
 The combination cube {1..N+1}^9 is built slab by slab along coordinate
-(2,1), bottom up, one round per slab value r = 1..N+1.  Within a round:
+(2,1), bottom up, one round per slab value r = 1..N+1, by the three steps
+of TX_STEPS run on the exchange engine in backhaul.py:
 
   3 -> 2  transmitter 3 re-labels its finished slab r-1, swaps its own
           symbol term from the old label to the new one, and sends;
@@ -25,17 +26,14 @@ that cancellation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .backhaul import BackhaulLedger, BackhaulMessage
+from .backhaul import BackhaulLedger, NodeState, Step, run_round
 from .errors import ProtocolError, SingularChannelError
-from .indices import AXIS, gather_block
 from .lattice import (ObservationTable, _as_gain_array, complex_awgn,
                       monomial_table)
-
-_AX21 = AXIS[(2, 1)]
 
 
 @dataclass(eq=False)
@@ -66,75 +64,51 @@ class InverseChannel:
         return cls(h=h, hinv=hinv, product_residual=resid)
 
 
-@dataclass(eq=False)
-class TransmitterState:
-    """One transmitter's working memory: its own symbols and the slabs of
-    its receiver's combination cube built so far."""
+# terms: (sign, table, ((coordinate, shift), ...), slab offset); offset 0 is
+# the slab built this round, -1 the slab below it
+TX_STEPS = (
+    Step(3, 2,
+         send=((+1, "built", (((3, 1), 1),), -1),
+               (-1, "own", (((3, 1), 1), ((3, 3), -1)), -1),
+               (+1, "own", (((2, 3), -1),), 0)),
+         receive=((-1, "own", (((3, 1), 1), ((3, 2), -1)), -1),
+                  (+1, "own", (((2, 2), -1),), 0)),
+         halfwidth=(3, 3)),
+    Step(2, 1,
+         send=((+1, "built", (((1, 3), -1), ((2, 3), 1)), 0),
+               (-1, "own", (((1, 3), -1), ((2, 2), -1), ((2, 3), 1)), 0),
+               (+1, "own", (((1, 2), -1),), 0)),
+         receive=((-1, "own", (((1, 3), -1), ((2, 3), 1)), -1),
+                  (+1, "own", (((1, 1), -1),), 0)),
+         halfwidth=(3, 3)),
+    Step(1, 3,
+         send=((+1, "built", (((1, 2), 1), ((3, 2), -1)), 0),
+               (-1, "own", (((1, 1), -1), ((1, 2), 1), ((3, 2), -1)), 0),
+               (+1, "own", (((3, 1), -1),), 0)),
+         receive=((-1, "own", (((1, 2), 1), ((1, 3), -1), ((3, 2), -1)), 0),
+                  (+1, "own", (((3, 3), -1),), 0)),
+         halfwidth=(3, 3)),
+)
 
-    node: int
-    n: int
-    q: int
-    own: np.ndarray
-    built: np.ndarray = None
-    built_slabs: set = field(default_factory=set)
 
-    def __post_init__(self):
-        if self.built is None:
-            self.built = np.zeros((self.n + 1,) * 9, dtype=np.int64)
-
-    def store_slab(self, slab, block, round_index):
-        if np.abs(block).max() > 3 * self.q:
-            raise ProtocolError(
-                "inconsistent swap: combination outside half-width "
-                f"{3 * self.q}", round_index=round_index, node=self.node)
-        idx = [slice(None)] * 9
-        idx[_AX21] = slab - 1
-        self.built[tuple(idx)] = block
-        self.built_slabs.add(slab)
+def transmitter_nodes(all_streams):
+    """Fresh transmitter states holding each user's own symbols."""
+    a, b, c = all_streams
+    if (a.owner, b.owner, c.owner) != (1, 2, 3):
+        raise ProtocolError("streams must be given in user order (1, 2, 3)")
+    if not (a.n == b.n == c.n and a.q == b.q == c.q):
+        raise ProtocolError("streams must share lattice depth and half-width")
+    n, q = a.n, a.q
+    return {m: NodeState(node=m, q=q, bound=3 * q, slab_coord=(2, 1),
+                         store="built",
+                         tables={"own": all_streams[m - 1].values,
+                                 "built": np.zeros((n + 1,) * 9, dtype=np.int64)})
+            for m in (1, 2, 3)}
 
 
-def tx_round(states, r):
-    """Run one round of the exchange, mutating states; returns the three
-    messages in send order 3->2, 2->1, 1->3."""
-    n = states[3].n
-    u = n + 1
-    if r > 1 and (r - 1) not in states[3].built_slabs:
-        raise ProtocolError("prerequisite slab unbuilt", round_index=r, node=3)
-    q3 = 3 * states[3].q
-
-    def own(node, shifts, slab):
-        return gather_block(states[node].own, u, shifts=shifts,
-                            fixed={_AX21: slab})
-
-    def built(node, shifts, slab):
-        return gather_block(states[node].built, u, shifts=shifts,
-                            fixed={_AX21: slab})
-
-    # coordinate axes: 0..8 = (1,1),(1,2),(1,3),(2,1),(2,2),(2,3),(3,1),(3,2),(3,3)
-    e32 = (built(3, {6: 1}, r - 1)
-           - own(3, {6: 1, 8: -1}, r - 1)
-           + own(3, {5: -1}, r))
-    m32 = BackhaulMessage(source=3, destination=2, round_index=r,
-                          payload=e32.ravel(), alphabet_halfwidth=q3)
-    states[2].store_slab(r, e32 - own(2, {6: 1, 7: -1}, r - 1)
-                         + own(2, {4: -1}, r), r)
-
-    e21 = (built(2, {2: -1, 5: 1}, r)
-           - own(2, {2: -1, 4: -1, 5: 1}, r)
-           + own(2, {1: -1}, r))
-    m21 = BackhaulMessage(source=2, destination=1, round_index=r,
-                          payload=e21.ravel(), alphabet_halfwidth=q3)
-    states[1].store_slab(r, e21 - own(1, {2: -1, 5: 1}, r - 1)
-                         + own(1, {0: -1}, r), r)
-
-    e13 = (built(1, {1: 1, 7: -1}, r)
-           - own(1, {0: -1, 1: 1, 7: -1}, r)
-           + own(1, {6: -1}, r))
-    m13 = BackhaulMessage(source=1, destination=3, round_index=r,
-                          payload=e13.ravel(), alphabet_halfwidth=q3)
-    states[3].store_slab(r, e13 - own(3, {1: 1, 2: -1, 7: -1}, r)
-                         + own(3, {8: -1}, r), r)
-    return [m32, m21, m13]
+def tx_round(nodes, r, ledger):
+    """Run round r (slab r) of the exchange, logging to the ledger."""
+    run_round(TX_STEPS, nodes, r, r, ledger, first=r == 1)
 
 
 @dataclass
@@ -144,25 +118,15 @@ class TxProtocolResult:
     rounds: int
 
 
-def run_tx_backhaul(all_streams, params=None) -> TxProtocolResult:
-    """Run the full (N+1)-round transmitter exchange on one time slot.
-
-    The exchange is exact integer arithmetic; params is accepted for
-    interface symmetry with the receiver protocol and not consulted.
-    """
-    a, b, c = all_streams
-    if (a.owner, b.owner, c.owner) != (1, 2, 3):
-        raise ProtocolError("streams must be given in user order (1, 2, 3)")
-    if not (a.n == b.n == c.n and a.q == b.q == c.q):
-        raise ProtocolError("streams must share lattice depth and half-width")
-    n, q = a.n, a.q
-    states = {m: TransmitterState(node=m, n=n, q=q, own=all_streams[m - 1].values)
-              for m in (1, 2, 3)}
+def run_tx_backhaul(all_streams) -> TxProtocolResult:
+    """Run the full (N+1)-round transmitter exchange on one time slot."""
+    nodes = transmitter_nodes(all_streams)
+    n, q = all_streams[0].n, all_streams[0].q
     ledger = BackhaulLedger()
     for r in range(1, n + 2):
-        for msg in tx_round(states, r):
-            ledger.add(msg)
-    built = tuple(ObservationTable(receiver=m, n=n, values=states[m].built, q=q)
+        tx_round(nodes, r, ledger)
+    built = tuple(ObservationTable(receiver=m, n=n, q=q,
+                                   values=nodes[m].tables["built"])
                   for m in (1, 2, 3))
     return TxProtocolResult(built=built, ledger=ledger, rounds=n + 1)
 

@@ -68,7 +68,7 @@ def test_c01_rx_recovery():
             require_generic(ch, n)
             streams = tuple(SubstreamTable.random(i, n, 5, rng)
                             for i in (1, 2, 3))
-            res = run_rx_protocol(streams, channel=ch)
+            res = run_rx_protocol(streams)
             for i in range(3):
                 np.testing.assert_array_equal(res.recovered[i],
                                               streams[i].values)

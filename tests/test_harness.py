@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -190,6 +191,28 @@ class TestRunExperiment:
                    trials=2, output_dir=str(tmp_path / "run"))
         manifest = run_experiment(cfg)
         assert manifest.channels[0] == manifest.channels[1] == h
+
+
+# sha256 of the deterministic backhaul trace, recorded before the rx and tx
+# protocols moved onto the shared exchange engine; tx leaves out its float
+# airtime record
+GOLDEN_TRACE = {
+    ("rx-coop", 1): "cfac58ee216162f1b0ba8fcf4458381cd7bfa3850498c6373cd33f5099d43fa1",
+    ("rx-coop", 2): "bc86763455bbf30bcfef384c41ef508642d9eb623d49a7b6f4140bb7b09b15bd",
+    ("tx-coop", 1): "43ceb03effb6db3bc8da1bfe0fc9bc3e61ae1d921dc3d650b0cd68ce4db251ba",
+    ("tx-coop", 2): "ecaecfe9bda023e1e35ec5de4fd67164af1f0810e5d90a7b3603e2901e78bc6e",
+}
+
+
+@pytest.mark.parametrize("scheme,n", sorted(GOLDEN_TRACE))
+def test_backhaul_trace_golden(tmp_path, scheme, n):
+    run_experiment(_cfg(scheme=scheme, N=n, output_dir=str(tmp_path)))
+    lines = (tmp_path / "trace.jsonl").read_bytes().splitlines(keepends=True)
+    backhaul = b"".join(l for l in lines
+                        if json.loads(l)["stage"] == "backhaul")
+    assert hashlib.sha256(backhaul).hexdigest() == GOLDEN_TRACE[scheme, n]
+    if scheme == "rx-coop":
+        assert len(backhaul) == sum(map(len, lines))
 
 
 class TestTradeoffCsv:

@@ -33,13 +33,19 @@ def test_numba_matches_numpy(rng):
                                   _kernels.nearest_point_numpy(y, points))
 
 
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not importable")
+# two candidates at identical distance: every path picks the lower index
+TIE_Y = np.array([0.0 + 0.0j])
+TIE_POINTS = np.array([1.0 + 0.0j, -1.0 + 0.0j, 1.0 + 0.0j])
+
+
 def test_tie_break_smallest_index():
-    # two candidates at identical distance: both paths pick the lower index
-    y = np.array([0.0 + 0.0j])
-    points = np.array([1.0 + 0.0j, -1.0 + 0.0j, 1.0 + 0.0j])
-    assert _kernels.nearest_point_numpy(y, points)[0] == 0
-    assert _kernels.nearest_point_numba(y, points)[0] == 0
+    assert _kernels.nearest_point_numpy(TIE_Y, TIE_POINTS)[0] == 0
+    assert _kernels.nearest_point(TIE_Y, TIE_POINTS)[0] == 0
+
+
+@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba not importable")
+def test_tie_break_smallest_index_numba():
+    assert _kernels.nearest_point_numba(TIE_Y, TIE_POINTS)[0] == 0
 
 
 def test_dispatcher_runs():

@@ -3,28 +3,34 @@ import math
 import numpy as np
 import pytest
 
-from coopalign.backhaul import BackhaulLedger
+from coopalign.backhaul import BackhaulLedger, run_round
 from coopalign.detection import genie_detect
 from coopalign.errors import ParameterError, ProtocolError
 from coopalign.lattice import SubstreamTable
-from coopalign.rx_protocol import (ReceiverState, RxProtocolResult,
-                                   expected_message_count,
-                                   run_rx_protocol, run_rx_slots, rx1_absorb_and_emit,
-                                   rx2_absorb_and_emit, rx3_absorb, rx3_emit)
+from coopalign.rx_protocol import (RX_STEPS, expected_message_count,
+                                   receiver_nodes, run_rx_protocol,
+                                   run_rx_slots)
 
 
 def _streams(rng, n, q=5):
     return tuple(SubstreamTable.random(i, n, q, rng) for i in (1, 2, 3))
 
 
-def _fresh_states(streams):
-    rep = genie_detect(streams)
-    n, q = streams[0].n, streams[0].q
-    states = {i: ReceiverState(node=i, n=n, q=q, obs=rep.tables[i - 1])
-              for i in (1, 2, 3)}
-    for st in states.values():
-        st.extract_known_sums(n + 1)
-    return states
+def _fresh_nodes(streams):
+    return receiver_nodes(genie_detect(streams).tables, streams[0].q)
+
+
+def _rx_round(nodes, r, n):
+    run_round(RX_STEPS, nodes, r, n - r, BackhaulLedger(), first=r == 0)
+
+
+def _interference_sums(node, slab, n):
+    # receiver i's combinations minus its own symbols shifted on (i,i)
+    i = node.node
+    out = np.zeros((n + 1,) * 8, dtype=np.int64)
+    node.add_term(out, (+1, "obs", (), 0), slab, None)
+    node.add_term(out, (-1, "resolved", (((i, i), -1),), 0), slab, None)
+    return out
 
 
 class TestRecovery:
@@ -101,55 +107,59 @@ class TestMessageClasses:
 class TestStateMachine:
     def test_round0_resolves_top_slab_only(self, rng):
         streams = _streams(rng, 2)
-        states = _fresh_states(streams)
-        m31 = rx3_emit(states[3], 0)
-        m12 = rx1_absorb_and_emit(states[1], m31, 0)
-        m23 = rx2_absorb_and_emit(states[2], m12, 0)
-        rx3_absorb(states[3], m23, 0)
+        nodes = _fresh_nodes(streams)
+        _rx_round(nodes, 0, 2)
         for i in (1, 2, 3):
             own = streams[i - 1].values
-            got = states[i].resolved
+            got = nodes[i].tables["resolved"]
             np.testing.assert_array_equal(
                 got[:, :, :, :, :, :, 1], own[:, :, :, :, :, :, 1])
             assert not got[:, :, :, :, :, :, 0].any()
-            assert states[i].resolved_slabs == {2}
+            assert nodes[i].slabs == {2}
 
     def test_known_sums_stay_within_twice_q(self, rng):
         # interference sums carry at most two in-range symbols
         streams = _streams(rng, 2)
-        states = _fresh_states(streams)
+        nodes = _fresh_nodes(streams)
         for r in range(2):
-            m31 = rx3_emit(states[3], r)
-            m12 = rx1_absorb_and_emit(states[1], m31, r)
-            m23 = rx2_absorb_and_emit(states[2], m12, r)
-            rx3_absorb(states[3], m23, r)
-            for st in states.values():
-                for slab, block in st.known_sums.items():
-                    assert np.abs(block).max() <= 2 * st.q, (st.node, slab)
+            _rx_round(nodes, r, 2)
+            for node in nodes.values():
+                for slab in node.slabs | {3}:
+                    block = _interference_sums(node, slab, 2)
+                    assert np.abs(block).max() <= 2 * node.q, (node.node, slab)
 
     def test_missing_prerequisite_raises(self, rng):
-        streams = _streams(rng, 2)
-        rep = genie_detect(streams)
-        bare = ReceiverState(node=3, n=2, q=5, obs=rep.tables[2])
-        with pytest.raises(ProtocolError):
-            rx3_emit(bare, 0)
+        # round 1 reads the slab round 0 resolves; skipping round 0 is
+        # caught where receiver 3 first reads it
+        nodes = _fresh_nodes(_streams(rng, 2))
+        with pytest.raises(ProtocolError) as err:
+            _rx_round(nodes, 1, 2)
+        assert (err.value.round_index, err.value.node) == (1, 3)
 
     def test_strict_mode_flags_inconsistent_subtraction(self, rng):
         # a corrupted combination surfaces as an out-of-range resolved
-        # symbol downstream and strict mode refuses it
+        # symbol downstream and strict mode refuses it, naming where
         streams = _streams(rng, 2)
         rep = genie_detect(streams)
         rep.tables[0].values[0, 1, 0, 0, 0, 0, 1, 0, 0] += 40
-        states = {i: ReceiverState(node=i, n=2, q=5, obs=rep.tables[i - 1])
-                  for i in (1, 2, 3)}
-        for st in states.values():
-            st.extract_known_sums(3)
-        with pytest.raises(ProtocolError):
+        nodes = receiver_nodes(rep.tables, 5)
+        with pytest.raises(ProtocolError) as err:
             for r in range(2):
-                m31 = rx3_emit(states[3], r)
-                m12 = rx1_absorb_and_emit(states[1], m31, r)
-                m23 = rx2_absorb_and_emit(states[2], m12, r)
-                rx3_absorb(states[3], m23, r)
+                _rx_round(nodes, r, 2)
+        assert (err.value.round_index, err.value.node) == (0, 2)
+
+    def test_loose_mode_flags_and_continues(self, rng):
+        streams = _streams(rng, 2)
+        rep = genie_detect(streams)
+        rep.tables[0].values[0, 1, 0, 0, 0, 0, 1, 0, 0] += 40
+        nodes = receiver_nodes(rep.tables, 5)
+        ledger = BackhaulLedger()
+        for r in range(2):
+            run_round(RX_STEPS, nodes, r, 2 - r, ledger, first=r == 0,
+                      strict=False)
+        assert nodes[2].range_violation
+        assert all(node.slabs == {1, 2} for node in nodes.values())
+        assert len(ledger.messages) == 6
 
 
 class TestErrorHandling:

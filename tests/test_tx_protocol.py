@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import make_generic_channel, oracle_monomial, oracle_observations
+from coopalign.backhaul import BackhaulLedger
 from coopalign.errors import ProtocolError, SingularChannelError
 from coopalign.indices import iter_cube
 from coopalign.lattice import (ChannelMatrix, SubstreamTable, derive_params,
                                exact_observations)
-from coopalign.tx_protocol import (InverseChannel, TransmitterState,
-                                   diagonalized_transmit,
+from coopalign.tx_protocol import (InverseChannel, diagonalized_transmit,
                                    expected_message_count, run_tx_backhaul,
-                                   transmit_scale, tx_round,
-                                   verify_diagonalization)
+                                   transmit_scale, transmitter_nodes,
+                                   tx_round, verify_diagonalization)
 
 
 def _streams(rng, n, q=5):
@@ -78,22 +78,19 @@ class TestExchange:
             run_tx_backhaul((a, b, c))
 
     def test_slab_monotone_growth(self, rng):
-        streams = _streams(rng, 2)
-        states = {m: TransmitterState(node=m, n=2, q=5,
-                                      own=streams[m - 1].values)
-                  for m in (1, 2, 3)}
+        nodes = transmitter_nodes(_streams(rng, 2))
+        ledger = BackhaulLedger()
         for r in range(1, 4):
-            tx_round(states, r)
-            for st in states.values():
-                assert st.built_slabs == set(range(1, r + 1))
+            tx_round(nodes, r, ledger)
+            for node in nodes.values():
+                assert node.slabs == set(range(1, r + 1))
+            assert len(ledger.messages) == 3 * r
 
     def test_skipping_a_round_raises(self, rng):
-        streams = _streams(rng, 1)
-        states = {m: TransmitterState(node=m, n=1, q=5,
-                                      own=streams[m - 1].values)
-                  for m in (1, 2, 3)}
-        with pytest.raises(ProtocolError):
-            tx_round(states, 2)
+        nodes = transmitter_nodes(_streams(rng, 1))
+        with pytest.raises(ProtocolError) as err:
+            tx_round(nodes, 2, BackhaulLedger())
+        assert (err.value.round_index, err.value.node) == (2, 3)
 
 
 class TestInverseChannel:
