@@ -11,13 +11,12 @@ __version__ = "0.1.0"
 
 from .backhaul import BackhaulLedger, BackhaulMessage
 from .errors import (ConfigError, CoopAlignError, GenericityError,
-                     MLBudgetError, ParameterError, PowerTooLowError,
-                     ProtocolError, SingularChannelError, SymbolRangeError)
-from .indices import AXIS, COORD_NAMES, IndexVector, embed_shifted, gather_block
+                     MLBudgetError, ParameterError, ProtocolError,
+                     SingularChannelError, SymbolRangeError)
+from .indices import AXIS, COORD_NAMES, window
 from .lattice import (ChannelMatrix, ObservationTable, SchemeParams,
                       SubstreamTable, channel_is_generic, derive_params,
-                      exact_observations, monomial_table, monomial_value,
-                      require_generic)
+                      exact_observations, monomial_table, require_generic)
 from .rx_protocol import run_rx_protocol, run_rx_slots
 from .tradeoff import (TradeoffPoint, centralized_baseline, centralized_report,
                        illustrating_example, lemma1_check,
@@ -30,11 +29,11 @@ from .tx_protocol import (InverseChannel, run_tx_backhaul,
 
 __all__ = [
     "__version__",
-    "AXIS", "COORD_NAMES", "IndexVector", "embed_shifted", "gather_block",
+    "AXIS", "COORD_NAMES", "window",
     "BackhaulLedger", "BackhaulMessage",
     "ChannelMatrix", "ObservationTable", "SchemeParams", "SubstreamTable",
     "channel_is_generic", "derive_params", "exact_observations",
-    "monomial_table", "monomial_value", "require_generic",
+    "monomial_table", "require_generic",
     "run_rx_protocol", "run_rx_slots",
     "InverseChannel", "run_tx_backhaul", "verify_diagonalization",
     "TradeoffPoint", "centralized_baseline", "centralized_report",
@@ -43,6 +42,6 @@ __all__ = [
     "tdma_baseline", "tdma_report", "timeshare", "tx_scheme_report",
     "tx_sum_upper_bound",
     "CoopAlignError", "ConfigError", "GenericityError", "MLBudgetError",
-    "ParameterError", "PowerTooLowError", "ProtocolError",
-    "SingularChannelError", "SymbolRangeError",
+    "ParameterError", "ProtocolError", "SingularChannelError",
+    "SymbolRangeError",
 ]

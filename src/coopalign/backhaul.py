@@ -100,15 +100,6 @@ class BackhaulLedger:
         """Average per-user backhaul rate with per-message-class alphabets."""
         return sum(self.per_link_bits().values()) / 3.0
 
-    def rb_bar_bits_uniform(self) -> float:
-        """Same total priced as if every entry used the widest alphabet
-        carried by any message (the circulating sums' class), the coarser
-        headline accounting."""
-        if not self.messages:
-            return 0.0
-        hw = max(m.alphabet_halfwidth for m in self.messages)
-        return self.total_symbols * math.log2(2 * hw + 1) / 3.0
-
     def rb_bar_bits_budget(self, params) -> float:
         """Average per-user backhaul rate with each symbol priced at its
         power-law bit budget log2(3q) = u*log2(P), u = (1-eps)/(dims+2eps).

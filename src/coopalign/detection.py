@@ -1,6 +1,5 @@
 """Receiver-side detection: the genie path used by the exact cooperation
-engine, an exhaustive ML detector for small reduced instances, and the
-union-bound / rate bookkeeping for the full scheme."""
+engine and an exhaustive ML detector for small reduced instances."""
 
 from __future__ import annotations
 
@@ -200,25 +199,3 @@ def reduced_error_sweep(spec: ReducedSpec, channel, P_grid, trials, rng_seed,
         err = np.any(det != tables, axis=1)
         rates.append(float(np.mean(err)))
     return np.asarray(rates)
-
-
-# ============================================================
-# analytic error/rate bookkeeping
-# ============================================================
-
-
-def union_bound_pe(params: SchemeParams) -> float:
-    """Union bound on the probability that any receive combination is
-    misdetected in one channel use: 3*(N+1)^9 * exp(-c2 * P^(eps/2)),
-    clipped to 1."""
-    val = 3.0 * params.dims * math.exp(-params.c2 * params.P ** (params.eps / 2.0))
-    return min(1.0, val)
-
-
-def substream_rate_lb(p_e, q) -> float:
-    """Per-substream rate guarantee (1-p_e)*log2(2q+1) - 1, floored at 0."""
-    if not 0 <= p_e <= 1:
-        raise ParameterError(f"p_e must lie in [0, 1], got {p_e}")
-    if q <= 0:
-        raise ParameterError(f"q must be positive, got {q}")
-    return max(0.0, (1.0 - p_e) * math.log2(2.0 * q + 1.0) - 1.0)

@@ -9,10 +9,6 @@ class ParameterError(CoopAlignError):
     """A scheme or config parameter is out of its admissible range."""
 
 
-class PowerTooLowError(ParameterError):
-    """Derived constellation half-width fell below 1 (power too low for N)."""
-
-
 class SymbolRangeError(CoopAlignError):
     """A symbol or payload entry lies outside its declared alphabet."""
 

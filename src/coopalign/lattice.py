@@ -9,18 +9,12 @@ symbols, one per user, which is what the cooperation protocols exchange.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    GenericityError,
-    ParameterError,
-    PowerTooLowError,
-    SymbolRangeError,
-)
-from .indices import AXIS, IndexVector, embed_shifted, gather_block
+from .errors import GenericityError, ParameterError, SymbolRangeError
+from .indices import AXIS, window
 
 # ============================================================
 # channel
@@ -79,9 +73,8 @@ def _as_gain_array(channel):
 class SchemeParams:
     """Power, lattice depth and the derived constellation/scale constants.
 
-    q is the real-valued constellation half-width; the integer constellation
-    uses floor(q) and a run that needs symbols is rejected when floor(q) < 1.
-    gamma is the common transmit scale factor.
+    q is the real-valued constellation half-width and gamma the common
+    transmit scale factor.
     """
 
     P: float
@@ -96,15 +89,6 @@ class SchemeParams:
     def dims(self) -> int:
         # number of occupied receive-side lattice labels
         return (self.N + 1) ** 9
-
-    @property
-    def q_int(self) -> int:
-        qf = math.floor(self.q)
-        if qf < 1:
-            raise PowerTooLowError(
-                f"power too low for N: derived half-width {self.q:.6g} < 1"
-            )
-        return qf
 
 
 def derive_params(P, N, eps=0.05, c1=1.0, c2=1.0) -> SchemeParams:
@@ -137,7 +121,7 @@ def derive_params(P, N, eps=0.05, c1=1.0, c2=1.0) -> SchemeParams:
 class SubstreamTable:
     """One user's integer symbols, indexed by lattice labels in {1..n}^9.
 
-    Values lie in {-q..q}; lookups outside the cube return 0.
+    Values lie in {-q..q}; reads outside the cube are zero.
     """
 
     owner: int
@@ -168,11 +152,6 @@ class SubstreamTable:
         v = rng.integers(-q, q + 1, size=(n,) * 9, dtype=np.int64)
         return cls(owner=owner, n=n, q=q, values=v)
 
-    def lookup(self, s: IndexVector) -> int:
-        if not s.within(self.n):
-            return 0
-        return int(self.values[s.as_array_index()])
-
 
 @dataclass(eq=False)
 class ObservationTable:
@@ -200,31 +179,10 @@ class ObservationTable:
                 f"observation outside Z_{3*self.q} at receiver {self.receiver}")
         self.values = v
 
-    def lookup(self, s: IndexVector) -> int:
-        if not s.within(self.n + 1):
-            return 0
-        return int(self.values[s.as_array_index()])
-
-    def slab(self, coord, value):
-        """The 8-d sub-array with one named coordinate pinned."""
-        return gather_block(self.values, self.n + 1, fixed={AXIS[tuple(coord)]: value})
-
 
 # ============================================================
 # monomial carriers
 # ============================================================
-
-
-def monomial_value(channel, s: IndexVector) -> complex:
-    """Direct product of gain powers for one label: prod h_ij^(s_ij)."""
-    h = _as_gain_array(channel)
-    if any(c < 0 for c in s.coords):
-        raise ParameterError("monomial exponents must be nonnegative")
-    out = 1.0 + 0.0j
-    for k, (i, j) in enumerate(
-            ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3))):
-        out *= h[i - 1, j - 1] ** s.coords[k]
-    return complex(out)
 
 
 def monomial_table(channel, upper) -> np.ndarray:
@@ -269,24 +227,8 @@ def require_generic(channel, n, tol=1e-9):
 
 
 # ============================================================
-# synthesis / transmission / exact receive-side combinations
+# exact receive-side combinations
 # ============================================================
-
-
-def synthesize_transmit(stream: SubstreamTable, channel, params: SchemeParams) -> complex:
-    """One transmit sample: gamma times the carrier-weighted symbol sum."""
-    table = monomial_table(channel, stream.n)
-    return complex(params.gamma * np.sum(table * stream.values))
-
-
-def apply_channel(x, channel, noise=(0.0, 0.0, 0.0)):
-    """Receive samples y_i = sum_j h_ij x_j + z_i for one channel use."""
-    h = _as_gain_array(channel)
-    x = np.asarray(x, dtype=np.complex128)
-    z = np.asarray(noise, dtype=np.complex128)
-    if x.shape != (3,) or z.shape != (3,):
-        raise ParameterError("apply_channel expects three transmit and noise samples")
-    return tuple(h @ x + z)
 
 
 def exact_observations(streams) -> tuple:
@@ -294,8 +236,8 @@ def exact_observations(streams) -> tuple:
 
     For receiver i the label s picks up user 1's symbol at s with coordinate
     (i,1) decremented, user 2's at (i,2) decremented and user 3's at (i,3)
-    decremented; out-of-range labels contribute zero.  Realised as three
-    offset embeddings of the stream cubes into the larger cube.
+    decremented; out-of-range labels contribute zero.  Realised as one zero
+    block plus three in-place adds, stream j read at shift -1 on (i,j).
     """
     a, b, c = streams
     if not (a.owner, b.owner, c.owner) == (1, 2, 3):
@@ -307,15 +249,9 @@ def exact_observations(streams) -> tuple:
     n, q = a.n, a.q
     out = []
     for i in (1, 2, 3):
-        acc = embed_shifted(a.values, AXIS[(i, 1)], n + 1)
-        acc += embed_shifted(b.values, AXIS[(i, 2)], n + 1)
-        acc += embed_shifted(c.values, AXIS[(i, 3)], n + 1)
+        acc = np.zeros((n + 1,) * 9, dtype=np.int64)
+        for j, stream in enumerate((a, b, c), 1):
+            src, dst = window((n,) * 9, n + 1, {AXIS[(i, j)]: -1}, {})
+            acc[dst] += stream.values[src]
         out.append(ObservationTable(receiver=i, n=n, values=acc, q=q))
     return tuple(out)
-
-
-def reconstructed_receive(obs: ObservationTable, channel, params: SchemeParams) -> complex:
-    """Carrier-weighted sum of a receiver's integer combinations; equals the
-    noiseless receive sample produced by apply_channel on the same streams."""
-    table = monomial_table(channel, obs.n + 1)
-    return complex(params.gamma * np.sum(table * obs.values))

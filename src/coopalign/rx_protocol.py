@@ -31,7 +31,6 @@ import numpy as np
 from .backhaul import BackhaulLedger, NodeState, Step, run_round
 from .detection import DetectionReport, genie_detect
 from .errors import ParameterError
-from .lattice import SubstreamTable
 
 _DETECTOR_MODES = ("exact-genie", "genie-with-errors")
 
@@ -80,12 +79,6 @@ class RxProtocolResult:
     report: DetectionReport
     contaminated: tuple           # per-receiver flags
     rounds: int
-
-    def recovered_streams(self, q):
-        """Wrap the recovered arrays as validated substream tables."""
-        return tuple(SubstreamTable(owner=i + 1, n=self.recovered[i].shape[0],
-                                    q=q, values=self.recovered[i])
-                     for i in range(3))
 
 
 def run_rx_protocol(all_streams, detector_mode="exact-genie", error_rate=0.0,

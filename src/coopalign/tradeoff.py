@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenericityError, ParameterError
-from .lattice import ChannelMatrix, _as_gain_array, complex_awgn, derive_params
+from .lattice import ChannelMatrix, _as_gain_array, complex_awgn
 from .rx_protocol import run_rx_protocol
 from .tx_protocol import run_tx_backhaul
 
@@ -154,16 +154,6 @@ def rx_sum_upper_bound(H, P, Rb_bar) -> float:
     return float(total + K * Rb_bar)
 
 
-def rx_pair_upper_bound(H, P, rb_into_second=0.0, pair=(1, 2)) -> float:
-    """Per-pair form: R_k + R_l bounded through receiver l's observation
-    plus whatever backhaul flows into receiver l."""
-    h = _square_gains(H)
-    k, l = pair
-    return float(np.log2(1.0 + P * (abs(h[l - 1, k - 1]) ** 2
-                                    + abs(h[l - 1, l - 1]) ** 2))
-                 + rb_into_second)
-
-
 def tx_sum_upper_bound(H, P, Rb_bar) -> float:
     """Upper bound on twice the sum rate for transmitter-side cooperation:
     sum over receivers of log2(1 + P * (sum_i |h_ki|)^2) plus K times the
@@ -175,16 +165,6 @@ def tx_sum_upper_bound(H, P, Rb_bar) -> float:
     row_mass = np.abs(h).sum(axis=1) ** 2    # sum_{i,j} |h_ki h_kj*|
     total = float(np.sum(np.log2(1.0 + P * row_mass)))
     return total + K * float(Rb_bar)
-
-
-def tx_pair_upper_bound(H, P, rb=0.0, pair=(1, 2)) -> float:
-    """Per-pair form: a power-independent gain-ratio term plus receiver l's
-    full-mass term."""
-    h = _square_gains(H)
-    k, l = pair
-    ratio = abs(h[k - 1, k - 1]) ** 2 / abs(h[l - 1, k - 1]) ** 2
-    mass = np.abs(h[l - 1]).sum() ** 2
-    return float(np.log2(1.0 + ratio) + np.log2(1.0 + P * mass) + rb)
 
 
 def normalized_bound_slope(bound_fn, H, alpha, P_grid=None) -> float:

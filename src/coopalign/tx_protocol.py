@@ -32,8 +32,7 @@ import numpy as np
 
 from .backhaul import BackhaulLedger, NodeState, Step, run_round
 from .errors import ProtocolError, SingularChannelError
-from .lattice import (ObservationTable, _as_gain_array, complex_awgn,
-                      monomial_table)
+from .lattice import ObservationTable, _as_gain_array, monomial_table
 
 
 @dataclass(eq=False)
@@ -162,8 +161,7 @@ def transmit_scale(built, inv: InverseChannel, P) -> float:
 @dataclass
 class DiagonalizationCheck:
     x: np.ndarray                 # transmit samples
-    y: np.ndarray                 # receive samples
-    noise: np.ndarray             # the samples' additive noise
+    y: np.ndarray                 # noiseless receive samples
     predicted: np.ndarray         # interference-free prediction
     scale: float
     residuals: np.ndarray         # per-receiver relative mismatch
@@ -174,15 +172,15 @@ class DiagonalizationCheck:
         return self.residual <= 1e-9
 
 
-def verify_diagonalization(all_streams, channel, params, noise_mode="zero",
-                           rng=None, built=None, inv=None) -> DiagonalizationCheck:
+def verify_diagonalization(all_streams, channel, params, built=None,
+                           inv=None) -> DiagonalizationCheck:
     """Check that inversion-precoded transmission hands each receiver only
     its own symbols.
 
-    Each receive sample, minus its (known) noise, is compared against the
-    interference-free prediction; the mismatch is reported relative to the
-    peak predicted signal magnitude, so it measures how exactly the
-    cross-user carriers telescope away.
+    Each noiseless receive sample is compared against the interference-free
+    prediction; the mismatch is reported relative to the peak predicted
+    signal magnitude, so it measures how exactly the cross-user carriers
+    telescope away.
     """
     if inv is None:
         inv = InverseChannel.of(channel)
@@ -190,14 +188,8 @@ def verify_diagonalization(all_streams, channel, params, noise_mode="zero",
         built = run_tx_backhaul(all_streams).built
     scale = transmit_scale(built, inv, params.P)
     x = np.array([diagonalized_transmit(t, inv, scale) for t in built])
-    if noise_mode == "zero":
-        z = np.zeros(3, dtype=np.complex128)
-    elif noise_mode == "awgn":
-        z = complex_awgn(rng if rng is not None else np.random.default_rng(0), (3,))
-    else:
-        raise ProtocolError(f"unknown noise mode: {noise_mode!r}")
     h = _as_gain_array(channel)
-    y = h @ x + z
+    y = h @ x
     n = all_streams[0].n
     carriers = monomial_table(inv.hinv, n)
     predicted = scale * np.array(
@@ -206,7 +198,7 @@ def verify_diagonalization(all_streams, channel, params, noise_mode="zero",
     denom = float(np.abs(predicted).max())
     if denom == 0.0:
         denom = max(float((np.abs(h) @ np.abs(x)).max()), 1e-300)
-    residuals = np.abs(y - z - predicted) / denom
-    return DiagonalizationCheck(x=x, y=y, noise=z, predicted=predicted,
+    residuals = np.abs(y - predicted) / denom
+    return DiagonalizationCheck(x=x, y=y, predicted=predicted,
                                 scale=scale, residuals=residuals,
                                 residual=float(residuals.max()))

@@ -3,7 +3,7 @@
 The oracles here deliberately avoid the package's vectorised index
 machinery: observations are rebuilt with dictionary lookups over explicit
 label tuples, and monomials are evaluated in the complex log domain, so a
-bug in gather/embed arithmetic cannot hide in both sides of a comparison.
+bug in the window arithmetic cannot hide in both sides of a comparison.
 """
 
 import cmath

@@ -70,12 +70,6 @@ class TestLedger:
         led = self._three_round_ledger()
         assert led.rb_bar_bits() == pytest.approx(4.26864845060098, abs=1e-12)
 
-    def test_uniform_average(self):
-        # frozen: all three symbols priced at the widest class, log2(31)
-        led = self._three_round_ledger()
-        assert led.rb_bar_bits_uniform() == pytest.approx(4.95419631038687,
-                                                          abs=1e-12)
-
     def test_budget_average_scales_with_log_power(self):
         led = self._three_round_ledger()
         p1 = derive_params(1e4, 1, eps=0.05)
@@ -90,5 +84,4 @@ class TestLedger:
         led = BackhaulLedger()
         assert led.total_symbols == 0
         assert led.rb_bar_bits() == 0.0
-        assert led.rb_bar_bits_uniform() == 0.0
         assert led.trace_records() == []

@@ -5,11 +5,10 @@ from conftest import make_generic_channel
 from coopalign.detection import (ReducedSpec, candidate_tables, genie_detect,
                                  ml_detect_reduced, ml_detect_reduced_batch,
                                  reduced_carriers, reduced_error_sweep,
-                                 reduced_power_scale, reduced_signal,
-                                 substream_rate_lb, union_bound_pe)
+                                 reduced_power_scale, reduced_signal)
 from coopalign.errors import MLBudgetError, ParameterError
-from coopalign.lattice import (SchemeParams, SubstreamTable, complex_awgn,
-                               derive_params, exact_observations)
+from coopalign.lattice import (SchemeParams, SubstreamTable,
+                               exact_observations)
 
 
 def _streams(rng, n=1, q=5):
@@ -99,18 +98,3 @@ class TestReduced:
         noiseless = reduced_error_sweep(self.SPEC, ch, [1e2], trials=100,
                                         rng_seed=5, noisy=False)
         assert noiseless[0] == 0.0
-
-
-class TestAnalytic:
-    def test_union_bound_saturates(self):
-        p = derive_params(2.0, 1, c2=1e-12)
-        assert union_bound_pe(p) == 1.0
-
-    def test_union_bound_vanishes(self):
-        p = derive_params(1e12, 1, c2=100.0)
-        assert union_bound_pe(p) < 1e-6
-
-    def test_rate_lb_limits(self):
-        assert substream_rate_lb(1.0, 5) == 0.0
-        assert substream_rate_lb(0.0, 5) \
-            == pytest.approx(np.log2(11) - 1.0)

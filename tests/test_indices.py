@@ -1,93 +1,88 @@
-import numpy as np
-import pytest
+import itertools
 
-from coopalign.indices import (AXIS, COORD_NAMES, IndexVector, axis_of,
-                               embed_shifted, gather_block, iter_cube, shift)
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coopalign.indices import AXIS, COORD_NAMES, NUM_COORDS, window
+
+
+def _read(table, out_upper, shifts, fixed):
+    # zero-filled block read through window, as the exchange engine does it
+    out = np.zeros((out_upper,) * (table.ndim - len(fixed)), dtype=table.dtype)
+    w = window(table.shape, out_upper, shifts, fixed)
+    if w is not None:
+        out[w[1]] = table[w[0]]
+    return out
 
 
 def test_coord_names_row_major():
     assert COORD_NAMES[0] == (1, 1)
     assert COORD_NAMES[4] == (2, 2)
     assert COORD_NAMES[8] == (3, 3)
-    assert len(COORD_NAMES) == 9
+    assert len(COORD_NAMES) == NUM_COORDS == 9
     for k, c in enumerate(COORD_NAMES):
         assert AXIS[c] == k
-        assert axis_of(c) == k
 
 
-def test_axis_of_rejects_unknown():
-    with pytest.raises(KeyError):
-        axis_of((4, 1))
-
-
-def test_index_vector_shift_and_bounds():
-    v = IndexVector.filled(1)
-    w = shift(v, (2, 3), 2)
-    assert w[(2, 3)] == 3
-    assert v[(2, 3)] == 1            # original untouched
-    assert v.within(1)
-    assert not v.shift((1, 1), -1).within(1)
-    assert v.as_array_index() == (0,) * 9
-
-
-def test_iter_cube_count_and_order():
-    labels = list(iter_cube(2))
-    assert len(labels) == 2 ** 9
-    assert labels[0].coords == (1,) * 9
-    assert labels[-1].coords == (2,) * 9
-    # row-major: last coordinate varies fastest
-    assert labels[1].coords[8] == 2 and labels[1].coords[:8] == (1,) * 8
-
-
-def test_gather_block_matches_dict_lookup(rng):
-    n = 2
-    table = rng.integers(-5, 6, size=(n,) * 9).astype(np.int64)
-    got = gather_block(table, n + 1, shifts={0: -1, 4: 1})
-    for u in np.ndindex(*got.shape):
-        lab = [x + 1 for x in u]
-        lab[0] -= 1
-        lab[4] += 1
-        if all(1 <= x <= n for x in lab):
-            want = table[tuple(x - 1 for x in lab)]
-        else:
-            want = 0
-        assert got[u] == want
-
-
-def test_gather_block_fixed_axis_pins_and_drops(rng):
-    n = 2
-    table = rng.integers(-5, 6, size=(n,) * 9).astype(np.int64)
-    got = gather_block(table, n, shifts={}, fixed={3: 2})
-    assert got.shape == (n,) * 8
-    np.testing.assert_array_equal(got, table[:, :, :, 1])
-
-
-def test_gather_block_fixed_out_of_range_is_zero(rng):
+def test_window_in_range_read(rng):
     table = rng.integers(-5, 6, size=(2,) * 9).astype(np.int64)
-    got = gather_block(table, 2, shifts={}, fixed={3: 5})
-    assert got.shape == (2,) * 8
-    assert not got.any()
+    src, dst = window(table.shape, 2, {}, {})
+    assert src == dst == (slice(0, 2),) * 9
+    # output coordinate u reads coordinate u + 1 on axis 2
+    src, dst = window(table.shape, 2, {2: 1}, {})
+    assert src[2] == slice(1, 2) and dst[2] == slice(0, 1)
+    assert src[:2] == dst[:2] == (slice(0, 2),) * 2
+    np.testing.assert_array_equal(_read(table, 2, {2: 1}, {})[:, :, 0],
+                                  table[:, :, 1])
 
 
-def test_gather_block_shift_beyond_table_is_zero(rng):
+def test_window_pinned_axis_is_dropped(rng):
     table = rng.integers(-5, 6, size=(2,) * 9).astype(np.int64)
-    assert not gather_block(table, 2, shifts={7: 4}).any()
+    src, dst = window(table.shape, 2, {}, {3: 2})
+    assert src[3] == 1 and len(dst) == 8
+    np.testing.assert_array_equal(table[src], table[:, :, :, 1])
 
 
-def test_embed_shifted_offsets_by_one(rng):
-    n = 2
-    table = rng.integers(-5, 6, size=(n,) * 9).astype(np.int64)
-    big = embed_shifted(table, AXIS[(1, 2)], n + 1)
-    assert big.shape == (n + 1,) * 9
-    # entry at label u equals table at u - e_{(1,2)}
-    assert big[1, 2, 0, 0, 0, 0, 0, 0, 0] == table[1, 1, 0, 0, 0, 0, 0, 0, 0]
-    assert big[0, 0, 0, 0, 0, 0, 0, 0, 0] == 0
+def test_window_pin_outside_table_is_none():
+    assert window((2,) * 9, 2, {}, {3: 5}) is None
+    assert window((2,) * 9, 2, {}, {3: 0}) is None
 
 
-def test_embed_equals_gather_inverse(rng):
-    # embedding then gathering with the opposite shift restores the cube
-    n = 2
-    table = rng.integers(-5, 6, size=(n,) * 9).astype(np.int64)
-    big = embed_shifted(table, 5, n + 1)
-    back = gather_block(big, n, shifts={5: 1})
-    np.testing.assert_array_equal(back, table)
+def test_window_shift_past_table_is_none():
+    assert window((2,) * 9, 2, {7: 4}, {}) is None
+    assert window((2,) * 9, 2, {7: -2}, {}) is None
+
+
+@st.composite
+def _reads(draw):
+    n = draw(st.integers(1, 2))
+    out_upper = draw(st.integers(n, n + 1))
+    axes = draw(st.lists(st.integers(0, NUM_COORDS - 1), max_size=3,
+                         unique=True))
+    shifts = {ax: draw(st.integers(-2, 2)) for ax in axes}
+    pin = {}
+    if draw(st.booleans()):
+        ax = draw(st.sampled_from([a for a in range(NUM_COORDS)
+                                   if a not in shifts]))
+        pin = {ax: draw(st.integers(0, n + 1))}
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return n, out_upper, shifts, pin, seed
+
+
+@settings(max_examples=40, deadline=None)
+@given(_reads())
+def test_window_read_matches_dict_lookup(case):
+    n, out_upper, shifts, pin, seed = case
+    table = np.random.default_rng(seed).integers(-5, 6, size=(n,) * 9)
+    lut = {lab: int(table[tuple(x - 1 for x in lab)])
+           for lab in itertools.product(range(1, n + 1), repeat=9)}
+    got = _read(table, out_upper, shifts, pin)
+    free = [ax for ax in range(NUM_COORDS) if ax not in pin]
+    for u in itertools.product(range(1, out_upper + 1), repeat=len(free)):
+        lab = [0] * NUM_COORDS
+        for ax, c in zip(free, u):
+            lab[ax] = c + shifts.get(ax, 0)
+        for ax, c in pin.items():
+            lab[ax] = c
+        assert got[tuple(c - 1 for c in u)] == lut.get(tuple(lab), 0)

@@ -11,12 +11,11 @@ from coopalign.tradeoff import (Lemma1Report, RateReport, TradeoffPoint,
                                 fit_slope, illustrating_example, lemma1_check,
                                 measured_tradeoff_point,
                                 normalized_bound_slope, optimal_tradeoff,
-                                rx_load_limit, rx_pair_upper_bound,
-                                rx_scheme_report, rx_sum_upper_bound,
-                                tdma_baseline, tdma_report, timeshare,
+                                rx_load_limit, rx_scheme_report,
+                                rx_sum_upper_bound, tdma_baseline,
+                                tdma_report, timeshare,
                                 top_half_slope, tx_load_limit,
-                                tx_pair_upper_bound, tx_scheme_report,
-                                tx_sum_upper_bound)
+                                tx_scheme_report, tx_sum_upper_bound)
 
 
 class TestSlopes:
@@ -124,12 +123,6 @@ class TestBounds:
         got = tx_sum_upper_bound(h, 1.0, 0.0)
         assert got == pytest.approx(9.96578428466209, abs=1e-12)
         assert got == pytest.approx(3 * math.log2(10))
-
-    def test_pair_forms_all_ones(self):
-        h = np.ones((3, 3))
-        assert rx_pair_upper_bound(h, 1.0) == pytest.approx(math.log2(3))
-        assert tx_pair_upper_bound(h, 1.0) \
-            == pytest.approx(1.0 + math.log2(10))
 
     def test_power_validation(self):
         with pytest.raises(ParameterError):
