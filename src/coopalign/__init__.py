@@ -14,9 +14,9 @@ from .errors import (ConfigError, CoopAlignError, GenericityError,
                      MLBudgetError, ParameterError, ProtocolError,
                      SingularChannelError, SymbolRangeError)
 from .indices import AXIS, COORD_NAMES, window
-from .lattice import (ChannelMatrix, ObservationTable, SchemeParams,
-                      SubstreamTable, channel_is_generic, derive_params,
-                      exact_observations, monomial_table, require_generic)
+from .lattice import (ChannelMatrix, ObservationTable, SubstreamTable,
+                      channel_is_generic, exact_observations, monomial_table,
+                      require_generic)
 from .rx_protocol import run_rx_protocol, run_rx_slots
 from .tradeoff import (TradeoffPoint, centralized_baseline, centralized_report,
                        illustrating_example, lemma1_check,
@@ -31,9 +31,9 @@ __all__ = [
     "__version__",
     "AXIS", "COORD_NAMES", "window",
     "BackhaulLedger", "BackhaulMessage",
-    "ChannelMatrix", "ObservationTable", "SchemeParams", "SubstreamTable",
-    "channel_is_generic", "derive_params", "exact_observations",
-    "monomial_table", "require_generic",
+    "ChannelMatrix", "ObservationTable", "SubstreamTable",
+    "channel_is_generic", "exact_observations", "monomial_table",
+    "require_generic",
     "run_rx_protocol", "run_rx_slots",
     "InverseChannel", "run_tx_backhaul", "verify_diagonalization",
     "TradeoffPoint", "centralized_baseline", "centralized_report",

@@ -36,7 +36,6 @@ class BackhaulMessage:
     round_index: int
     payload: np.ndarray
     alphabet_halfwidth: int
-    stage: str = "backhaul"
 
     def __post_init__(self):
         if self.source == self.destination:
@@ -64,7 +63,7 @@ class BackhaulMessage:
 
     def trace_record(self) -> dict:
         return {
-            "stage": self.stage,
+            "stage": "backhaul",
             "source": self.source,
             "destination": self.destination,
             "round": self.round_index,
@@ -99,17 +98,6 @@ class BackhaulLedger:
     def rb_bar_bits(self) -> float:
         """Average per-user backhaul rate with per-message-class alphabets."""
         return sum(self.per_link_bits().values()) / 3.0
-
-    def rb_bar_bits_budget(self, params) -> float:
-        """Average per-user backhaul rate with each symbol priced at its
-        power-law bit budget log2(3q) = u*log2(P), u = (1-eps)/(dims+2eps).
-
-        The finite-alphabet prices only settle onto this power law once
-        floor(q) is large, far beyond desk-scale P; the budget price makes
-        load-vs-log(P) accounting meaningful on small grids.
-        """
-        u = (1.0 - params.eps) / (params.dims + 2.0 * params.eps)
-        return self.total_symbols * u * math.log2(params.P) / 3.0
 
     def trace_records(self) -> list:
         return [m.trace_record() for m in self.messages]

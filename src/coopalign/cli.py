@@ -23,8 +23,7 @@ from .detection import ml_detect_reduced, reduced_power_scale, reduced_signal
 from .errors import ConfigError, ParameterError
 from .harness import (ExperimentConfig, config_from_dict, load_config,
                       run_experiment, run_trial, write_results_csv)
-from .lattice import (ChannelMatrix, SchemeParams, SubstreamTable,
-                      derive_params)
+from .lattice import ChannelMatrix, SubstreamTable
 from .rx_protocol import run_rx_protocol
 from .rx_protocol import expected_message_count as rx_count
 from .tradeoff import (TradeoffPoint, lemma1_check, normalized_bound_slope,
@@ -118,8 +117,7 @@ def _cmd_verify(args) -> int:
     ch = ChannelMatrix.random(rng)
     streams = tuple(SubstreamTable.random(i + 1, 1, 5, rng) for i in range(3))
     res = run_tx_backhaul(streams)
-    params = derive_params(1e6, 1)
-    chk = verify_diagonalization(streams, ch, params, built=res.built)
+    chk = verify_diagonalization(streams, res.built, ch, 1e6)
     ok = chk.ok and res.ledger.total_symbols == tx_count(1)
     results.append(_check("transmitter protocol diagonalization (N=1)", ok))
 
@@ -147,10 +145,8 @@ def _cmd_verify(args) -> int:
         table = rng.integers(-3 * spec.q_red, 3 * spec.q_red + 1,
                              size=spec.table_size, dtype=np.int64)
         gamma = reduced_power_scale(spec, ch, 1e4)
-        params = SchemeParams(P=1e4, N=spec.n_red, q=float(spec.q_red),
-                              gamma=gamma)
         y = reduced_signal(table, spec, ch, gamma)
-        det = ml_detect_reduced(y, spec, ch, params)
+        det = ml_detect_reduced(y, spec, ch, gamma)
         results.append(_check("reduced ML noiseless exactness",
                               bool(np.array_equal(det, table))))
 

@@ -12,12 +12,7 @@ import numpy as np
 from . import _kernels
 from .errors import MLBudgetError, ParameterError
 from .indices import COORD_NAMES
-from .lattice import (
-    SchemeParams,
-    _as_gain_array,
-    complex_awgn,
-    exact_observations,
-)
+from .lattice import _as_gain_array, complex_awgn, exact_observations
 
 # ============================================================
 # genie detection (exact engine, with optional error injection)
@@ -154,15 +149,15 @@ def candidate_tables(spec: ReducedSpec) -> np.ndarray:
     return out
 
 
-def ml_detect_reduced(y, spec: ReducedSpec, channel, params: SchemeParams):
-    """Exhaustive nearest-point detection of one reduced table."""
-    return ml_detect_reduced_batch(np.asarray([y]), spec, channel, params)[0]
+def ml_detect_reduced(y, spec: ReducedSpec, channel, gamma):
+    """Exhaustive nearest-point detection at transmit scale gamma."""
+    return ml_detect_reduced_batch(np.asarray([y]), spec, channel, gamma)[0]
 
 
-def ml_detect_reduced_batch(ys, spec: ReducedSpec, channel, params: SchemeParams):
+def ml_detect_reduced_batch(ys, spec: ReducedSpec, channel, gamma):
     """Vectorised variant: one detected table per observation sample."""
     cands = candidate_tables(spec)
-    points = params.gamma * (cands @ reduced_carriers(spec, channel))
+    points = gamma * (cands @ reduced_carriers(spec, channel))
     picks = _kernels.nearest_point(np.asarray(ys, dtype=np.complex128), points)
     return cands[picks]
 
@@ -187,15 +182,13 @@ def reduced_error_sweep(spec: ReducedSpec, channel, P_grid, trials, rng_seed,
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=rng_seed, spawn_key=(k,)))
         gamma = reduced_power_scale(spec, channel, P)
-        params = SchemeParams(P=float(P), N=spec.n_red, q=float(spec.q_red),
-                              gamma=gamma)
         tables = rng.integers(-3 * spec.q_red, 3 * spec.q_red + 1,
                               size=(trials, spec.table_size), dtype=np.int64)
         carriers = reduced_carriers(spec, channel)
         ys = gamma * (tables @ carriers)
         if noisy:
             ys = ys + complex_awgn(rng, trials)
-        det = ml_detect_reduced_batch(ys, spec, channel, params)
+        det = ml_detect_reduced_batch(ys, spec, channel, gamma)
         err = np.any(det != tables, axis=1)
         rates.append(float(np.mean(err)))
     return np.asarray(rates)

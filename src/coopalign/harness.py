@@ -26,12 +26,11 @@ import numpy as np
 from . import __version__
 from .detection import ReducedSpec
 from .errors import ConfigError, CoopAlignError
-from .lattice import (ChannelMatrix, SubstreamTable, derive_params,
-                      require_generic)
+from .lattice import ChannelMatrix, SubstreamTable, require_generic
 from .rx_protocol import run_rx_protocol
 from .tradeoff import (_budget_report, centralized_report, illustrating_example,
                        rx_sum_upper_bound, tdma_report, tx_sum_upper_bound)
-from .tx_protocol import InverseChannel, run_tx_backhaul, verify_diagonalization
+from .tx_protocol import run_tx_backhaul, verify_diagonalization
 
 SCHEMES = ("rx-coop", "tx-coop", "centralized", "tdma",
            "illustrating-example", "bounds-only")
@@ -51,8 +50,6 @@ class ExperimentConfig:
     scheme: str
     N: int
     eps: float = 0.05
-    c1: float = 1.0
-    c2: float = 1.0
     P_grid: tuple = (1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8)
     trials: int = 100
     rng_seed: int = 0
@@ -67,18 +64,19 @@ class ExperimentConfig:
     def validate(self):
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if not (isinstance(self.N, int) and self.N >= 1):
+        if not (type(self.N) is int and self.N >= 1):
             raise ConfigError(f"N must be a positive integer, got {self.N!r}")
         if not 0 < self.eps < 1:
             raise ConfigError(f"eps must lie in (0, 1), got {self.eps}")
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ConfigError("c1 and c2 must be positive")
         P = np.asarray(self.P_grid, dtype=float)
         if P.size < 4:
             raise ConfigError(f"P_grid needs at least 4 points, got {P.size}")
+        if not np.all(np.isfinite(P) & (P > 1)):
+            raise ConfigError(
+                f"P_grid values must be finite and > 1, got {self.P_grid}")
         if not np.all(np.diff(P) > 0):
             raise ConfigError("P_grid must be strictly increasing")
-        if not (isinstance(self.trials, int) and self.trials >= 1):
+        if not (type(self.trials) is int and self.trials >= 1):
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
         if not (isinstance(self.rng_seed, int) and 0 <= self.rng_seed < 2 ** 64):
             raise ConfigError(f"rng_seed must be a 64-bit value, got {self.rng_seed!r}")
@@ -86,8 +84,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown channel_mode {self.channel_mode!r}")
         if self.channel_mode == "fixed" and self.fixed_channel is None:
             raise ConfigError("channel_mode 'fixed' requires channel values")
-        if self.q < 1:
-            raise ConfigError(f"q must be >= 1, got {self.q}")
+        if not (type(self.q) is int and self.q >= 1):
+            raise ConfigError(f"q must be an integer >= 1, got {self.q!r}")
+        a = np.asarray(self.alpha_grid, dtype=float)
+        if not np.all(np.isfinite(a) & (a >= 0)):
+            raise ConfigError(
+                f"alpha_grid values must be finite and >= 0, got {self.alpha_grid}")
         if self.reduced_spec is not None:
             self.build_reduced_spec()
         return self
@@ -171,7 +173,7 @@ def _channel_for(config: ExperimentConfig, rng) -> ChannelMatrix:
     if config.channel_mode == "fixed":
         h = np.array([[complex(re, im) for (re, im) in row]
                       for row in config.fixed_channel])
-        return ChannelMatrix(h=h, tag="fixed")
+        return ChannelMatrix(h=h)
     if config.channel_mode == "illustrating" \
             or config.scheme == "illustrating-example":
         return ChannelMatrix.illustrating(config.gamma, rng)
@@ -238,10 +240,7 @@ def run_trial(config: ExperimentConfig, trial: int):
         streams = tuple(SubstreamTable.random(i + 1, config.N, config.q, rng)
                         for i in range(3))
         res = run_tx_backhaul(streams)
-        params = derive_params(config.P_grid[-1], config.N, config.eps,
-                               config.c1, config.c2)
-        chk = verify_diagonalization(streams, ch, params, built=res.built,
-                                     inv=InverseChannel.of(ch))
+        chk = verify_diagonalization(streams, res.built, ch, config.P_grid[-1])
         report = _budget_report(res.ledger.total_symbols / 3.0, config.N,
                                 config.eps, np.asarray(config.P_grid),
                                 scheme, dense_limit=True, load_spans_cube=True)

@@ -26,8 +26,6 @@ class ChannelMatrix:
     """3x3 complex gains h[i, j] from transmitter j to receiver i."""
 
     h: np.ndarray
-    tag: str = "generic"
-    gamma: complex | None = None
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=np.complex128)
@@ -36,9 +34,8 @@ class ChannelMatrix:
         object.__setattr__(self, "h", h)
 
     @classmethod
-    def random(cls, rng, scale=1.0):
-        h = scale * complex_awgn(rng, (3, 3))
-        return cls(h=h, tag="generic")
+    def random(cls, rng):
+        return cls(h=complex_awgn(rng, (3, 3)))
 
     @classmethod
     def illustrating(cls, gamma, rng):
@@ -48,7 +45,7 @@ class ChannelMatrix:
         h = complex_awgn(rng, (3, 3))
         h[2, 0] = g * h[1, 0]
         h[2, 2] = g * h[1, 2]
-        return cls(h=h, tag="illustrating", gamma=g)
+        return cls(h=h)
 
 
 def complex_awgn(rng, shape=()):
@@ -62,54 +59,6 @@ def _as_gain_array(channel):
     if isinstance(channel, ChannelMatrix):
         return channel.h
     return np.asarray(channel, dtype=np.complex128)
-
-
-# ============================================================
-# scheme parameters
-# ============================================================
-
-
-@dataclass(frozen=True)
-class SchemeParams:
-    """Power, lattice depth and the derived constellation/scale constants.
-
-    q is the real-valued constellation half-width and gamma the common
-    transmit scale factor.
-    """
-
-    P: float
-    N: int
-    eps: float = 0.05
-    c1: float = 1.0
-    c2: float = 1.0
-    q: float = 1.0
-    gamma: float = 1.0
-
-    @property
-    def dims(self) -> int:
-        # number of occupied receive-side lattice labels
-        return (self.N + 1) ** 9
-
-
-def derive_params(P, N, eps=0.05, c1=1.0, c2=1.0) -> SchemeParams:
-    """Constellation half-width and transmit scale for power P, depth N.
-
-    q scales as P^((1-eps)/(dims+2*eps))/3 and gamma as
-    c1 * P^((dims-2+4*eps)/(2*(dims+2*eps))), with dims = (N+1)^9.
-    """
-    if not P > 1:
-        raise ParameterError(f"P must exceed 1, got {P}")
-    if not (isinstance(N, (int, np.integer)) and N >= 1):
-        raise ParameterError(f"N must be a positive integer, got {N}")
-    if not 0 < eps < 1:
-        raise ParameterError(f"eps must lie in (0, 1), got {eps}")
-    if c1 <= 0 or c2 <= 0:
-        raise ParameterError("c1 and c2 must be positive")
-    dims = (N + 1) ** 9
-    q = P ** ((1.0 - eps) / (dims + 2.0 * eps)) / 3.0
-    gamma = c1 * P ** ((dims - 2.0 + 4.0 * eps) / (2.0 * (dims + 2.0 * eps)))
-    return SchemeParams(P=float(P), N=int(N), eps=float(eps), c1=float(c1),
-                        c2=float(c2), q=q, gamma=gamma)
 
 
 # ============================================================
@@ -195,7 +144,10 @@ def monomial_table(channel, upper) -> np.ndarray:
     return out
 
 
-def channel_is_generic(channel, n, tol=1e-9):
+GENERIC_TOL = 1e-9
+
+
+def channel_is_generic(channel, n):
     """Generic-position test: nonzero gains and pairwise-distinct carrier
     values over {1..n+1}^9, with a relative collision tolerance.
 
@@ -204,7 +156,7 @@ def channel_is_generic(channel, n, tol=1e-9):
     relative to the magnitudes involved.
     """
     h = _as_gain_array(channel)
-    if np.abs(h).min() <= tol:
+    if np.abs(h).min() <= GENERIC_TOL:
         return False
     vals = monomial_table(h, n + 1).ravel()
     order = np.argsort(vals.real, kind="stable")
@@ -213,16 +165,17 @@ def channel_is_generic(channel, n, tol=1e-9):
     mags = np.abs(sv)
     for i in range(len(sv) - 1):
         j = i + 1
-        scale = 0.5 * (mags[i] + mags[j])
-        while j < len(sv) and (sv[j].real - sv[i].real) <= tol * max(scale, 1e-300):
-            if abs(sv[j] - sv[i]) <= tol * max(0.5 * (mags[i] + mags[j]), 1e-300):
+        span = GENERIC_TOL * max(0.5 * (mags[i] + mags[j]), 1e-300)
+        while j < len(sv) and sv[j].real - sv[i].real <= span:
+            if abs(sv[j] - sv[i]) <= \
+                    GENERIC_TOL * max(0.5 * (mags[i] + mags[j]), 1e-300):
                 return False
             j += 1
     return True
 
 
-def require_generic(channel, n, tol=1e-9):
-    if not channel_is_generic(channel, n, tol):
+def require_generic(channel, n):
+    if not channel_is_generic(channel, n):
         raise GenericityError("channel gains failed the generic-position check")
 
 

@@ -200,10 +200,11 @@ class Lemma1Report:
 
 
 _L1_KINDS = ("gaussian", "uniform", "deterministic", "coherent")
+_L1_INNER = 64        # samples per covariance estimate
+_L1_SLACK = 1e-6      # tolerated excess of lhs over rhs
 
 
-def lemma1_check(K, n, P_vec=None, trials=100, rng_seed=0,
-                 inner=64, slack=1e-6) -> Lemma1Report:
+def lemma1_check(K, n, P_vec=None, trials=100, rng_seed=0) -> Lemma1Report:
     """Empirical check that det(I + Cov(sum_k x_k))^(1/n) never exceeds
     1 + sum_{k,l} sqrt(P_k P_l) when (1/n) E||x_k||^2 <= P_k.
 
@@ -231,13 +232,14 @@ def lemma1_check(K, n, P_vec=None, trials=100, rng_seed=0,
         for k in range(K):
             kind = _L1_KINDS[rng.integers(len(_L1_KINDS))]
             if kind == "gaussian":
-                x = complex_awgn(rng, (inner, n))
+                x = complex_awgn(rng, (_L1_INNER, n))
             elif kind == "uniform":
-                x = rng.uniform(-1, 1, (inner, n)) + 1j * rng.uniform(-1, 1, (inner, n))
+                x = rng.uniform(-1, 1, (_L1_INNER, n)) \
+                    + 1j * rng.uniform(-1, 1, (_L1_INNER, n))
             elif kind == "deterministic":
-                x = np.tile(complex_awgn(rng, (n,)), (inner, 1))
+                x = np.tile(complex_awgn(rng, (n,)), (_L1_INNER, 1))
             else:
-                phases = np.exp(2j * np.pi * rng.uniform(size=(inner, 1)))
+                phases = np.exp(2j * np.pi * rng.uniform(size=(_L1_INNER, 1)))
                 x = phases * shared[None, :]
             norm2 = np.mean(np.abs(x) ** 2)
             if norm2 > 0:
@@ -246,12 +248,12 @@ def lemma1_check(K, n, P_vec=None, trials=100, rng_seed=0,
         s = np.sum(xs, axis=0)
         mu = s.mean(axis=0, keepdims=True)
         d = s - mu
-        cov = (d.conj().T @ d) / inner
+        cov = (d.conj().T @ d) / _L1_INNER
         sign, logdet = np.linalg.slogdet(np.eye(n) + cov)
         lhs = float(np.exp(logdet / n)) if sign > 0 else 0.0
         rhs = 1.0 + float(np.sum(np.sqrt(np.outer(powers, powers))))
         ratio = lhs / rhs
-        if lhs > rhs + slack:
+        if lhs > rhs + _L1_SLACK:
             failures += 1
         if ratio > max_ratio:
             max_ratio = ratio

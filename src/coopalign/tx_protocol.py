@@ -35,6 +35,10 @@ from .errors import ProtocolError, SingularChannelError
 from .lattice import ObservationTable, _as_gain_array, monomial_table
 
 
+DET_FLOOR = 1e-12             # smallest accepted |det h|
+INVERSE_TOL = 1e-9            # largest accepted max|h @ hinv - I|
+
+
 @dataclass(eq=False)
 class InverseChannel:
     """Channel inverse with an explicit invertibility certificate."""
@@ -44,12 +48,12 @@ class InverseChannel:
     product_residual: float
 
     @classmethod
-    def of(cls, channel, tol=1e-9, det_floor=1e-12):
+    def of(cls, channel):
         h = _as_gain_array(channel)
         if h.shape != (3, 3):
             raise SingularChannelError(f"need a 3x3 gain matrix, got {h.shape}")
         det = np.linalg.det(h)
-        if abs(det) <= det_floor:
+        if abs(det) <= DET_FLOOR:
             raise SingularChannelError(
                 f"gain matrix determinant {abs(det):.3g} below threshold")
         try:
@@ -57,7 +61,7 @@ class InverseChannel:
         except np.linalg.LinAlgError as exc:
             raise SingularChannelError(f"gain matrix not invertible: {exc}") from exc
         resid = float(np.abs(h @ hinv - np.eye(3)).max())
-        if not np.isfinite(resid) or resid > tol:
+        if not np.isfinite(resid) or resid > INVERSE_TOL:
             raise SingularChannelError(
                 f"gain matrix too close to singular: inverse residual {resid:.3g}")
         return cls(h=h, hinv=hinv, product_residual=resid)
@@ -140,14 +144,11 @@ def expected_message_count(n: int) -> int:
 # ============================================================
 
 
-def diagonalized_transmit(state_r, inv: InverseChannel, scale=1.0) -> complex:
+def diagonalized_transmit(table, inv: InverseChannel, scale=1.0) -> complex:
     """One transmit sample: scale times the inverse-gain-carrier-weighted sum
     of a transmitter's built combination cube."""
-    table = state_r.values if isinstance(state_r, ObservationTable) \
-        else np.asarray(state_r)
-    n = table.shape[0] - 1
-    carriers = monomial_table(inv.hinv, n + 1)
-    return complex(scale * np.sum(carriers * table))
+    carriers = monomial_table(inv.hinv, table.n + 1)
+    return complex(scale * np.sum(carriers * table.values))
 
 
 def transmit_scale(built, inv: InverseChannel, P) -> float:
@@ -161,44 +162,32 @@ def transmit_scale(built, inv: InverseChannel, P) -> float:
 @dataclass
 class DiagonalizationCheck:
     x: np.ndarray                 # transmit samples
-    y: np.ndarray                 # noiseless receive samples
-    predicted: np.ndarray         # interference-free prediction
-    scale: float
-    residuals: np.ndarray         # per-receiver relative mismatch
-    residual: float               # max over receivers
+    residual: float               # max relative mismatch over receivers
 
     @property
     def ok(self):
         return self.residual <= 1e-9
 
 
-def verify_diagonalization(all_streams, channel, params, built=None,
-                           inv=None) -> DiagonalizationCheck:
-    """Check that inversion-precoded transmission hands each receiver only
-    its own symbols.
+def verify_diagonalization(all_streams, built, channel, P) -> DiagonalizationCheck:
+    """Check that inversion-precoded transmission of the built combination
+    cubes at average power P hands each receiver only its own symbols.
 
     Each noiseless receive sample is compared against the interference-free
     prediction; the mismatch is reported relative to the peak predicted
     signal magnitude, so it measures how exactly the cross-user carriers
     telescope away.
     """
-    if inv is None:
-        inv = InverseChannel.of(channel)
-    if built is None:
-        built = run_tx_backhaul(all_streams).built
-    scale = transmit_scale(built, inv, params.P)
+    inv = InverseChannel.of(channel)
+    scale = transmit_scale(built, inv, P)
     x = np.array([diagonalized_transmit(t, inv, scale) for t in built])
-    h = _as_gain_array(channel)
-    y = h @ x
-    n = all_streams[0].n
-    carriers = monomial_table(inv.hinv, n)
+    h = inv.h
+    carriers = monomial_table(inv.hinv, all_streams[0].n)
     predicted = scale * np.array(
         [np.sum(carriers * s.values) for s in all_streams], dtype=np.complex128)
     # fall back to pre-cancellation mass when the predicted signal is zero
     denom = float(np.abs(predicted).max())
     if denom == 0.0:
         denom = max(float((np.abs(h) @ np.abs(x)).max()), 1e-300)
-    residuals = np.abs(y - predicted) / denom
-    return DiagonalizationCheck(x=x, y=y, predicted=predicted,
-                                scale=scale, residuals=residuals,
-                                residual=float(residuals.max()))
+    residual = float((np.abs(h @ x - predicted) / denom).max())
+    return DiagonalizationCheck(x=x, residual=residual)

@@ -13,7 +13,7 @@ import numpy as np
 from conftest import make_generic_channel
 from coopalign.detection import ReducedSpec, reduced_error_sweep
 from coopalign.harness import config_from_dict, run_experiment
-from coopalign.lattice import (ChannelMatrix, SubstreamTable, derive_params,
+from coopalign.lattice import (ChannelMatrix, SubstreamTable,
                                exact_observations, require_generic)
 from coopalign.rx_protocol import run_rx_protocol, run_rx_slots
 from coopalign.rx_protocol import expected_message_count as rx_count
@@ -80,7 +80,6 @@ def test_c02_tx_equality():
     rng = np.random.default_rng(np.random.SeedSequence(102))
     t0 = time.monotonic()
     for n in (1, 2):
-        params = derive_params(1e8, n)
         for _ in range(100):
             ch = make_generic_channel(rng, n=n)
             streams = tuple(SubstreamTable.random(i, n, 5, rng)
@@ -92,17 +91,16 @@ def test_c02_tx_equality():
                                               want[i].values)
             assert res.ledger.total_symbols <= tx_count(n)
             assert res.ledger.total_symbols == 3 * (n + 1) ** 9
-            chk = verify_diagonalization(streams, ch, params, built=res.built)
+            chk = verify_diagonalization(streams, res.built, ch, 1e8)
             assert chk.residual <= 1e-9
     assert time.monotonic() - t0 < 120.0
 
 
 def test_c03_rx_load():
-    rng = np.random.default_rng(np.random.SeedSequence(103))
-    streams = tuple(SubstreamTable.random(i, 2, 5, rng) for i in (1, 2, 3))
-    ledger = run_rx_protocol(streams).ledger
-    params = derive_params(1e8, 2, eps=0.01)
-    measured = ledger.rb_bar_bits_budget(params) / np.log2(1e8)
+    # budget-priced per-user load at the top power point, no dense-lattice lift
+    report, _ = rx_scheme_report(2, eps=0.01, rng_seed=103, dense_limit=False)
+    assert report.P_grid[-1] == 1e8
+    measured = report.rb_bar[-1] / np.log2(1e8)
     limit = rx_load_limit(2, 0.01)
     assert abs(measured - limit) <= 0.05 * limit
 

@@ -5,7 +5,6 @@ import pytest
 
 from coopalign.backhaul import BackhaulLedger, BackhaulMessage
 from coopalign.errors import ParameterError, SymbolRangeError
-from coopalign.lattice import derive_params
 
 
 def _msg(src, dst, payload, hw, rnd=0):
@@ -69,16 +68,6 @@ class TestLedger:
         # frozen: (log2 11 + log2 31 + log2 21)/3
         led = self._three_round_ledger()
         assert led.rb_bar_bits() == pytest.approx(4.26864845060098, abs=1e-12)
-
-    def test_budget_average_scales_with_log_power(self):
-        led = self._three_round_ledger()
-        p1 = derive_params(1e4, 1, eps=0.05)
-        p2 = derive_params(1e8, 1, eps=0.05)
-        assert led.rb_bar_bits_budget(p2) \
-            == pytest.approx(2 * led.rb_bar_bits_budget(p1))
-        u = 0.95 / (512 + 0.1)
-        assert led.rb_bar_bits_budget(p1) \
-            == pytest.approx(3 * u * math.log2(1e4) / 3)
 
     def test_empty_ledger(self):
         led = BackhaulLedger()

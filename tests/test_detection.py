@@ -7,8 +7,7 @@ from coopalign.detection import (ReducedSpec, candidate_tables, genie_detect,
                                  reduced_carriers, reduced_error_sweep,
                                  reduced_power_scale, reduced_signal)
 from coopalign.errors import MLBudgetError, ParameterError
-from coopalign.lattice import (SchemeParams, SubstreamTable,
-                               exact_observations)
+from coopalign.lattice import SubstreamTable, exact_observations
 
 
 def _streams(rng, n=1, q=5):
@@ -82,12 +81,11 @@ class TestReduced:
     def test_noiseless_detection_exact(self, rng):
         ch = make_generic_channel(rng, n=1)
         gamma = reduced_power_scale(self.SPEC, ch, 1e4)
-        params = SchemeParams(P=1e4, N=1, q=1.0, gamma=gamma)
         tables = rng.integers(-3, 4, size=(40, 4), dtype=np.int64)
         ys = [reduced_signal(t, self.SPEC, ch, gamma) for t in tables]
-        det = ml_detect_reduced_batch(np.asarray(ys), self.SPEC, ch, params)
+        det = ml_detect_reduced_batch(np.asarray(ys), self.SPEC, ch, gamma)
         np.testing.assert_array_equal(det, tables)
-        one = ml_detect_reduced(ys[0], self.SPEC, ch, params)
+        one = ml_detect_reduced(ys[0], self.SPEC, ch, gamma)
         np.testing.assert_array_equal(one, tables[0])
 
     def test_error_rate_decreases_with_power(self, rng):

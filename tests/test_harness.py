@@ -24,7 +24,6 @@ class TestConfig:
     def test_defaults_applied(self):
         cfg = config_from_dict({"scheme": "tdma", "N": 1})
         assert cfg.eps == 0.05
-        assert cfg.c1 == 1.0 and cfg.c2 == 1.0
         assert cfg.trials == 100
         assert cfg.channel_mode == "random-generic"
 
@@ -66,6 +65,28 @@ class TestConfig:
             _cfg(channel_mode="ergodic")
         with pytest.raises(ConfigError, match="fixed"):
             _cfg(channel_mode="fixed")
+
+    @pytest.mark.parametrize("field,bad", [
+        ("P_grid", {"scheme": "tdma", "P_grid": [0.25, 0.5, 1, 2]}),
+        ("P_grid", {"scheme": "tx-coop", "P_grid": [1e2, 1e4, 1e6, 1e400]}),
+        ("q", {"scheme": "rx-coop", "q": 2.5}),
+        ("q", {"scheme": "rx-coop", "q": True}),
+        ("N", {"scheme": "rx-coop", "N": True}),
+        ("alpha_grid", {"scheme": "bounds-only", "alpha_grid": [-1, 0]}),
+        ("c1", {"scheme": "tx-coop", "c1": 7.0}),
+        ("c2", {"scheme": "tx-coop", "c2": 3.0}),
+    ])
+    def test_rejected_at_load(self, tmp_path, capsys, field, bad):
+        raw = dict({"N": 1, "trials": 1, "output_dir": str(tmp_path / "o")},
+                   **bad)
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict(raw)
+        path = tmp_path / "cfg.json"
+        # json writes an overflowed float as Infinity; keep the file literal
+        path.write_text(json.dumps(raw).replace("Infinity", "1e400"))
+        assert cli_main(["run", "--config", str(path)]) == 1
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "o" / "results.csv").exists()
 
     def test_reduced_spec_validated(self):
         with pytest.raises(ConfigError, match="reduced_spec"):

@@ -6,8 +6,7 @@ import pytest
 from conftest import make_generic_channel, oracle_monomial, oracle_observations
 from coopalign.backhaul import BackhaulLedger
 from coopalign.errors import ProtocolError, SingularChannelError
-from coopalign.lattice import (ChannelMatrix, SubstreamTable, derive_params,
-                               exact_observations)
+from coopalign.lattice import SubstreamTable, exact_observations
 from coopalign.tx_protocol import (InverseChannel, diagonalized_transmit,
                                    expected_message_count, run_tx_backhaul,
                                    transmit_scale, transmitter_nodes,
@@ -137,14 +136,15 @@ class TestDiagonalization:
     def test_interference_cancels(self, rng, n):
         streams = _streams(rng, n)
         ch = make_generic_channel(rng, n=n)
-        params = derive_params(1e6, n)
-        chk = verify_diagonalization(streams, ch, params)
+        built = run_tx_backhaul(streams).built
+        chk = verify_diagonalization(streams, built, ch, 1e6)
         assert chk.ok
         assert chk.residual <= 1e-9
 
     def test_zero_streams_zero_residual(self, rng):
         streams = tuple(SubstreamTable.zeros(i, 1, 5) for i in (1, 2, 3))
         ch = make_generic_channel(rng, n=1)
-        chk = verify_diagonalization(streams, ch, derive_params(1e6, 1))
+        built = run_tx_backhaul(streams).built
+        chk = verify_diagonalization(streams, built, ch, 1e6)
         assert chk.residual == 0.0
         assert not np.abs(chk.x).any()
