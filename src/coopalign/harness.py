@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -25,18 +26,24 @@ import numpy as np
 
 from . import __version__
 from .detection import ReducedSpec
-from .errors import ConfigError, CoopAlignError
+from .errors import ConfigError, CoopAlignError, SingularChannelError
 from .lattice import ChannelMatrix, SubstreamTable, require_generic
 from .rx_protocol import run_rx_protocol
 from .tradeoff import (_budget_report, centralized_report, illustrating_example,
                        rx_sum_upper_bound, tdma_report, tx_sum_upper_bound)
-from .tx_protocol import run_tx_backhaul, verify_diagonalization
+from .tx_protocol import InverseChannel, run_tx_backhaul, verify_diagonalization
 
 SCHEMES = ("rx-coop", "tx-coop", "centralized", "tdma",
            "illustrating-example", "bounds-only")
 
 CSV_COLUMNS = ("trial", "P", "scheme", "alpha", "dof", "load_bits",
                "rate_bits", "detail")
+
+
+def _is_finite(x) -> bool:
+    """An int or float, not a bool, that converts to a finite float."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) \
+        and abs(x) <= sys.float_info.max
 
 
 def _fmt(x) -> str:
@@ -66,8 +73,8 @@ class ExperimentConfig:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if not (type(self.N) is int and self.N >= 1):
             raise ConfigError(f"N must be a positive integer, got {self.N!r}")
-        if not 0 < self.eps < 1:
-            raise ConfigError(f"eps must lie in (0, 1), got {self.eps}")
+        if not (_is_finite(self.eps) and 0 < self.eps < 1):
+            raise ConfigError(f"eps must be a number in (0, 1), got {self.eps!r}")
         P = np.asarray(self.P_grid, dtype=float)
         if P.size < 4:
             raise ConfigError(f"P_grid needs at least 4 points, got {P.size}")
@@ -78,12 +85,19 @@ class ExperimentConfig:
             raise ConfigError("P_grid must be strictly increasing")
         if not (type(self.trials) is int and self.trials >= 1):
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
-        if not (isinstance(self.rng_seed, int) and 0 <= self.rng_seed < 2 ** 64):
+        if not (type(self.rng_seed) is int and 0 <= self.rng_seed < 2 ** 64):
             raise ConfigError(f"rng_seed must be a 64-bit value, got {self.rng_seed!r}")
         if self.channel_mode not in ("random-generic", "fixed", "illustrating"):
             raise ConfigError(f"unknown channel_mode {self.channel_mode!r}")
         if self.channel_mode == "fixed" and self.fixed_channel is None:
             raise ConfigError("channel_mode 'fixed' requires channel values")
+        if self.fixed_channel is not None:
+            h = _fixed_gains(self.fixed_channel)
+            if self.scheme == "tx-coop":
+                try:
+                    InverseChannel.of(h)
+                except SingularChannelError as exc:
+                    raise ConfigError(f"fixed_channel: {exc}") from exc
         if not (type(self.q) is int and self.q >= 1):
             raise ConfigError(f"q must be an integer >= 1, got {self.q!r}")
         a = np.asarray(self.alpha_grid, dtype=float)
@@ -92,14 +106,16 @@ class ExperimentConfig:
                 f"alpha_grid values must be finite and >= 0, got {self.alpha_grid}")
         if self.reduced_spec is not None:
             self.build_reduced_spec()
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
         return self
 
     def build_reduced_spec(self) -> ReducedSpec:
-        d = dict(self.reduced_spec)
         try:
+            d = dict(self.reduced_spec)
             d["active_coords"] = tuple(tuple(c) for c in d["active_coords"])
             return ReducedSpec(**d)
-        except (KeyError, TypeError, CoopAlignError) as exc:
+        except (KeyError, TypeError, ValueError, CoopAlignError) as exc:
             raise ConfigError(f"invalid reduced_spec: {exc}") from exc
 
     def as_json_dict(self) -> dict:
@@ -124,6 +140,22 @@ def _tuplify(x):
     return x
 
 
+def _fixed_gains(fixed_channel) -> np.ndarray:
+    """3x3 complex gains from nested finite [re, im] pairs."""
+    a = np.array(fixed_channel, dtype=object)
+    if not (a.shape == (3, 3, 2) and all(map(_is_finite, a.flat))):
+        raise ConfigError("fixed_channel must be 3x3 finite [re, im] pairs, "
+                          f"got {_listify(fixed_channel)!r}")
+    return np.ascontiguousarray(a, dtype=float).view(np.complex128)[..., 0]
+
+
+def _numbers(field_name, values) -> tuple:
+    if not (isinstance(values, (list, tuple)) and all(map(_is_finite, values))):
+        raise ConfigError(
+            f"{field_name} must be a list of finite numbers, got {values!r}")
+    return tuple(float(v) for v in values)
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if "scheme" not in raw:
         raise ConfigError("missing required field: scheme")
@@ -134,13 +166,17 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     kw = dict(raw)
-    if "P_grid" in kw:
-        kw["P_grid"] = tuple(float(p) for p in kw["P_grid"])
-    if "alpha_grid" in kw:
-        kw["alpha_grid"] = tuple(float(a) for a in kw["alpha_grid"])
+    for name in ("P_grid", "alpha_grid"):
+        if name in kw:
+            kw[name] = _numbers(name, kw[name])
     if "gamma" in kw:
         g = kw["gamma"]
-        kw["gamma"] = complex(g[0], g[1]) if isinstance(g, (list, tuple)) else complex(g)
+        if isinstance(g, complex):
+            g = (g.real, g.imag)
+        parts = g if isinstance(g, (list, tuple)) else (g, 0)
+        if not (len(parts) == 2 and all(map(_is_finite, parts))):
+            raise ConfigError(f"gamma must be a number or an [re, im] pair, got {g!r}")
+        kw["gamma"] = complex(*parts)
     if "fixed_channel" in kw and kw["fixed_channel"] is not None:
         kw["fixed_channel"] = _tuplify(kw["fixed_channel"])
     return ExperimentConfig(**kw).validate()
@@ -171,15 +207,11 @@ def save_config(config: ExperimentConfig, path):
 
 def _channel_for(config: ExperimentConfig, rng) -> ChannelMatrix:
     if config.channel_mode == "fixed":
-        h = np.array([[complex(re, im) for (re, im) in row]
-                      for row in config.fixed_channel])
-        return ChannelMatrix(h=h)
+        return ChannelMatrix(h=_fixed_gains(config.fixed_channel))
     if config.channel_mode == "illustrating" \
             or config.scheme == "illustrating-example":
         return ChannelMatrix.illustrating(config.gamma, rng)
-    ch = ChannelMatrix.random(rng)
-    require_generic(ch, config.N)
-    return ch
+    return ChannelMatrix.random(rng)
 
 
 def _channel_listing(ch: ChannelMatrix):
@@ -204,9 +236,13 @@ def run_trial(config: ExperimentConfig, trial: int):
     ss = np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(trial,))
     rng = np.random.default_rng(ss)
     scheme = config.scheme
+    ch = _channel_for(config, rng)
+    # only the lattice schemes read carriers; the screen draws no randomness
+    if scheme in ("rx-coop", "tx-coop") \
+            and config.channel_mode == "random-generic":
+        require_generic(ch, config.N)
 
     if scheme == "bounds-only":
-        ch = _channel_for(config, rng)
         rows = []
         for a in config.alpha_grid:
             for P in config.P_grid:
@@ -221,7 +257,6 @@ def run_trial(config: ExperimentConfig, trial: int):
                                  "rate_bits": float(bound), "detail": name})
         return rows, _channel_listing(ch), []
 
-    ch = _channel_for(config, rng)
     if scheme == "rx-coop":
         streams = tuple(SubstreamTable.random(i + 1, config.N, config.q, rng)
                         for i in range(3))
@@ -279,11 +314,13 @@ class RunManifest:
     wall_time_s: float = 0.0
     outputs: dict = field(default_factory=dict)
     error: str = None
+    failed_trial: dict = None     # trial index and its SeedSequence inputs
 
     def write(self, path):
         d = asdict(self)
-        if d["error"] is None:
-            d.pop("error")
+        for key in ("error", "failed_trial"):
+            if d[key] is None:
+                d.pop(key)
         Path(path).write_text(json.dumps(d, indent=2) + "\n")
 
 
@@ -309,11 +346,29 @@ def emit_tradeoff_csv(points, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _trial_results(config, trials, jobs):
+    """Yield each trial's (rows, channel_listing, trace) in trial order."""
+    if jobs <= 1:
+        for t in trials:
+            yield run_trial(config, t)
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futs = [pool.submit(run_trial, config, t) for t in trials]
+        try:
+            for f in futs:
+                yield f.result()
+        finally:
+            for f in futs:
+                f.cancel()
+
+
 def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunManifest:
     """Run all trials of the configured scheme and persist results.
 
     Writes results.csv, manifest.json and (for protocol schemes) trace.jsonl
-    under config.output_dir.
+    under config.output_dir.  When a trial fails, the trials before it are
+    still written, and the manifest stays "incomplete" and names the
+    failed trial with its seed.
     """
     config.validate()
     out = Path(config.output_dir)
@@ -325,25 +380,25 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunManifest:
     trials = range(config.trials) if config.scheme != "bounds-only" else range(1)
     rows, channels, trace = [], [], []
     try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futs = [pool.submit(run_trial, config, t) for t in trials]
-                results = [f.result() for f in futs]
-        else:
-            results = [run_trial(config, t) for t in trials]
-        for r, chl, tr in results:
+        for r, chl, tr in _trial_results(config, trials, jobs):
             rows.extend(r)
             channels.append(chl)
             trace.extend(tr)
     except Exception as exc:
-        # flush whatever completed, leave the manifest incomplete
-        write_results_csv(rows, out / "results.csv")
+        failed = trials[len(channels)]
         manifest.error = f"{type(exc).__name__}: {exc}"
-        manifest.wall_time_s = time.monotonic() - t0
-        manifest.channels = channels
-        manifest.write(out / "manifest.json")
+        manifest.failed_trial = {"trial": failed, "entropy": config.rng_seed,
+                                 "spawn_key": [failed]}
+        _persist(manifest, out, rows, channels, trace, t0)
         raise
+    manifest.status = "complete"
+    _persist(manifest, out, rows, channels, trace, t0)
+    return manifest
 
+
+def _persist(manifest, out, rows, channels, trace, t0):
+    """Write results.csv, trace.jsonl (when there are records) and the
+    manifest with the digests of both."""
     write_results_csv(rows, out / "results.csv")
     outputs = {"results.csv": _sha256(out / "results.csv")}
     if trace:
@@ -351,9 +406,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunManifest:
             for rec in trace:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
         outputs["trace.jsonl"] = _sha256(out / "trace.jsonl")
-    manifest.status = "complete"
     manifest.channels = channels
     manifest.wall_time_s = time.monotonic() - t0
     manifest.outputs = outputs
     manifest.write(out / "manifest.json")
-    return manifest

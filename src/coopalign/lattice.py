@@ -154,24 +154,40 @@ def channel_is_generic(channel, n):
     An absolute tolerance would flag almost every random draw once high
     powers of sub-unit gains shrink below it, so closeness is measured
     relative to the magnitudes involved.
+
+    After a stable sort by real part, entry i is compared with i+1, i+2, ...
+    while the real-part gap stays within a window taken from the (i, i+1)
+    pair.  All i advance together, one offset k per pass, and an i leaves
+    the pass set as soon as its window closes.
     """
     h = _as_gain_array(channel)
     if np.abs(h).min() <= GENERIC_TOL:
         return False
     vals = monomial_table(h, n + 1).ravel()
-    order = np.argsort(vals.real, kind="stable")
-    sv = vals[order]
-    # collisions must be adjacent in real part up to the window below
-    mags = np.abs(sv)
-    for i in range(len(sv) - 1):
-        j = i + 1
-        span = GENERIC_TOL * max(0.5 * (mags[i] + mags[j]), 1e-300)
-        while j < len(sv) and sv[j].real - sv[i].real <= span:
-            if abs(sv[j] - sv[i]) <= \
-                    GENERIC_TOL * max(0.5 * (mags[i] + mags[j]), 1e-300):
-                return False
-            j += 1
+    sv = vals[np.argsort(vals.real, kind="stable")]
+    del vals
+    size, re = len(sv), sv.real
+    span = _pair_tol(sv[:-1], sv[1:])
+    i = np.flatnonzero(re[1:] - re[:-1] <= span)
+    k = 1
+    while i.size:
+        a, b = sv[i], sv[i + k]
+        if np.any(np.abs(b - a) <= _pair_tol(a, b)):
+            return False
+        i = i[i + k + 1 < size]
+        i = i[re[i + k + 1] - re[i] <= span[i]]
+        k += 1
     return True
+
+
+def _pair_tol(a, b):
+    """GENERIC_TOL * max(0.5 * (|a| + |b|), 1e-300) elementwise, in one buffer."""
+    tol = np.abs(a)
+    tol += np.abs(b)
+    tol *= 0.5
+    np.maximum(tol, 1e-300, out=tol)
+    tol *= GENERIC_TOL
+    return tol
 
 
 def require_generic(channel, n):

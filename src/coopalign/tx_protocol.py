@@ -144,21 +144,6 @@ def expected_message_count(n: int) -> int:
 # ============================================================
 
 
-def diagonalized_transmit(table, inv: InverseChannel, scale=1.0) -> complex:
-    """One transmit sample: scale times the inverse-gain-carrier-weighted sum
-    of a transmitter's built combination cube."""
-    carriers = monomial_table(inv.hinv, table.n + 1)
-    return complex(scale * np.sum(carriers * table.values))
-
-
-def transmit_scale(built, inv: InverseChannel, P) -> float:
-    """Scale factor putting the average transmit power of the three samples
-    at P (measured on the realization, then scaled)."""
-    raw = np.array([diagonalized_transmit(t, inv) for t in built])
-    mean_pow = float(np.mean(np.abs(raw) ** 2))
-    return float(np.sqrt(P / mean_pow)) if mean_pow > 0 else 1.0
-
-
 @dataclass
 class DiagonalizationCheck:
     x: np.ndarray                 # transmit samples
@@ -179,8 +164,13 @@ def verify_diagonalization(all_streams, built, channel, P) -> DiagonalizationChe
     telescope away.
     """
     inv = InverseChannel.of(channel)
-    scale = transmit_scale(built, inv, P)
-    x = np.array([diagonalized_transmit(t, inv, scale) for t in built])
+    carriers = monomial_table(inv.hinv, all_streams[0].n + 1)
+    raw = np.array([np.sum(carriers * t.values) for t in built])
+    del carriers
+    # scale the realised samples to average power P
+    mean_pow = float(np.mean(np.abs(raw) ** 2))
+    scale = float(np.sqrt(P / mean_pow)) if mean_pow > 0 else 1.0
+    x = scale * raw
     h = inv.h
     carriers = monomial_table(inv.hinv, all_streams[0].n)
     predicted = scale * np.array(

@@ -12,7 +12,8 @@ import itertools
 import numpy as np
 import pytest
 
-from coopalign.lattice import ChannelMatrix, require_generic
+from coopalign.lattice import (GENERIC_TOL, ChannelMatrix, monomial_table,
+                               require_generic)
 
 
 def label_axis(i, j):
@@ -53,6 +54,28 @@ def oracle_monomial(h, label):
         for j in (1, 2, 3):
             acc += label[label_axis(i, j)] * cmath.log(h[i - 1, j - 1])
     return cmath.exp(acc)
+
+
+def oracle_channel_is_generic(h, n):
+    """The genericity screen as a per-entry loop: after a stable sort by
+    real part, entry i is compared with every later entry whose real part
+    lies within the window taken from the (i, i+1) pair."""
+    h = np.asarray(h, dtype=np.complex128)
+    if np.abs(h).min() <= GENERIC_TOL:
+        return False
+    vals = monomial_table(h, n + 1).ravel()
+    order = np.argsort(vals.real, kind="stable")
+    sv = vals[order]
+    mags = np.abs(sv)
+    for i in range(len(sv) - 1):
+        j = i + 1
+        span = GENERIC_TOL * max(0.5 * (mags[i] + mags[j]), 1e-300)
+        while j < len(sv) and sv[j].real - sv[i].real <= span:
+            if abs(sv[j] - sv[i]) <= \
+                    GENERIC_TOL * max(0.5 * (mags[i] + mags[j]), 1e-300):
+                return False
+            j += 1
+    return True
 
 
 def make_generic_channel(rng, n=2, max_cond=50.0):

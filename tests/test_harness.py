@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from coopalign.cli import main as cli_main
-from coopalign.errors import ConfigError
+from coopalign.errors import ConfigError, GenericityError
 from coopalign.harness import (CSV_COLUMNS, ExperimentConfig, config_from_dict,
                                emit_tradeoff_csv, load_config, run_experiment,
                                run_trial, save_config)
@@ -75,6 +75,20 @@ class TestConfig:
         ("alpha_grid", {"scheme": "bounds-only", "alpha_grid": [-1, 0]}),
         ("c1", {"scheme": "tx-coop", "c1": 7.0}),
         ("c2", {"scheme": "tx-coop", "c2": 3.0}),
+        ("eps", {"scheme": "rx-coop", "eps": "x"}),
+        ("P_grid", {"scheme": "tdma", "P_grid": ["a", 1, 2, 3]}),
+        ("fixed_channel", {"scheme": "tdma", "channel_mode": "fixed",
+                           "fixed_channel": [[1, 2]]}),
+        ("fixed_channel", {"scheme": "tdma", "channel_mode": "fixed",
+                           "fixed_channel": [[[1, 0]] * 3] * 2
+                           + [[[1, 0], [1, 0], [float("inf"), 0]]]}),
+        ("fixed_channel", {"scheme": "tx-coop", "channel_mode": "fixed",
+                           "fixed_channel": [[[1, 0]] * 3] * 3}),
+        ("P_grid", {"scheme": "tdma", "P_grid": [1e2, 1e3, 1e4, 10 ** 400]}),
+        ("gamma", {"scheme": "illustrating-example", "gamma": "x"}),
+        ("reduced_spec", {"scheme": "rx-coop", "reduced_spec": "ab"}),
+        ("rng_seed", {"scheme": "rx-coop", "rng_seed": True}),
+        ("output_dir", {"scheme": "rx-coop", "output_dir": 5}),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, field, bad):
         raw = dict({"N": 1, "trials": 1, "output_dir": str(tmp_path / "o")},
@@ -95,6 +109,13 @@ class TestConfig:
         cfg = _cfg(reduced_spec={"active_coords": [[1, 1]], "n_red": 1,
                                  "q_red": 1})
         assert cfg.build_reduced_spec().table_size == 2
+
+
+def _fail_trial_2(config, trial):
+    # module level, so a worker process can unpickle it
+    if trial == 2:
+        raise RuntimeError("induced failure in trial 2")
+    return run_trial(config, trial)
 
 
 class TestRunExperiment:
@@ -153,6 +174,26 @@ class TestRunExperiment:
         on_disk = json.loads((tmp_path / "boom" / "manifest.json").read_text())
         assert on_disk["status"] == "incomplete"
         assert "induced failure" in on_disk["error"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_trial_keeps_completed_trials(self, tmp_path, monkeypatch,
+                                                 jobs):
+        import coopalign.harness as hmod
+        monkeypatch.setattr(hmod, "run_trial", _fail_trial_2)
+        with pytest.raises(RuntimeError, match="trial 2"):
+            hmod.run_experiment(_cfg(trials=4, output_dir=str(tmp_path / "f")),
+                                jobs=jobs)
+        monkeypatch.undo()
+        run_experiment(_cfg(trials=2, output_dir=str(tmp_path / "ok")))
+        for name in ("results.csv", "trace.jsonl"):
+            assert (tmp_path / "f" / name).read_bytes() \
+                == (tmp_path / "ok" / name).read_bytes()
+        on_disk = json.loads((tmp_path / "f" / "manifest.json").read_text())
+        assert on_disk["status"] == "incomplete"
+        assert on_disk["failed_trial"] == {"trial": 2, "entropy": 11,
+                                           "spawn_key": [2]}
+        assert len(on_disk["channels"]) == 2
+        assert "induced failure in trial 2" in on_disk["error"]
 
     def test_csv_schema_and_sorting(self, tmp_path):
         cfg = _cfg(output_dir=str(tmp_path / "run"))
@@ -234,6 +275,41 @@ def test_backhaul_trace_golden(tmp_path, scheme, n):
     assert hashlib.sha256(backhaul).hexdigest() == GOLDEN_TRACE[scheme, n]
     if scheme == "rx-coop":
         assert len(backhaul) == sum(map(len, lines))
+
+
+# sha256 of results.csv for config {"scheme": S, "N": 2, "trials": 3,
+# "rng_seed": 11}, recorded while every scheme's channel draw was screened
+GOLDEN_BASELINE_CSV = {
+    "centralized": "f21e42e9c8b1249ba8cf92929daeb7099352c700405d7cc7c81e56c606fb7435",
+    "tdma": "c1c8a55479d4d8b5c655bb04f5b63a2d00cd26032cbd13056ec41ab83614d710",
+    "illustrating-example": "84c138c6003fc740d6db30ecd84d3fd433ea768853081c301c799d856a7c3f64",
+    "bounds-only": "080a1961baa2b4ddd087e5eb08ef8142bcfd7495d68e3b254b4ea9ff0df1728e",
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(GOLDEN_BASELINE_CSV))
+def test_baseline_results_golden(tmp_path, scheme):
+    run_experiment(config_from_dict({"scheme": scheme, "N": 2, "trials": 3,
+                                     "rng_seed": 11,
+                                     "output_dir": str(tmp_path)}))
+    digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_BASELINE_CSV[scheme]
+
+
+def test_screen_runs_only_for_lattice_schemes(tmp_path, monkeypatch):
+    import coopalign.harness as hmod
+
+    def reject(channel, n):
+        raise GenericityError("screen called")
+
+    monkeypatch.setattr(hmod, "require_generic", reject)
+    for scheme in sorted(GOLDEN_BASELINE_CSV):
+        out = tmp_path / scheme
+        assert run_experiment(_cfg(scheme=scheme, output_dir=str(out))) \
+            .status == "complete"
+    for scheme in ("rx-coop", "tx-coop"):
+        with pytest.raises(GenericityError):
+            run_experiment(_cfg(scheme=scheme, output_dir=str(tmp_path / scheme)))
 
 
 class TestTradeoffCsv:

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import oracle_monomial, oracle_observations
+from conftest import (oracle_channel_is_generic, oracle_monomial,
+                      oracle_observations)
 from coopalign.errors import GenericityError, ParameterError, SymbolRangeError
 from coopalign.lattice import (ChannelMatrix, ObservationTable, SubstreamTable,
                                channel_is_generic, complex_awgn,
@@ -69,6 +70,63 @@ class TestGenericity:
         assert not channel_is_generic(h, 1)
         with pytest.raises(GenericityError):
             require_generic(h, 1)
+
+    @pytest.mark.parametrize("n,draws", [(1, 70), (2, 40), (3, 2)])
+    def test_screen_matches_oracle_on_random_channels(self, n, draws):
+        rng = np.random.default_rng(np.random.SeedSequence(606 + n))
+        for _ in range(draws):
+            h = ChannelMatrix.random(rng).h
+            assert channel_is_generic(h, n) == oracle_channel_is_generic(h, n)
+
+    @pytest.mark.parametrize("values,verdict", [
+        # b lies outside the real-part window that a's sorted neighbour c
+        # sets, so (a, b) is never compared, though within tolerance
+        ((1 + 100j, 1 + 35e-9, 1 + 70e-9 + 100j), True),
+        # b lies inside that window; the pair tolerance then uses |a| and |b|
+        ((1 + 100j, 1 + 20e-9, 1 + 40e-9 + (100 + 60e-9) * 1j), False),
+    ])
+    def test_window_comes_from_sorted_neighbour(self, monkeypatch, values,
+                                                verdict):
+        import conftest
+        import coopalign.lattice as lattice
+
+        def table(h, upper):
+            return np.array(values)
+
+        monkeypatch.setattr(lattice, "monomial_table", table)
+        monkeypatch.setattr(conftest, "monomial_table", table)
+        h = np.ones((3, 3), dtype=np.complex128)
+        assert channel_is_generic(h, 1) == verdict
+        assert oracle_channel_is_generic(h, 1) == verdict
+
+    def test_screen_matches_oracle_on_constructed_channels(self):
+        h = ChannelMatrix.random(np.random.default_rng(607)).h
+
+        def edit(at, value):
+            g = h.copy()
+            g[at] = value
+            return g
+
+        # (channel, depth, verdict or None when only agreement is asserted)
+        cases = [
+            # (h11/h33)^2 = 1 needs an exponent gap of 2, first at n = 2
+            (edit((2, 2), -h[0, 0]), 2, False),
+            (edit((2, 2), -h[0, 0]), 1, None),
+            (edit((1, 1), h[0, 0] * (1 + 5e-10)), 1, False),
+            (edit((1, 1), h[0, 0] * (1 + 1e-7)), 1, True),
+            # a cube root of unity needs a gap of 3, first at n = 3
+            (edit((1, 1), h[0, 0] * np.exp(2j * np.pi / 3)), 3, False),
+            (np.ones((3, 3), dtype=np.complex128), 1, False),
+            (edit((1, 2), 0.0), 1, False),
+        ]
+        # straddle the relative tolerance in magnitude and in phase
+        for d in (1e-10, 4e-10, 9.9e-10, 1.01e-9, 2.5e-9, 1e-8):
+            cases.append((edit((1, 1), h[0, 0] * (1 + d)), 2, None))
+            cases.append((edit((1, 1), h[0, 0] * np.exp(1j * d)), 2, None))
+        for g, n, verdict in cases:
+            got = channel_is_generic(g, n)
+            assert got == oracle_channel_is_generic(g, n)
+            assert verdict is None or got == verdict
 
 
 class TestObservations:

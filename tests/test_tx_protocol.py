@@ -7,9 +7,8 @@ from conftest import make_generic_channel, oracle_monomial, oracle_observations
 from coopalign.backhaul import BackhaulLedger
 from coopalign.errors import ProtocolError, SingularChannelError
 from coopalign.lattice import SubstreamTable, exact_observations
-from coopalign.tx_protocol import (InverseChannel, diagonalized_transmit,
-                                   expected_message_count, run_tx_backhaul,
-                                   transmit_scale, transmitter_nodes,
+from coopalign.tx_protocol import (InverseChannel, expected_message_count,
+                                   run_tx_backhaul, transmitter_nodes,
                                    tx_round, verify_diagonalization)
 
 
@@ -116,21 +115,22 @@ class TestDiagonalization:
         ch = make_generic_channel(rng, n=1)
         inv = InverseChannel.of(ch)
         built = run_tx_backhaul(streams).built
-        for t in built:
-            want = sum(oracle_monomial(inv.hinv, lab)
-                       * t.values[tuple(c - 1 for c in lab)]
-                       for lab in itertools.product(range(1, 3), repeat=9))
-            got = diagonalized_transmit(t, inv)
-            assert abs(got - want) <= 1e-9 * max(abs(want), 1.0)
+        chk = verify_diagonalization(streams, built, ch, 250.0)
+        want = np.array([
+            sum(oracle_monomial(inv.hinv, lab)
+                * t.values[tuple(c - 1 for c in lab)]
+                for lab in itertools.product(range(1, 3), repeat=9))
+            for t in built])
+        scale = np.sqrt(250.0 / np.mean(np.abs(want) ** 2))
+        for got, w in zip(chk.x / scale, want):
+            assert abs(got - w) <= 1e-9 * max(abs(w), 1.0)
 
     def test_scale_meets_average_power(self, rng):
         streams = _streams(rng, 1)
         ch = make_generic_channel(rng, n=1)
-        inv = InverseChannel.of(ch)
         built = run_tx_backhaul(streams).built
-        scale = transmit_scale(built, inv, P=250.0)
-        x = np.array([diagonalized_transmit(t, inv, scale) for t in built])
-        assert np.mean(np.abs(x) ** 2) == pytest.approx(250.0)
+        chk = verify_diagonalization(streams, built, ch, 250.0)
+        assert np.mean(np.abs(chk.x) ** 2) == pytest.approx(250.0)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_interference_cancels(self, rng, n):
