@@ -1,5 +1,7 @@
-"""Backhaul message objects, per-link rate accounting, and the exchange
-engine both cooperation protocols run on.
+"""Backhaul message records, per-link rate accounting, and the exchange
+engine both cooperation protocols run on.  The ledger keeps a record per
+message, not its payload; in strict mode the engine checks each payload
+against its alphabet when it is sent, for both protocols.
 
 An exchange is a table of steps, one per backhaul link, applied in order
 once per round.  Every payload, and every correction a receiving node
@@ -22,44 +24,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, ProtocolError, SymbolRangeError
+from .errors import ParameterError, ProtocolError
 from .indices import AXIS, window
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class BackhaulMessage:
-    """One node-to-node payload: a flat integer vector in canonical label
-    order, tagged with the alphabet half-width of its entries."""
+    """One node-to-node payload: its length, alphabet half-width and the
+    digest of its int64 bytes in canonical label order."""
 
     source: int
     destination: int
     round_index: int
-    payload: np.ndarray
+    length: int
     alphabet_halfwidth: int
-
-    def __post_init__(self):
-        if self.source == self.destination:
-            raise ParameterError("message source and destination must differ")
-        p = np.asarray(self.payload, dtype=np.int64).reshape(-1)
-        self.payload = p
-
-    def validate_alphabet(self):
-        if self.payload.size and np.abs(self.payload).max() > self.alphabet_halfwidth:
-            raise SymbolRangeError(
-                f"payload entry outside half-width {self.alphabet_halfwidth} "
-                f"on link {self.source}->{self.destination}")
-
-    @property
-    def length(self) -> int:
-        return int(self.payload.size)
+    digest: str
 
     @property
     def bits(self) -> float:
         # log-cardinality of the declared alphabet, no entropy coding
         return self.length * math.log2(2 * self.alphabet_halfwidth + 1)
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.payload.tobytes()).hexdigest()[:16]
 
     def trace_record(self) -> dict:
         return {
@@ -69,13 +53,14 @@ class BackhaulMessage:
             "round": self.round_index,
             "length": self.length,
             "alphabet_halfwidth": int(self.alphabet_halfwidth),
-            "payload_digest": self.digest(),
+            "payload_digest": self.digest,
         }
 
 
 @dataclass
 class BackhaulLedger:
-    """Accumulates messages and prices them as bits per channel use."""
+    """Accumulates message records and prices them as bits per channel
+    use."""
 
     messages: list = field(default_factory=list)
 
@@ -127,6 +112,10 @@ class Step:
     halfwidth: tuple
     carry: tuple = ()
 
+    def __post_init__(self):
+        if self.source == self.destination:
+            raise ParameterError("step source and destination must differ")
+
 
 @dataclass(eq=False)
 class NodeState:
@@ -164,7 +153,7 @@ class NodeState:
             out[dst] -= table[src]
 
     def store_slab(self, slab, block, strict, round_index):
-        if np.abs(block).max() > self.bound:
+        if block.max() > self.bound or block.min() < -self.bound:
             if strict:
                 raise ProtocolError(
                     "inconsistent combination: stored entry outside "
@@ -197,8 +186,9 @@ def run_round(steps, nodes, round_index, slab, ledger, first=False,
               strict=True):
     """Run every step of one round on slab ``slab``, logging each message.
 
-    In strict mode a stored block outside its node's bound raises
-    ProtocolError; otherwise the node is flagged and the round goes on.
+    In strict mode a payload outside its alphabet raises ProtocolError at
+    the sender, and a stored entry outside its bound at the destination;
+    otherwise only the destination is flagged and the round goes on.
     """
     for step in steps:
         src, dst = nodes[step.source], nodes[step.destination]
@@ -206,12 +196,15 @@ def run_round(steps, nodes, round_index, slab, ledger, first=False,
         block = np.zeros((upper,) * 8, dtype=np.int64)
         for term in step.send:
             src.add_term(block, term, slab, round_index)
-        msg = BackhaulMessage(
-            source=step.source, destination=step.destination,
-            round_index=round_index, payload=block.ravel(),
-            alphabet_halfwidth=step.halfwidth[0 if first else 1] * src.q)
-        ledger.add(msg)
-        block = block.copy()
+        hw = step.halfwidth[0 if first else 1] * src.q
+        if strict and (block.max() > hw or block.min() < -hw):
+            raise ProtocolError(f"payload entry outside half-width {hw} on "
+                                f"link {step.source}->{step.destination}",
+                                round_index=round_index, node=step.source)
+        ledger.add(BackhaulMessage(
+            step.source, step.destination, round_index, block.size, hw,
+            hashlib.sha256(block.tobytes()).hexdigest()[:16]))
+        # only the digest is kept: the destination finishes the block in place
         for term in step.receive:
             dst.add_term(block, term, slab, round_index)
         if step.carry:

@@ -26,12 +26,14 @@ import numpy as np
 
 from . import __version__
 from .detection import ReducedSpec
-from .errors import ConfigError, CoopAlignError, SingularChannelError
+from .errors import (ConfigError, CoopAlignError, ProtocolError,
+                     SingularChannelError)
 from .lattice import ChannelMatrix, SubstreamTable, require_generic
-from .rx_protocol import run_rx_protocol
+from .rx_protocol import RX_STEPS, run_rx_protocol
 from .tradeoff import (_budget_report, centralized_report, illustrating_example,
                        rx_sum_upper_bound, tdma_report, tx_sum_upper_bound)
-from .tx_protocol import InverseChannel, run_tx_backhaul, verify_diagonalization
+from .tx_protocol import (TX_STEPS, InverseChannel, run_tx_backhaul,
+                          verify_diagonalization)
 
 SCHEMES = ("rx-coop", "tx-coop", "centralized", "tdma",
            "illustrating-example", "bounds-only")
@@ -98,8 +100,13 @@ class ExperimentConfig:
                     InverseChannel.of(h)
                 except SingularChannelError as exc:
                     raise ConfigError(f"fixed_channel: {exc}") from exc
-        if not (type(self.q) is int and self.q >= 1):
-            raise ConfigError(f"q must be an integer >= 1, got {self.q!r}")
+        # a step sums up to `terms` table reads within +-3q, and the rx 1->2
+        # back-substitution chains N such sums: none may wrap in int64
+        terms = max(len(s.send) + len(s.receive) for s in RX_STEPS + TX_STEPS)
+        q_max = (2 ** 63 - 1) // (terms * 3 * self.N)
+        if not (type(self.q) is int and 1 <= self.q <= q_max):
+            raise ConfigError(f"q must be an integer in [1, {q_max}] at "
+                              f"N = {self.N}, got {self.q!r}")
         a = np.asarray(self.alpha_grid, dtype=float)
         if not np.all(np.isfinite(a) & (a >= 0)):
             raise ConfigError(
@@ -314,7 +321,7 @@ class RunManifest:
     wall_time_s: float = 0.0
     outputs: dict = field(default_factory=dict)
     error: str = None
-    failed_trial: dict = None     # trial index and its SeedSequence inputs
+    failed_trial: dict = None     # trial, seed inputs; round, node if known
 
     def write(self, path):
         d = asdict(self)
@@ -368,7 +375,7 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunManifest:
     Writes results.csv, manifest.json and (for protocol schemes) trace.jsonl
     under config.output_dir.  When a trial fails, the trials before it are
     still written, and the manifest stays "incomplete" and names the
-    failed trial with its seed.
+    failed trial with its seed (and round and node for a ProtocolError).
     """
     config.validate()
     out = Path(config.output_dir)
@@ -389,6 +396,8 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunManifest:
         manifest.error = f"{type(exc).__name__}: {exc}"
         manifest.failed_trial = {"trial": failed, "entropy": config.rng_seed,
                                  "spawn_key": [failed]}
+        if isinstance(exc, ProtocolError):
+            manifest.failed_trial.update(round=exc.round_index, node=exc.node)
         _persist(manifest, out, rows, channels, trace, t0)
         raise
     manifest.status = "complete"

@@ -101,9 +101,6 @@ def run_rx_protocol(all_streams, detector_mode="exact-genie", error_rate=0.0,
     for r in range(n):
         run_round(RX_STEPS, nodes, r, n - r, ledger, first=r == 0,
                   strict=strict)
-    if strict:
-        for m in ledger.messages:
-            m.validate_alphabet()
 
     contaminated = tuple(
         bool(report.symbol_error_flags[i - 1]) or nodes[i].range_violation

@@ -188,8 +188,8 @@ def test_c09_error_confinement():
         for i in range(3):
             np.testing.assert_array_equal(dirty[t].recovered[i],
                                           clean[t].recovered[i])
-        assert [m.digest() for m in dirty[t].ledger.messages] \
-            == [m.digest() for m in clean[t].ledger.messages]
+        assert [m.digest for m in dirty[t].ledger.messages] \
+            == [m.digest for m in clean[t].ledger.messages]
         assert not any(dirty[t].contaminated)
     assert any(dirty[2].contaminated)
 

@@ -1,50 +1,69 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from coopalign.backhaul import BackhaulLedger, BackhaulMessage
-from coopalign.errors import ParameterError, SymbolRangeError
+from coopalign.backhaul import (BackhaulLedger, BackhaulMessage, NodeState,
+                                Step, run_round)
+from coopalign.errors import ParameterError, ProtocolError
 
 
-def _msg(src, dst, payload, hw, rnd=0):
+def _msg(src, dst, length, hw, rnd=0):
     return BackhaulMessage(source=src, destination=dst, round_index=rnd,
-                           payload=np.asarray(payload), alphabet_halfwidth=hw)
+                           length=length, alphabet_halfwidth=hw,
+                           digest="0" * 16)
 
 
-def test_message_rejects_self_link():
+def _one_link(value, halfwidth=1):
+    """Node 1 sends its one-entry table (alphabet +-halfwidth*q, q = 5) to
+    node 2, which stores it within +-q; returns the nodes and the ledger."""
+    nodes = {i: NodeState(node=i, q=5, bound=5, slab_coord=(3, 1),
+                          store="kept",
+                          tables={"own": np.full((1,) * 9, value, np.int64),
+                                  "kept": np.zeros((1,) * 9, np.int64)})
+             for i in (1, 2)}
+    step = Step(1, 2, send=((+1, "own", (), 0),), receive=(),
+                halfwidth=(halfwidth, halfwidth))
+    ledger = BackhaulLedger()
+    run_round((step,), nodes, 0, 1, ledger)
+    return nodes, ledger
+
+
+def test_step_rejects_self_link():
     with pytest.raises(ParameterError):
-        _msg(1, 1, [0], 5)
-
-
-def test_payload_flattened_int64():
-    m = _msg(3, 1, np.arange(8).reshape(2, 2, 2), 10)
-    assert m.payload.shape == (8,)
-    assert m.payload.dtype == np.int64
-    assert m.length == 8
-
-
-def test_alphabet_validation_is_explicit():
-    # construction tolerates out-of-range entries so contaminated runs can
-    # still be traced; validation is a separate call
-    m = _msg(1, 2, [7], 5)
-    with pytest.raises(SymbolRangeError):
-        m.validate_alphabet()
-    _msg(1, 2, [5, -5], 5).validate_alphabet()
+        Step(1, 1, send=(), receive=(), halfwidth=(1, 1))
 
 
 def test_bits_log_cardinality():
-    m = _msg(1, 2, [1, -2, 0], 5)
-    assert m.bits == pytest.approx(3 * math.log2(11))
+    assert _msg(1, 2, 3, 5).bits == pytest.approx(3 * math.log2(11))
 
 
 def test_digest_tracks_payload():
-    a, b = _msg(1, 2, [1, 2], 5), _msg(1, 2, [1, 3], 5)
-    assert a.digest() != b.digest()
-    assert a.digest() == _msg(3, 2, [1, 2], 9).digest()
-    rec = a.trace_record()
+    (_, a), (_, b) = _one_link(3), _one_link(4)
+    m = a.messages[0]
+    assert m.digest == hashlib.sha256(
+        np.array([3], dtype=np.int64).tobytes()).hexdigest()[:16]
+    assert m.digest != b.messages[0].digest
+    assert (m.length, m.alphabet_halfwidth) == (1, 5)
+    rec = m.trace_record()
     assert rec["stage"] == "backhaul"
-    assert rec["length"] == 2 and rec["payload_digest"] == a.digest()
+    assert rec["length"] == 1 and rec["payload_digest"] == m.digest
+
+
+@pytest.mark.parametrize("halfwidth,node,text", [
+    # alphabet +-q: the sender refuses a payload entry past it
+    pytest.param(1, 1, "half-width 5 on link 1->2", id="send"),
+    # alphabet +-2q: the payload passes, the destination refuses to store
+    pytest.param(2, 2, "stored entry outside half-width 5", id="store"),
+])
+def test_range_checked_at_edge(halfwidth, node, text):
+    for edge in (5, -5):
+        nodes, led = _one_link(edge, halfwidth)
+        assert led.total_symbols == 1 and nodes[2].slabs == {1}
+        with pytest.raises(ProtocolError, match=text) as err:
+            _one_link(edge + (1 if edge > 0 else -1), halfwidth)
+        assert (err.value.round_index, err.value.node) == (0, node)
 
 
 class TestLedger:
@@ -52,9 +71,9 @@ class TestLedger:
         # the depth-1 receiver-side run: one symbol each on links
         # 3->1 (halfwidth q), 1->2 (3q), 2->3 (2q) at q = 5
         led = BackhaulLedger()
-        led.add(_msg(3, 1, [2], 5))
-        led.add(_msg(1, 2, [-11], 15))
-        led.add(_msg(2, 3, [9], 10))
+        led.add(_msg(3, 1, 1, 5))
+        led.add(_msg(1, 2, 1, 15))
+        led.add(_msg(2, 3, 1, 10))
         return led
 
     def test_totals_and_per_link(self):

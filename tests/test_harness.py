@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from coopalign.cli import main as cli_main
-from coopalign.errors import ConfigError, GenericityError
+from coopalign.errors import ConfigError, GenericityError, ProtocolError
 from coopalign.harness import (CSV_COLUMNS, ExperimentConfig, config_from_dict,
                                emit_tradeoff_csv, load_config, run_experiment,
                                run_trial, save_config)
@@ -89,6 +89,8 @@ class TestConfig:
         ("reduced_spec", {"scheme": "rx-coop", "reduced_spec": "ab"}),
         ("rng_seed", {"scheme": "rx-coop", "rng_seed": True}),
         ("output_dir", {"scheme": "rx-coop", "output_dir": 5}),
+        # one past the int64 bound 15Nq <= 2**63 - 1 at N = 1
+        ("q", {"scheme": "tx-coop", "q": (2 ** 63 - 1) // 15 + 1}),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, field, bad):
         raw = dict({"N": 1, "trials": 1, "output_dir": str(tmp_path / "o")},
@@ -101,6 +103,14 @@ class TestConfig:
         assert cli_main(["run", "--config", str(path)]) == 1
         assert field in capsys.readouterr().err
         assert not (tmp_path / "o" / "results.csv").exists()
+
+    @pytest.mark.parametrize("N", [1, 3])
+    def test_q_at_int64_bound_loads(self, N):
+        # a step sums at most five terms of tables bounded by 3q, and the
+        # rx back-substitution chains N of them
+        cfg = config_from_dict({"scheme": "rx-coop", "N": N,
+                                "q": (2 ** 63 - 1) // (15 * N)})
+        assert cfg.q == (2 ** 63 - 1) // (15 * N)
 
     def test_reduced_spec_validated(self):
         with pytest.raises(ConfigError, match="reduced_spec"):
@@ -115,6 +125,13 @@ def _fail_trial_2(config, trial):
     # module level, so a worker process can unpickle it
     if trial == 2:
         raise RuntimeError("induced failure in trial 2")
+    return run_trial(config, trial)
+
+
+def _protocol_fail_trial_2(config, trial):
+    if trial == 2:
+        raise ProtocolError("induced failure in trial 2", round_index=1,
+                            node=2)
     return run_trial(config, trial)
 
 
@@ -179,21 +196,28 @@ class TestRunExperiment:
     def test_failed_trial_keeps_completed_trials(self, tmp_path, monkeypatch,
                                                  jobs):
         import coopalign.harness as hmod
-        monkeypatch.setattr(hmod, "run_trial", _fail_trial_2)
-        with pytest.raises(RuntimeError, match="trial 2"):
-            hmod.run_experiment(_cfg(trials=4, output_dir=str(tmp_path / "f")),
-                                jobs=jobs)
-        monkeypatch.undo()
         run_experiment(_cfg(trials=2, output_dir=str(tmp_path / "ok")))
-        for name in ("results.csv", "trace.jsonl"):
-            assert (tmp_path / "f" / name).read_bytes() \
-                == (tmp_path / "ok" / name).read_bytes()
-        on_disk = json.loads((tmp_path / "f" / "manifest.json").read_text())
-        assert on_disk["status"] == "incomplete"
-        assert on_disk["failed_trial"] == {"trial": 2, "entropy": 11,
-                                           "spawn_key": [2]}
-        assert len(on_disk["channels"]) == 2
-        assert "induced failure in trial 2" in on_disk["error"]
+        # a protocol failure also names its round and node, through the
+        # pool as well
+        for fail, exc, where in (
+                (_fail_trial_2, RuntimeError, {}),
+                (_protocol_fail_trial_2, ProtocolError,
+                 {"round": 1, "node": 2})):
+            out = tmp_path / fail.__name__
+            monkeypatch.setattr(hmod, "run_trial", fail)
+            with pytest.raises(exc, match="trial 2"):
+                hmod.run_experiment(_cfg(trials=4, output_dir=str(out)),
+                                    jobs=jobs)
+            monkeypatch.undo()
+            for name in ("results.csv", "trace.jsonl"):
+                assert (out / name).read_bytes() \
+                    == (tmp_path / "ok" / name).read_bytes()
+            on_disk = json.loads((out / "manifest.json").read_text())
+            assert on_disk["status"] == "incomplete"
+            assert on_disk["failed_trial"] == dict(
+                {"trial": 2, "entropy": 11, "spawn_key": [2]}, **where)
+            assert len(on_disk["channels"]) == 2
+            assert "induced failure in trial 2" in on_disk["error"]
 
     def test_csv_schema_and_sorting(self, tmp_path):
         cfg = _cfg(output_dir=str(tmp_path / "run"))
@@ -275,6 +299,34 @@ def test_backhaul_trace_golden(tmp_path, scheme, n):
     assert hashlib.sha256(backhaul).hexdigest() == GOLDEN_TRACE[scheme, n]
     if scheme == "rx-coop":
         assert len(backhaul) == sum(map(len, lines))
+
+
+# sha256 of results.csv from _cfg(scheme=S, N=n), and of the tx airtime
+# trace record of the same run, recorded before the backhaul ledger stopped
+# keeping payloads
+GOLDEN_RESULTS_CSV = {
+    ("rx-coop", 1): "3ee25ece95f4b46e70e975c6ca73464615cadbc262794bc71d4ad38fa65a5a7d",
+    ("rx-coop", 2): "82adb37ff4d15dcd7f3b9a246bd101cd84486dbdaa928a3dd6d731d98b3708fe",
+    ("tx-coop", 1): "732cbd465b3313d6a905391dfc25928c89683cbac5485dbf4ea2428bfa3295a8",
+    ("tx-coop", 2): "6d672425cb4819f0f2142acbfbda3f4f7f9d4acbd0f259d61a48592003afc574",
+}
+GOLDEN_AIRTIME = {
+    1: "f3215d7440c249b86e1d8013eb4d077f2fdb7db2088371d6ef7240abc9c9ed67",
+    2: "c22b85693bdac01caea36b954773d9876f9290d01f972facfc9029d4e962325f",
+}
+
+
+@pytest.mark.parametrize("scheme,n", sorted(GOLDEN_RESULTS_CSV))
+def test_protocol_results_golden(tmp_path, scheme, n):
+    run_experiment(_cfg(scheme=scheme, N=n, output_dir=str(tmp_path)))
+    digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_RESULTS_CSV[scheme, n]
+    lines = (tmp_path / "trace.jsonl").read_bytes().splitlines(keepends=True)
+    airtime = b"".join(l for l in lines if json.loads(l)["stage"] == "airtime")
+    if scheme == "tx-coop":
+        assert hashlib.sha256(airtime).hexdigest() == GOLDEN_AIRTIME[n]
+    else:
+        assert airtime == b""
 
 
 # sha256 of results.csv for config {"scheme": S, "N": 2, "trials": 3,

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from coopalign.backhaul import BackhaulLedger, run_round
 from coopalign.detection import genie_detect
 from coopalign.errors import ParameterError, ProtocolError
 from coopalign.lattice import SubstreamTable
+from coopalign import rx_protocol
 from coopalign.rx_protocol import (RX_STEPS, expected_message_count,
                                    receiver_nodes, run_rx_protocol,
                                    run_rx_slots)
@@ -16,6 +19,18 @@ def _streams(rng, n, q=5):
 
 def _fresh_nodes(streams):
     return receiver_nodes(genie_detect(streams).tables, streams[0].q)
+
+
+def _digest(values):
+    return hashlib.sha256(
+        np.asarray(values, dtype=np.int64).tobytes()).hexdigest()[:16]
+
+
+def _corrupted_report(streams, delta):
+    # one entry of receiver 1's combination table on slab (3,1) = 2
+    rep = genie_detect(streams)
+    rep.tables[0].values[0, 1, 0, 0, 0, 0, 1, 0, 0] += delta
+    return rep
 
 
 def _rx_round(nodes, r, n):
@@ -56,7 +71,8 @@ class TestRecovery:
         res = run_rx_protocol(streams)
         for i in range(3):
             assert not res.recovered[i].any()
-        assert all(not m.payload.any() for m in res.ledger.messages)
+        assert all(m.digest == _digest(np.zeros(m.length))
+                   for m in res.ledger.messages)
 
     def test_recovered_streams_roundtrip(self, rng):
         streams = _streams(rng, 1)
@@ -76,8 +92,7 @@ class TestMessageClasses:
         first = res.ledger.messages[0]
         assert (first.source, first.destination, first.round_index) == (3, 1, 0)
         assert first.alphabet_halfwidth == 5
-        np.testing.assert_array_equal(first.payload,
-                                      [streams[0].values[(0,) * 9]])
+        assert first.digest == _digest([streams[0].values[(0,) * 9]])
 
     def test_depth1_frozen_prices(self, rng):
         # one symbol per link at half-widths (q, 3q, 2q) = (5, 15, 10)
@@ -132,22 +147,26 @@ class TestStateMachine:
             _rx_round(nodes, 1, 2)
         assert (err.value.round_index, err.value.node) == (1, 3)
 
-    def test_strict_mode_flags_inconsistent_subtraction(self, rng):
-        # a corrupted combination surfaces as an out-of-range resolved
-        # symbol downstream and strict mode refuses it, naming where
-        streams = _streams(rng, 2)
-        rep = genie_detect(streams)
-        rep.tables[0].values[0, 1, 0, 0, 0, 0, 1, 0, 0] += 40
+    @pytest.mark.parametrize("delta,where,text", [
+        # far off: receiver 1's 1->2 payload leaves +-3q and the sender
+        # refuses it
+        pytest.param(40, (0, 1), "half-width 15 on link 1->2", id="send"),
+        # inside the payload alphabet, but receiver 2's resolved symbol
+        # leaves +-q on this data and the store check refuses it
+        pytest.param(-10, (0, 2), "stored entry outside half-width 5",
+                     id="store"),
+    ])
+    def test_strict_mode_flags_inconsistent_subtraction(self, rng, delta,
+                                                        where, text):
+        rep = _corrupted_report(_streams(rng, 2), delta)
         nodes = receiver_nodes(rep.tables, 5)
-        with pytest.raises(ProtocolError) as err:
+        with pytest.raises(ProtocolError, match=text) as err:
             for r in range(2):
                 _rx_round(nodes, r, 2)
-        assert (err.value.round_index, err.value.node) == (0, 2)
+        assert (err.value.round_index, err.value.node) == where
 
     def test_loose_mode_flags_and_continues(self, rng):
-        streams = _streams(rng, 2)
-        rep = genie_detect(streams)
-        rep.tables[0].values[0, 1, 0, 0, 0, 0, 1, 0, 0] += 40
+        rep = _corrupted_report(_streams(rng, 2), 40)
         nodes = receiver_nodes(rep.tables, 5)
         ledger = BackhaulLedger()
         for r in range(2):
@@ -156,6 +175,21 @@ class TestStateMachine:
         assert nodes[2].range_violation
         assert all(node.slabs == {1, 2} for node in nodes.values())
         assert len(ledger.messages) == 6
+
+    def test_genie_with_errors_completes_on_corruption(self, rng,
+                                                        monkeypatch):
+        # the send check is strict-only: the same corruption that exact-genie
+        # refuses at receiver 1 runs through and flags receiver 2
+        streams = _streams(rng, 2)
+        rep = _corrupted_report(streams, 40)
+        monkeypatch.setattr(rx_protocol, "genie_detect",
+                            lambda *a, **k: rep)
+        res = run_rx_protocol(streams, detector_mode="genie-with-errors")
+        assert len(res.ledger.messages) == 6
+        assert res.contaminated[1]
+        with pytest.raises(ProtocolError) as err:
+            run_rx_protocol(streams)
+        assert (err.value.round_index, err.value.node) == (0, 1)
 
 
 class TestErrorHandling:
@@ -186,7 +220,7 @@ class TestSlots:
             for i in range(3):
                 np.testing.assert_array_equal(dirty[t].recovered[i],
                                               clean[t].recovered[i])
-            assert [m.digest() for m in dirty[t].ledger.messages] \
-                == [m.digest() for m in clean[t].ledger.messages]
+            assert [m.digest for m in dirty[t].ledger.messages] \
+                == [m.digest for m in clean[t].ledger.messages]
         assert any(dirty[1].contaminated)
         assert not any(clean[1].contaminated)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from conftest import make_generic_channel, oracle_monomial, oracle_observations
 from coopalign.backhaul import BackhaulLedger
 from coopalign.errors import ProtocolError, SingularChannelError
+from coopalign.indices import AXIS
 from coopalign.lattice import SubstreamTable, exact_observations
 from coopalign.tx_protocol import (InverseChannel, expected_message_count,
                                    run_tx_backhaul, transmitter_nodes,
@@ -14,6 +16,22 @@ from coopalign.tx_protocol import (InverseChannel, expected_message_count,
 
 def _streams(rng, n, q=5):
     return tuple(SubstreamTable.random(i, n, q, rng) for i in (1, 2, 3))
+
+
+def _digest(block):
+    return hashlib.sha256(block.tobytes()).hexdigest()[:16]
+
+
+def _relabel(stream, coord):
+    # slab (2,1) = 1 of a user's symbols as an (N+1)^8 block, each symbol
+    # moved one label up on ``coord``
+    own = stream.values.take(0, axis=AXIS[(2, 1)])
+    n = own.shape[0]
+    axis = AXIS[coord] - (AXIS[coord] > AXIS[(2, 1)])
+    out = np.zeros((n + 1,) * 8, dtype=np.int64)
+    out[tuple(slice(1, None) if ax == axis else slice(0, n)
+              for ax in range(8))] = own
+    return out
 
 
 class TestExchange:
@@ -56,15 +74,17 @@ class TestExchange:
         streams = _streams(rng, 2)
         res = run_tx_backhaul(streams)
         m32, m21, _ = res.ledger.messages[:3]
-        assert np.abs(m32.payload).max() <= 5
-        assert np.abs(m21.payload).max() <= 10
+        assert m32.digest == _digest(_relabel(streams[2], (2, 3)))
+        assert m21.digest == _digest(_relabel(streams[2], (1, 3))
+                                     + _relabel(streams[1], (1, 2)))
 
     def test_zero_streams_zero_tables(self):
         streams = tuple(SubstreamTable.zeros(i, 1, 5) for i in (1, 2, 3))
         res = run_tx_backhaul(streams)
         for t in res.built:
             assert not t.values.any()
-        assert all(not m.payload.any() for m in res.ledger.messages)
+        assert all(m.digest == _digest(np.zeros(m.length, dtype=np.int64))
+                   for m in res.ledger.messages)
 
     def test_stream_validation(self, rng):
         swapped = tuple(SubstreamTable.random(i, 1, 5, rng) for i in (2, 1, 3))
@@ -90,6 +110,18 @@ class TestExchange:
         with pytest.raises(ProtocolError) as err:
             tx_round(nodes, 2, BackhaulLedger())
         assert (err.value.round_index, err.value.node) == (2, 3)
+
+    def test_out_of_range_symbol_refused_at_send(self, rng):
+        # transmitter 3's opening payload is its own symbols re-labelled;
+        # one entry past +-3q is refused by the sender, nothing is logged
+        nodes = transmitter_nodes(_streams(rng, 1))
+        nodes[3].tables["own"][(0,) * 9] = 16
+        ledger = BackhaulLedger()
+        with pytest.raises(ProtocolError, match="half-width 15 on link 3->2") \
+                as err:
+            tx_round(nodes, 1, ledger)
+        assert (err.value.round_index, err.value.node) == (1, 3)
+        assert ledger.messages == []
 
 
 class TestInverseChannel:
