@@ -1,78 +1,39 @@
-"""Hot numeric kernels with numba acceleration and a numpy fallback.
+"""The nearest-point kernel behind exhaustive ML detection.
 
-The exhaustive-detection inner loop (nearest candidate over a large
-constellation, repeated per Monte Carlo trial) dominates the runtime of the
-error-rate sweeps, so it is jitted when numba is importable.  Set
-COOPALIGN_NUMBA=0 to force the pure-numpy path; benchmarks/bench_kernels.py
-compares the two.
+`nearest_point` compares squared Euclidean distances from each observation
+to every candidate, a block of `_CHUNK` observation rows at a time, so a
+call needs two float64 arrays of `_CHUNK` x len(points) whatever the
+number of observations.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
+# no accelerated kernel exists; pipebench/run.py's environment() still reads
+# both names without a default, so they go when it stops reading them
+HAVE_NUMBA = USE_NUMBA = False
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and os.environ.get("COOPALIGN_NUMBA", "1") != "0"
-
-_CHUNK = 256  # observation rows per numpy broadcast block
+_CHUNK = 256  # observation rows per broadcast block
 
 
-def nearest_point_numpy(y, points):
+def nearest_point(y, points):
     """Index of the closest candidate for each observation.
 
     Ties resolve to the smallest index, which is the lexicographically
     smallest candidate when candidates are enumerated in canonical order.
     """
-    y = np.ascontiguousarray(y, dtype=np.complex128)
-    points = np.ascontiguousarray(points, dtype=np.complex128)
+    y = np.asarray(y, dtype=np.complex128)
+    points = np.asarray(points, dtype=np.complex128)
+    pr = np.ascontiguousarray(points.real)
+    pi = np.ascontiguousarray(points.imag)
     out = np.empty(y.shape[0], dtype=np.int64)
     for lo in range(0, y.shape[0], _CHUNK):
-        hi = min(lo + _CHUNK, y.shape[0])
-        d = np.abs(y[lo:hi, None] - points[None, :])
-        out[lo:hi] = np.argmin(d, axis=1)
+        blk = y[lo:lo + _CHUNK]
+        d = blk.real[:, None] - pr
+        e = blk.imag[:, None] - pi
+        d *= d
+        e *= e
+        d += e
+        out[lo:lo + _CHUNK] = np.argmin(d, axis=1)
     return out
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _nearest_point_jit(yr, yi, pr, pi):  # pragma: no cover - jitted
-        n = yr.shape[0]
-        m = pr.shape[0]
-        out = np.empty(n, dtype=np.int64)
-        for t in range(n):
-            best = 0
-            bd = (yr[t] - pr[0]) ** 2 + (yi[t] - pi[0]) ** 2
-            for j in range(1, m):
-                d = (yr[t] - pr[j]) ** 2 + (yi[t] - pi[j]) ** 2
-                if d < bd:
-                    bd = d
-                    best = j
-            out[t] = best
-        return out
-
-    def nearest_point_numba(y, points):
-        y = np.ascontiguousarray(y, dtype=np.complex128)
-        points = np.ascontiguousarray(points, dtype=np.complex128)
-        return _nearest_point_jit(
-            np.ascontiguousarray(y.real), np.ascontiguousarray(y.imag),
-            np.ascontiguousarray(points.real), np.ascontiguousarray(points.imag))
-
-else:
-    nearest_point_numba = None
-
-
-def nearest_point(y, points):
-    """Dispatch to the jitted kernel unless disabled via COOPALIGN_NUMBA=0."""
-    if USE_NUMBA:
-        return nearest_point_numba(y, points)
-    return nearest_point_numpy(y, points)

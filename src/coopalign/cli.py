@@ -52,7 +52,8 @@ def _parser() -> argparse.ArgumentParser:
                         help="override the config scheme")
         if name == "run":
             sp.add_argument("--jobs", type=int, default=1,
-                            help="trial-level worker processes")
+                            help="trial-level worker processes, at least 1 "
+                            "(never more than the trial count)")
     return p
 
 
@@ -75,6 +76,8 @@ def _load(args) -> ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _load(args)
     manifest = run_experiment(cfg, jobs=args.jobs)
     print(f"wrote {Path(cfg.output_dir) / 'results.csv'} "

@@ -88,6 +88,10 @@ class ReducedSpec:
             raise ParameterError(f"bad active coordinate set: {self.active_coords}")
         if len(set(coords)) != len(coords):
             raise ParameterError("duplicate active coordinates")
+        for name in ("n_red", "q_red", "ml_budget"):
+            v = getattr(self, name)
+            if type(v) is not int:
+                raise ParameterError(f"{name} must be an integer, got {v!r}")
         if self.n_red < 1 or self.q_red < 1:
             raise ParameterError("n_red and q_red must be >= 1")
         object.__setattr__(self, "active_coords", coords)

@@ -354,12 +354,15 @@ def emit_tradeoff_csv(points, path):
 
 
 def _trial_results(config, trials, jobs):
-    """Yield each trial's (rows, channel_listing, trace) in trial order."""
+    """Yield each trial's (rows, channel_listing, trace) in trial order.
+
+    The pool never holds more workers than there are trials: it forks all
+    of them on the first submit."""
     if jobs <= 1:
         for t in trials:
             yield run_trial(config, t)
         return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(trials))) as pool:
         futs = [pool.submit(run_trial, config, t) for t in trials]
         try:
             for f in futs:

@@ -11,9 +11,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from coopalign.lattice import (GENERIC_TOL, ChannelMatrix, monomial_table,
-                               require_generic)
+from coopalign.lattice import (GENERIC_TOL, ChannelMatrix, SubstreamTable,
+                               monomial_table, require_generic)
 
 
 def label_axis(i, j):
@@ -78,6 +79,22 @@ def oracle_channel_is_generic(h, n):
     return True
 
 
+def oracle_nearest_point(y, points):
+    """The earlier numpy detection kernel: `abs` distances, 256-row blocks.
+
+    Ties resolve to the smallest index, which is the lexicographically
+    smallest candidate when candidates are enumerated in canonical order.
+    """
+    y = np.ascontiguousarray(y, dtype=np.complex128)
+    points = np.ascontiguousarray(points, dtype=np.complex128)
+    out = np.empty(y.shape[0], dtype=np.int64)
+    for lo in range(0, y.shape[0], 256):
+        hi = min(lo + 256, y.shape[0])
+        d = np.abs(y[lo:hi, None] - points[None, :])
+        out[lo:hi] = np.argmin(d, axis=1)
+    return out
+
+
 def make_generic_channel(rng, n=2, max_cond=50.0):
     """Random channel passing the genericity screen with bounded condition."""
     for _ in range(64):
@@ -90,6 +107,22 @@ def make_generic_channel(rng, n=2, max_cond=50.0):
             continue
         return ch
     raise RuntimeError("no generic channel found in 64 draws")
+
+
+@st.composite
+def stream_sets(draw):
+    """Three users' tables at N in {1, 2}, with q anywhere up to the load
+    bound (2**63 - 1) // (15 N), filled at random, all +q or all -q."""
+    n = draw(st.integers(1, 2))
+    q = draw(st.integers(1, (2 ** 63 - 1) // (15 * n)))
+    kind = draw(st.sampled_from(("random", "plus", "minus")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "random":
+        return tuple(SubstreamTable.random(i, n, q, rng) for i in (1, 2, 3))
+    v = q if kind == "plus" else -q
+    return tuple(SubstreamTable(owner=i, n=n, q=q,
+                                values=np.full((n,) * 9, v, dtype=np.int64))
+                 for i in (1, 2, 3))
 
 
 _ACCEPTANCE_RESULTS = []

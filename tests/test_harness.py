@@ -91,6 +91,11 @@ class TestConfig:
         ("output_dir", {"scheme": "rx-coop", "output_dir": 5}),
         # one past the int64 bound 15Nq <= 2**63 - 1 at N = 1
         ("q", {"scheme": "tx-coop", "q": (2 ** 63 - 1) // 15 + 1}),
+        # reduced_spec counts are integers, not floats, strings or bools
+        *[("reduced_spec", {"scheme": "rx-coop", "reduced_spec": dict(
+            {"active_coords": [[1, 1]], "n_red": 1, "q_red": 1}, **kw)})
+          for kw in ({"n_red": 1.5}, {"q_red": 1.5}, {"ml_budget": "x"},
+                     {"n_red": True})],
     ])
     def test_rejected_at_load(self, tmp_path, capsys, field, bad):
         raw = dict({"N": 1, "trials": 1, "output_dir": str(tmp_path / "o")},
@@ -152,6 +157,41 @@ class TestRunExperiment:
         run_experiment(cfg2, jobs=3)
         assert (tmp_path / "serial" / "results.csv").read_bytes() \
             == (tmp_path / "par" / "results.csv").read_bytes()
+
+    def test_pool_capped_at_trial_count(self, tmp_path, monkeypatch):
+        # stands in for ProcessPoolExecutor: records the pool size and runs
+        # each submit in this process, so no worker is ever started
+        import coopalign.harness as hmod
+        from concurrent.futures import Future
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(hmod, "ProcessPoolExecutor", Recorder)
+        run_experiment(_cfg(trials=2, output_dir=str(tmp_path / "p")), jobs=8)
+        assert cli_main(["run", "--jobs", "64", "--out", str(tmp_path / "c"),
+                         "--scheme", "tdma"]) == 0
+        assert sizes == [2, 4]      # the CLI default config has 4 trials
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_cli_rejects_nonpositive_jobs(self, tmp_path, capsys, jobs):
+        out = tmp_path / "o"
+        assert cli_main(["run", "--jobs", jobs, "--out", str(out)]) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_changes_channels_not_schema(self, tmp_path):
         cfg = _cfg(output_dir=str(tmp_path / "s11"))

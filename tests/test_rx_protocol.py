@@ -2,7 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import stream_sets
 from coopalign.backhaul import BackhaulLedger, run_round
 from coopalign.detection import genie_detect
 from coopalign.errors import ParameterError, ProtocolError
@@ -82,6 +84,15 @@ class TestRecovery:
             back = SubstreamTable(owner=i + 1, n=1, q=5,
                                   values=res.recovered[i])
             np.testing.assert_array_equal(back.values, streams[i].values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(stream_sets())
+def test_recovery_exact_for_any_tables(streams):
+    res = run_rx_protocol(streams)
+    for i in range(3):
+        np.testing.assert_array_equal(res.recovered[i], streams[i].values)
+    assert not any(res.contaminated)
 
 
 class TestMessageClasses:

@@ -3,8 +3,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import make_generic_channel, oracle_monomial, oracle_observations
+from conftest import (make_generic_channel, oracle_monomial,
+                      oracle_observations, stream_sets)
 from coopalign.backhaul import BackhaulLedger
 from coopalign.errors import ProtocolError, SingularChannelError
 from coopalign.indices import AXIS
@@ -122,6 +124,14 @@ class TestExchange:
             tx_round(nodes, 1, ledger)
         assert (err.value.round_index, err.value.node) == (1, 3)
         assert ledger.messages == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(stream_sets())
+def test_built_tables_exact_for_any_tables(streams):
+    res = run_tx_backhaul(streams)
+    for built, want in zip(res.built, exact_observations(streams)):
+        np.testing.assert_array_equal(built.values, want.values)
 
 
 class TestInverseChannel:
