@@ -18,12 +18,9 @@ from .lattice import (ChannelMatrix, ObservationTable, SubstreamTable,
                       channel_is_generic, exact_observations, monomial_table,
                       require_generic)
 from .rx_protocol import run_rx_protocol, run_rx_slots
-from .tradeoff import (TradeoffPoint, centralized_baseline, centralized_report,
-                       illustrating_example, lemma1_check,
+from .tradeoff import (centralized_report, illustrating_example, lemma1_check,
                        normalized_bound_slope, optimal_tradeoff,
-                       rx_scheme_report, rx_sum_upper_bound, tdma_baseline,
-                       tdma_report, timeshare, tx_scheme_report,
-                       tx_sum_upper_bound)
+                       rx_sum_upper_bound, tdma_report, tx_sum_upper_bound)
 from .tx_protocol import (InverseChannel, run_tx_backhaul,
                           verify_diagonalization)
 
@@ -36,11 +33,9 @@ __all__ = [
     "require_generic",
     "run_rx_protocol", "run_rx_slots",
     "InverseChannel", "run_tx_backhaul", "verify_diagonalization",
-    "TradeoffPoint", "centralized_baseline", "centralized_report",
-    "illustrating_example", "lemma1_check", "normalized_bound_slope",
-    "optimal_tradeoff", "rx_scheme_report", "rx_sum_upper_bound",
-    "tdma_baseline", "tdma_report", "timeshare", "tx_scheme_report",
-    "tx_sum_upper_bound",
+    "centralized_report", "illustrating_example", "lemma1_check",
+    "normalized_bound_slope", "optimal_tradeoff", "rx_sum_upper_bound",
+    "tdma_report", "tx_sum_upper_bound",
     "CoopAlignError", "ConfigError", "GenericityError", "MLBudgetError",
     "ParameterError", "ProtocolError", "SingularChannelError",
     "SymbolRangeError",

@@ -80,10 +80,6 @@ class BackhaulLedger:
             out[key] = out.get(key, 0.0) + m.bits
         return out
 
-    def rb_bar_bits(self) -> float:
-        """Average per-user backhaul rate with per-message-class alphabets."""
-        return sum(self.per_link_bits().values()) / 3.0
-
     def trace_records(self) -> list:
         return [m.trace_record() for m in self.messages]
 

@@ -26,9 +26,8 @@ from .harness import (ExperimentConfig, config_from_dict, load_config,
 from .lattice import ChannelMatrix, SubstreamTable
 from .rx_protocol import run_rx_protocol
 from .rx_protocol import expected_message_count as rx_count
-from .tradeoff import (TradeoffPoint, lemma1_check, normalized_bound_slope,
-                       optimal_tradeoff, rx_sum_upper_bound, timeshare,
-                       tx_sum_upper_bound)
+from .tradeoff import (lemma1_check, normalized_bound_slope, optimal_tradeoff,
+                       rx_sum_upper_bound, tx_sum_upper_bound)
 from .tx_protocol import run_tx_backhaul, verify_diagonalization
 from .tx_protocol import expected_message_count as tx_count
 
@@ -138,10 +137,6 @@ def _cmd_verify(args) -> int:
 
     rep = lemma1_check(K=2, n=4, trials=50, rng_seed=cfg.rng_seed)
     results.append(_check("entropy bound sweep (50 instances)", rep.all_passed))
-
-    mid = timeshare(TradeoffPoint(0.0, optimal_tradeoff(0.0), "a"),
-                    TradeoffPoint(1.0, optimal_tradeoff(1.0), "b"), 0.5)
-    results.append(_check("timesharing midpoint", abs(mid.dof - 0.75) < 1e-12))
 
     if cfg.reduced_spec is not None:
         spec = cfg.build_reduced_spec()

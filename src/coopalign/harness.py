@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -239,7 +240,11 @@ def _report_rows(config, trial, report, detail=""):
 
 
 def run_trial(config: ExperimentConfig, trial: int):
-    """Execute one trial; returns (rows, channel_listing, trace_records)."""
+    """Execute one trial; returns (rows, channel_listing, trace_records).
+
+    A row with a non-finite number fails the trial with ConfigError: an
+    overflow depends on the channel draw, so it cannot be rejected at load.
+    """
     ss = np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(trial,))
     rng = np.random.default_rng(ss)
     scheme = config.scheme
@@ -249,6 +254,7 @@ def run_trial(config: ExperimentConfig, trial: int):
             and config.channel_mode == "random-generic":
         require_generic(ch, config.N)
 
+    trace = []
     if scheme == "bounds-only":
         rows = []
         for a in config.alpha_grid:
@@ -262,9 +268,7 @@ def run_trial(config: ExperimentConfig, trial: int):
                                  "dof": float(bound / (6.0 * l2)),
                                  "load_bits": float(a * l2),
                                  "rate_bits": float(bound), "detail": name})
-        return rows, _channel_listing(ch), []
-
-    if scheme == "rx-coop":
+    elif scheme == "rx-coop":
         streams = tuple(SubstreamTable.random(i + 1, config.N, config.q, rng)
                         for i in range(3))
         res = run_rx_protocol(streams)
@@ -272,20 +276,18 @@ def run_trial(config: ExperimentConfig, trial: int):
                     for i in range(3))
         report = _budget_report(res.ledger.total_symbols / 3.0, config.N,
                                 config.eps, np.asarray(config.P_grid),
-                                scheme, dense_limit=True, load_spans_cube=False)
+                                scheme, load_spans_cube=False)
         rows = _report_rows(config, trial, report,
                             "exact" if exact else "contaminated")
         trace = [dict(r, trial=trial) for r in res.ledger.trace_records()]
-        return rows, _channel_listing(ch), trace
-
-    if scheme == "tx-coop":
+    elif scheme == "tx-coop":
         streams = tuple(SubstreamTable.random(i + 1, config.N, config.q, rng)
                         for i in range(3))
         res = run_tx_backhaul(streams)
         chk = verify_diagonalization(streams, res.built, ch, config.P_grid[-1])
         report = _budget_report(res.ledger.total_symbols / 3.0, config.N,
                                 config.eps, np.asarray(config.P_grid),
-                                scheme, dense_limit=True, load_spans_cube=True)
+                                scheme, load_spans_cube=True)
         rows = _report_rows(config, trial, report, "%.3e" % chk.residual)
         trace = [dict(r, trial=trial) for r in res.ledger.trace_records()]
         trace.append({"stage": "airtime", "source": 0, "destination": 0,
@@ -293,18 +295,24 @@ def run_trial(config: ExperimentConfig, trial: int):
                       "alphabet_halfwidth": 0, "trial": trial,
                       "payload_digest": hashlib.sha256(
                           np.asarray(chk.x).tobytes()).hexdigest()[:16]})
-        return rows, _channel_listing(ch), trace
-
-    if scheme == "centralized":
-        report = centralized_report(ch.h, np.asarray(config.P_grid))
-    elif scheme == "tdma":
-        report = tdma_report(ch.h, np.asarray(config.P_grid))
-    elif scheme == "illustrating-example":
-        report = illustrating_example(config.gamma, base_H=ch,
-                                      P_grid=np.asarray(config.P_grid))
     else:
-        raise ConfigError(f"unhandled scheme {scheme!r}")
-    return _report_rows(config, trial, report), _channel_listing(ch), []
+        if scheme == "centralized":
+            report = centralized_report(ch.h, np.asarray(config.P_grid))
+        elif scheme == "tdma":
+            report = tdma_report(ch.h, np.asarray(config.P_grid))
+        elif scheme == "illustrating-example":
+            report = illustrating_example(config.gamma, base_H=ch,
+                                          P_grid=np.asarray(config.P_grid))
+        else:
+            raise ConfigError(f"unhandled scheme {scheme!r}")
+        rows = _report_rows(config, trial, report)
+
+    for r in rows:
+        for c in ("alpha", "dof", "load_bits", "rate_bits"):
+            if not math.isfinite(r[c]):
+                raise ConfigError(f"trial {trial}: {c} is {r[c]} at "
+                                  f"P = {_fmt(r['P'])}")
+    return rows, _channel_listing(ch), trace
 
 
 # ============================================================
@@ -343,26 +351,17 @@ def write_results_csv(rows, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def emit_tradeoff_csv(points, path):
-    """Write alpha,dof,label rows for a list of operating points."""
-    if not points:
-        raise ConfigError("emit_tradeoff_csv needs a nonempty point list")
-    lines = ["alpha,dof,label"]
-    for p in points:
-        lines.append(f"{_fmt(float(p.alpha))},{_fmt(float(p.dof))},{p.label}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def _trial_results(config, trials, jobs):
     """Yield each trial's (rows, channel_listing, trace) in trial order.
 
     The pool never holds more workers than there are trials: it forks all
-    of them on the first submit."""
-    if jobs <= 1:
+    of them on the first submit.  A run with one worker runs in-process."""
+    workers = min(jobs, len(trials))
+    if workers <= 1:
         for t in trials:
             yield run_trial(config, t)
         return
-    with ProcessPoolExecutor(max_workers=min(jobs, len(trials))) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futs = [pool.submit(run_trial, config, t) for t in trials]
         try:
             for f in futs:

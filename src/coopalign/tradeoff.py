@@ -18,41 +18,21 @@ import numpy as np
 
 from .errors import GenericityError, ParameterError
 from .lattice import ChannelMatrix, _as_gain_array, complex_awgn
-from .rx_protocol import run_rx_protocol
-from .tx_protocol import run_tx_backhaul
-
-
-def fit_slope(log2p, values) -> float:
-    log2p = np.asarray(log2p, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if log2p.size < 2:
-        raise ParameterError("slope fit needs at least 2 points")
-    return float(np.polyfit(log2p, values, 1)[0])
 
 
 def top_half_slope(P_grid, values) -> float:
     """Least-squares log-slope over the top half of a power grid."""
     P_grid = np.asarray(P_grid, dtype=float)
     k = len(P_grid) // 2
-    return fit_slope(np.log2(P_grid[k:]), np.asarray(values, dtype=float)[k:])
+    if P_grid.size - k < 2:
+        raise ParameterError("slope fit needs at least 2 points")
+    return float(np.polyfit(np.log2(P_grid[k:]),
+                            np.asarray(values, dtype=float)[k:], 1)[0])
 
 
 # ============================================================
-# tradeoff points and rate reports
+# rate reports
 # ============================================================
-
-
-@dataclass(frozen=True)
-class TradeoffPoint:
-    alpha: float
-    dof: float
-    label: str = ""
-
-    def __post_init__(self):
-        if self.alpha < 0:
-            raise ParameterError(f"alpha must be nonnegative, got {self.alpha}")
-        if not 0.0 <= self.dof <= 1.0 + 1e-9:
-            raise ParameterError(f"dof must lie in [0, 1], got {self.dof}")
 
 
 @dataclass
@@ -78,9 +58,6 @@ class RateReport:
         return np.array([top_half_slope(self.P_grid, self.rates[:, k])
                          for k in range(self.rates.shape[1])])
 
-    def mean_rate_slope(self) -> float:
-        return float(self.rate_slopes().mean())
-
     def load_slope(self) -> float:
         return top_half_slope(self.P_grid, self.rb_bar)
 
@@ -90,40 +67,6 @@ def optimal_tradeoff(alpha) -> float:
     if alpha < 0:
         raise ParameterError(f"alpha must be nonnegative, got {alpha}")
     return min(1.0, (1.0 + alpha) / 2.0)
-
-
-def timeshare(p1: TradeoffPoint, p2: TradeoffPoint, lam) -> TradeoffPoint:
-    if not 0.0 <= lam <= 1.0:
-        raise ParameterError(f"timeshare weight must lie in [0, 1], got {lam}")
-    return TradeoffPoint(
-        alpha=(1.0 - lam) * p1.alpha + lam * p2.alpha,
-        dof=(1.0 - lam) * p1.dof + lam * p2.dof,
-        label=f"timeshare[{p1.label}|{p2.label}]")
-
-
-def centralized_baseline(K: int) -> TradeoffPoint:
-    """Full per-user dof by routing everything through one node: K-1
-    quantized observations in, K-1 decoded messages back out."""
-    if K < 2:
-        raise ParameterError(f"centralized baseline needs K >= 2, got {K}")
-    return TradeoffPoint(alpha=2.0 * (K - 1) / K, dof=1.0, label="centralized")
-
-
-def tdma_baseline(K: int = 3) -> TradeoffPoint:
-    """No cooperation, each user active 1/K of the time."""
-    if K < 1:
-        raise ParameterError(f"K must be positive, got {K}")
-    return TradeoffPoint(alpha=0.0, dof=1.0 / K, label="tdma")
-
-
-def measured_tradeoff_point(ledger, rates: RateReport) -> TradeoffPoint:
-    """Operating point from measured data: load slope and mean rate slope."""
-    if ledger is not None and ledger.total_symbols == 0:
-        alpha = 0.0
-    else:
-        alpha = rates.load_slope()
-    return TradeoffPoint(alpha=alpha, dof=rates.mean_rate_slope(),
-                         label=rates.label)
 
 
 # ============================================================
@@ -331,25 +274,11 @@ def illustrating_example(gamma, base_H=None, P_grid=None, rng_seed=0) -> RateRep
 # ============================================================
 
 
-def rx_load_limit(N, eps) -> float:
-    """Limit of the receiver-protocol load per log2(P)."""
-    dims = (N + 1) ** 9
-    return N ** 9 * (1.0 - eps) / (dims + 2.0 * eps)
-
-
-def tx_load_limit(N, eps) -> float:
-    """Limit of the transmitter-protocol load per log2(P); the exchange
-    ships one symbol per cube label rather than per occupied label."""
-    dims = (N + 1) ** 9
-    return dims * (1.0 - eps) / (dims + 2.0 * eps)
-
-
-def _budget_report(symbols_per_user, N, eps, P_grid, label, dense_limit,
-                   load_spans_cube):
+def _budget_report(symbols_per_user, N, eps, P_grid, label, load_spans_cube):
     """Rate/load grids with every symbol priced at its power-law bit budget
     u*log2(P).
 
-    dense_limit rescales quantities spread over the N^9 occupied labels by
+    Quantities spread over the N^9 occupied labels are rescaled by
     (N+1)^9/N^9, reporting the dense-lattice operating point the finite-N
     scheme converges to; a load that already ships one symbol per cube label
     (load_spans_cube) needs no rescaling.
@@ -357,42 +286,12 @@ def _budget_report(symbols_per_user, N, eps, P_grid, label, dense_limit,
     P_grid = np.asarray(P_grid, dtype=float)
     dims = (N + 1) ** 9
     u = (1.0 - eps) / (dims + 2.0 * eps)
-    lift = dims / N ** 9 if dense_limit else 1.0
+    lift = dims / N ** 9
     log2p = np.log2(P_grid)
     rate = N ** 9 * u * log2p * lift
     rates = np.stack([rate, rate, rate], axis=1)
     rb = symbols_per_user * u * log2p * (1.0 if load_spans_cube else lift)
     return RateReport(P_grid=P_grid, rates=rates, rb_bar=rb, label=label)
-
-
-def rx_scheme_report(N, eps=0.01, P_grid=None, rng_seed=0,
-                     dense_limit=True):
-    """Measured operating data for the receiver protocol: one protocol run
-    supplies the ledger symbol count, then the budget pricing is applied
-    across the grid.  Returns (report, ledger)."""
-    from .lattice import SubstreamTable
-    if P_grid is None:
-        P_grid = np.logspace(2, 8, 7)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed))
-    streams = tuple(SubstreamTable.random(i + 1, N, 5, rng) for i in range(3))
-    ledger = run_rx_protocol(streams).ledger
-    report = _budget_report(ledger.total_symbols / 3.0, N, eps, P_grid,
-                            "rx-coop", dense_limit, load_spans_cube=False)
-    return report, ledger
-
-
-def tx_scheme_report(N, eps=0.01, P_grid=None, rng_seed=0,
-                     dense_limit=True):
-    """Same as rx_scheme_report for the transmitter protocol."""
-    from .lattice import SubstreamTable
-    if P_grid is None:
-        P_grid = np.logspace(2, 8, 7)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed))
-    streams = tuple(SubstreamTable.random(i + 1, N, 5, rng) for i in range(3))
-    ledger = run_tx_backhaul(streams).ledger
-    report = _budget_report(ledger.total_symbols / 3.0, N, eps, P_grid,
-                            "tx-coop", dense_limit, load_spans_cube=True)
-    return report, ledger
 
 
 def centralized_report(channel, P_grid=None) -> RateReport:

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from coopalign.harness import config_from_dict, run_trial
 from coopalign.lattice import (GENERIC_TOL, ChannelMatrix, SubstreamTable,
                                monomial_table, require_generic)
+from coopalign.tradeoff import top_half_slope
 
 
 def label_axis(i, j):
@@ -107,6 +109,16 @@ def make_generic_channel(rng, n=2, max_cond=50.0):
             continue
         return ch
     raise RuntimeError("no generic channel found in 64 draws")
+
+
+def trial_point(raw):
+    """Trial 0 of config `raw` as `coopalign run` writes it: (rows, trace,
+    alpha, dof), the load and rate slopes over the top half of the grid."""
+    rows, _, trace = run_trial(config_from_dict(dict(raw, trials=1)), 0)
+    P = [r["P"] for r in rows]
+    return (rows, trace,
+            top_half_slope(P, [r["load_bits"] for r in rows]),
+            top_half_slope(P, [r["rate_bits"] for r in rows]))
 
 
 @st.composite

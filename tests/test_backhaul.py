@@ -86,10 +86,11 @@ class TestLedger:
     def test_per_class_average(self):
         # frozen: (log2 11 + log2 31 + log2 21)/3
         led = self._three_round_ledger()
-        assert led.rb_bar_bits() == pytest.approx(4.26864845060098, abs=1e-12)
+        assert sum(led.per_link_bits().values()) / 3 \
+            == pytest.approx(4.26864845060098, abs=1e-12)
 
     def test_empty_ledger(self):
         led = BackhaulLedger()
         assert led.total_symbols == 0
-        assert led.rb_bar_bits() == 0.0
+        assert led.per_link_bits() == {}
         assert led.trace_records() == []

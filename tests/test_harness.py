@@ -4,13 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopalign.cli import main as cli_main
 from coopalign.errors import ConfigError, GenericityError, ProtocolError
 from coopalign.harness import (CSV_COLUMNS, ExperimentConfig, config_from_dict,
-                               emit_tradeoff_csv, load_config, run_experiment,
-                               run_trial, save_config)
-from coopalign.tradeoff import TradeoffPoint
+                               load_config, run_experiment, run_trial,
+                               save_config)
 
 
 def _cfg(**kw):
@@ -117,6 +118,20 @@ class TestConfig:
                                 "q": (2 ** 63 - 1) // (15 * N)})
         assert cfg.q == (2 ** 63 - 1) // (15 * N)
 
+    @pytest.mark.parametrize("field", sorted(ExperimentConfig.__dataclass_fields__))
+    @settings(max_examples=20, deadline=None)
+    @given(value=st.recursive(
+        st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70)
+        | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+        max_leaves=8))
+    def test_any_json_value_loads_or_raises_config_error(self, field, value):
+        try:
+            config_from_dict({"scheme": "rx-coop", "N": 1, field: value})
+        except ConfigError:
+            pass
+
     def test_reduced_spec_validated(self):
         with pytest.raises(ConfigError, match="reduced_spec"):
             _cfg(reduced_spec={"active_coords": [[1, 1]], "n_red": 0,
@@ -158,7 +173,8 @@ class TestRunExperiment:
         assert (tmp_path / "serial" / "results.csv").read_bytes() \
             == (tmp_path / "par" / "results.csv").read_bytes()
 
-    def test_pool_capped_at_trial_count(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
         # stands in for ProcessPoolExecutor: records the pool size and runs
         # each submit in this process, so no worker is ever started
         import coopalign.harness as hmod
@@ -181,10 +197,19 @@ class TestRunExperiment:
                 return fut
 
         monkeypatch.setattr(hmod, "ProcessPoolExecutor", Recorder)
+        return sizes
+
+    def test_pool_capped_at_trial_count(self, tmp_path, pool_sizes):
         run_experiment(_cfg(trials=2, output_dir=str(tmp_path / "p")), jobs=8)
         assert cli_main(["run", "--jobs", "64", "--out", str(tmp_path / "c"),
                          "--scheme", "tdma"]) == 0
-        assert sizes == [2, 4]      # the CLI default config has 4 trials
+        assert pool_sizes == [2, 4]     # the CLI default config has 4 trials
+
+    def test_one_trial_builds_no_pool(self, tmp_path, pool_sizes):
+        run_experiment(_cfg(trials=1, output_dir=str(tmp_path / "p")), jobs=4)
+        assert cli_main(["run", "--jobs", "4", "--out", str(tmp_path / "b"),
+                         "--scheme", "bounds-only"]) == 0
+        assert pool_sizes == []
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_cli_rejects_nonpositive_jobs(self, tmp_path, capsys, jobs):
@@ -258,6 +283,35 @@ class TestRunExperiment:
                 {"trial": 2, "entropy": 11, "spawn_key": [2]}, **where)
             assert len(on_disk["channels"]) == 2
             assert "induced failure in trial 2" in on_disk["error"]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("raw,column", [
+        ({"scheme": "bounds-only", "P_grid": [2, 1e100, 1e200, 1e308]}, "dof"),
+        ({"scheme": "bounds-only", "alpha_grid": [1e308]}, "dof"),
+        ({"scheme": "tdma", "P_grid": [2, 1e100, 1e200, 1e308]}, "dof"),
+        ({"scheme": "illustrating-example",
+          "P_grid": [2, 1e100, 1e200, 1e308]}, "alpha"),
+        ({"scheme": "tdma", "channel_mode": "fixed",
+          "fixed_channel": [[[1e200, 0], [0.5, 0], [0.3, 0]],
+                            [[0.7, 0], [1.1, 0], [0.2, 0]],
+                            [[0.4, 0], [0.2, 0], [0.9, 0]]]}, "dof"),
+    ], ids=["bounds-only-P", "bounds-only-alpha", "tdma-P", "illustrating-P",
+            "tdma-gain"])
+    def test_nonfinite_row_fails_its_trial(self, tmp_path, capsys, raw,
+                                           column):
+        # these load, but a bound or rate overflows for the drawn channel
+        out = tmp_path / "o"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict({"N": 1, "trials": 3,
+                                         "output_dir": str(out)}, **raw)))
+        assert cli_main(["run", "--config", str(path)]) == 1
+        assert f": {column} is inf at P = " in capsys.readouterr().err
+        body = (out / "results.csv").read_text()
+        assert "inf" not in body and "nan" not in body
+        on_disk = json.loads((out / "manifest.json").read_text())
+        assert on_disk["status"] == "incomplete"
+        assert column in on_disk["error"]
+        assert len(on_disk["channels"]) == on_disk["failed_trial"]["trial"]
 
     def test_csv_schema_and_sorting(self, tmp_path):
         cfg = _cfg(output_dir=str(tmp_path / "run"))
@@ -402,26 +456,6 @@ def test_screen_runs_only_for_lattice_schemes(tmp_path, monkeypatch):
     for scheme in ("rx-coop", "tx-coop"):
         with pytest.raises(GenericityError):
             run_experiment(_cfg(scheme=scheme, output_dir=str(tmp_path / scheme)))
-
-
-class TestTradeoffCsv:
-    def test_round_trip_precision(self, tmp_path):
-        pts = [TradeoffPoint(4.0 / 3.0, 1.0, "centralized"),
-               TradeoffPoint(0.0, 1.0 / 3.0, "tdma"),
-               TradeoffPoint(0.989998994056806, 0.989998994056806, "rx-coop")]
-        path = tmp_path / "points.csv"
-        emit_tradeoff_csv(pts, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "alpha,dof,label"
-        for pt, ln in zip(pts, lines[1:]):
-            a, d, lab = ln.split(",")
-            assert abs(float(a) - pt.alpha) <= 1e-12
-            assert abs(float(d) - pt.dof) <= 1e-12
-            assert lab == pt.label
-
-    def test_empty_list_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            emit_tradeoff_csv([], tmp_path / "points.csv")
 
 
 class TestCli:

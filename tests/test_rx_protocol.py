@@ -110,7 +110,8 @@ class TestMessageClasses:
         streams = _streams(rng, 1)
         led = run_rx_protocol(streams).ledger
         assert [m.alphabet_halfwidth for m in led.messages] == [5, 15, 10]
-        assert led.rb_bar_bits() == pytest.approx(4.26864845060098, abs=1e-12)
+        assert sum(led.per_link_bits().values()) / 3 \
+            == pytest.approx(4.26864845060098, abs=1e-12)
 
     def test_depth2_halfwidth_schedule(self, rng):
         # later rounds all ride the widest class

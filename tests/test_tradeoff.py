@@ -3,25 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_generic_channel
-from coopalign.backhaul import BackhaulLedger
+from conftest import make_generic_channel, trial_point
 from coopalign.errors import GenericityError, ParameterError
-from coopalign.tradeoff import (Lemma1Report, RateReport, TradeoffPoint,
-                                centralized_baseline, centralized_report,
-                                fit_slope, illustrating_example, lemma1_check,
-                                measured_tradeoff_point,
+from coopalign.tradeoff import (Lemma1Report, RateReport, centralized_report,
+                                illustrating_example, lemma1_check,
                                 normalized_bound_slope, optimal_tradeoff,
-                                rx_load_limit, rx_scheme_report,
-                                rx_sum_upper_bound, tdma_baseline,
-                                tdma_report, timeshare,
-                                top_half_slope, tx_load_limit,
-                                tx_scheme_report, tx_sum_upper_bound)
+                                rx_sum_upper_bound, tdma_report,
+                                top_half_slope, tx_sum_upper_bound)
 
 
 class TestSlopes:
-    def test_fit_slope_exact_line(self):
-        x = np.array([1.0, 2.0, 3.0, 4.0])
-        assert fit_slope(x, 0.7 * x + 2.0) == pytest.approx(0.7)
+    def test_top_half_slope_exact_line(self):
+        P = 2.0 ** np.arange(1.0, 9.0)
+        assert top_half_slope(P, 0.7 * np.log2(P) + 2.0) == pytest.approx(0.7)
+
+    @pytest.mark.parametrize("P", [[1e2], [1e2, 1e4]])
+    def test_top_half_slope_needs_two_points(self, P):
+        with pytest.raises(ParameterError, match="2 points"):
+            top_half_slope(P, np.ones(len(P)))
 
     def test_top_half_ignores_low_powers(self):
         P = np.array([1e2, 1e4, 1e6, 1e8])
@@ -31,12 +30,6 @@ class TestSlopes:
 
 
 class TestPoints:
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            TradeoffPoint(alpha=-0.1, dof=0.5)
-        with pytest.raises(ParameterError):
-            TradeoffPoint(alpha=0.5, dof=1.5)
-
     def test_optimal_curve_frozen(self):
         assert optimal_tradeoff(0.0) == 0.5
         assert optimal_tradeoff(0.5) == 0.75
@@ -45,37 +38,26 @@ class TestPoints:
         with pytest.raises(ParameterError):
             optimal_tradeoff(-0.2)
 
-    def test_timeshare_endpoints_and_midpoint(self):
-        p0 = TradeoffPoint(0.0, 0.5, "lo")
-        p1 = TradeoffPoint(1.0, 1.0, "hi")
-        assert timeshare(p0, p1, 0.0).dof == p0.dof
-        assert timeshare(p0, p1, 1.0).alpha == p1.alpha
-        mid = timeshare(p0, p1, 0.5)
-        assert (mid.alpha, mid.dof) == (0.5, 0.75)
-        with pytest.raises(ParameterError):
-            timeshare(p0, p1, 1.1)
-
     def test_timeshare_segment_matches_optimal_curve(self):
         # the straight segment between (0, 1/2) and (1, 1) is the curve
-        p0 = TradeoffPoint(0.0, optimal_tradeoff(0.0), "a")
-        p1 = TradeoffPoint(1.0, optimal_tradeoff(1.0), "b")
         for lam in np.linspace(0.0, 1.0, 21):
-            pt = timeshare(p0, p1, lam)
-            assert pt.dof == pytest.approx(optimal_tradeoff(pt.alpha))
+            shared = ((1 - lam) * optimal_tradeoff(0.0)
+                      + lam * optimal_tradeoff(1.0))
+            assert shared == pytest.approx(optimal_tradeoff(lam))
 
-    def test_centralized_baseline(self):
-        assert centralized_baseline(2) == TradeoffPoint(1.0, 1.0, "centralized")
-        p = centralized_baseline(3)
-        assert p.alpha == pytest.approx(4.0 / 3.0)
-        assert p.dof == 1.0
-        assert centralized_baseline(100).alpha == pytest.approx(1.98)
-        with pytest.raises(ParameterError):
-            centralized_baseline(1)
+    def test_centralized_run_point(self):
+        # K - 1 observations in and K - 1 messages out: alpha = 2(K-1)/K
+        _, _, alpha, dof = trial_point({"scheme": "centralized", "N": 1,
+                                        "rng_seed": 5})
+        assert abs(alpha - 4.0 / 3.0) <= 0.05 * 4.0 / 3.0
+        assert abs(dof - 1.0) <= 0.05
 
-    def test_tdma_baseline(self):
-        p = tdma_baseline()
-        assert (p.alpha, p.dof) == (0.0, pytest.approx(1.0 / 3.0))
-        assert tdma_baseline(1).dof == 1.0
+    def test_tdma_run_point(self):
+        # no backhaul, each user on air 1/K of the time
+        _, _, alpha, dof = trial_point({"scheme": "tdma", "N": 1,
+                                        "rng_seed": 5})
+        assert alpha == 0.0
+        assert abs(dof - 1.0 / 3.0) <= 0.02
 
 
 class TestRateReport:
@@ -88,7 +70,6 @@ class TestRateReport:
     def test_slopes_exact_on_linear_data(self):
         rep = self._report()
         np.testing.assert_allclose(rep.rate_slopes(), 0.25, rtol=1e-12)
-        assert rep.mean_rate_slope() == pytest.approx(0.25)
         assert rep.load_slope() == pytest.approx(0.5)
 
     def test_grid_validation(self):
@@ -98,16 +79,6 @@ class TestRateReport:
         with pytest.raises(ParameterError):
             RateReport(P_grid=[1e4, 1e2, 1e6, 1e8], rates=np.zeros((4, 3)),
                        rb_bar=np.zeros(4))
-
-    def test_measured_point_zero_traffic_means_zero_alpha(self):
-        rep = self._report()
-        pt = measured_tradeoff_point(BackhaulLedger(), rep)
-        assert pt.alpha == 0.0
-        assert pt.dof == pytest.approx(0.25)
-
-    def test_measured_point_without_ledger_uses_load_slope(self):
-        pt = measured_tradeoff_point(None, self._report())
-        assert pt.alpha == pytest.approx(0.5)
 
 
 class TestBounds:
@@ -192,42 +163,35 @@ class TestIllustratingExample:
             illustrating_example(1.0, base_H=np.ones((3, 3)))
 
 
+def _assert_scheme_point(scheme, N, value):
+    """Trial 0 at eps = 0.01 ships 3 * 2^9 symbols, and every row, and the
+    load and rate slopes, sit at the frozen operating point."""
+    rows, trace, alpha, dof = trial_point({"scheme": scheme, "N": N,
+                                           "eps": 0.01})
+    assert sum(r["length"] for r in trace if r["stage"] == "backhaul") \
+        == 3 * 2 ** 9
+    for r in rows:
+        assert r["alpha"] == pytest.approx(value, abs=1e-12)
+        assert r["dof"] == pytest.approx(value, abs=1e-12)
+    assert alpha == pytest.approx(value, abs=1e-12)
+    assert dof == pytest.approx(value, abs=1e-12)
+
+
 class TestSchemeReports:
-    def test_load_limits_frozen(self):
-        assert rx_load_limit(2, 0.01) == pytest.approx(0.0257521457581204,
-                                                       abs=1e-15)
-        assert tx_load_limit(2, 0.01) == pytest.approx(0.989998994056806,
-                                                       abs=1e-15)
-
     def test_rx_scheme_point(self):
-        report, ledger = rx_scheme_report(2, eps=0.01)
-        assert ledger.total_symbols == 3 * 2 ** 9
-        pt = measured_tradeoff_point(ledger, report)
-        assert pt.alpha == pytest.approx(0.989998994056806, abs=1e-12)
-        assert pt.dof == pytest.approx(0.989998994056806, abs=1e-12)
-
-    def test_rx_scheme_point_unlifted(self):
-        report, ledger = rx_scheme_report(2, eps=0.01, dense_limit=False)
-        pt = measured_tradeoff_point(ledger, report)
-        assert pt.alpha == pytest.approx(rx_load_limit(2, 0.01), abs=1e-12)
+        _assert_scheme_point("rx-coop", 2, 0.989998994056806)
 
     def test_tx_scheme_point(self):
-        report, ledger = tx_scheme_report(1, eps=0.01)
-        assert ledger.total_symbols == 3 * 2 ** 9
-        pt = measured_tradeoff_point(ledger, report)
-        assert pt.alpha == pytest.approx(0.989961329635562, abs=1e-12)
-        assert pt.dof == pytest.approx(0.989961329635562, abs=1e-12)
+        _assert_scheme_point("tx-coop", 1, 0.989961329635562)
 
     def test_centralized_report_limits(self, rng):
         ch = make_generic_channel(rng, n=1)
         rep = centralized_report(ch.h)
-        pt = measured_tradeoff_point(None, rep)
-        assert abs(pt.alpha - 4.0 / 3.0) <= 0.05 * 4.0 / 3.0
-        assert abs(pt.dof - 1.0) <= 0.05
+        assert abs(rep.load_slope() - 4.0 / 3.0) <= 0.05 * 4.0 / 3.0
+        assert abs(rep.rate_slopes().mean() - 1.0) <= 0.05
 
     def test_tdma_report_limits(self, rng):
         ch = make_generic_channel(rng, n=1)
         rep = tdma_report(ch.h)
-        pt = measured_tradeoff_point(None, rep)
-        assert pt.alpha == 0.0
-        assert abs(pt.dof - 1.0 / 3.0) <= 0.02
+        assert rep.load_slope() == 0.0
+        assert abs(rep.rate_slopes().mean() - 1.0 / 3.0) <= 0.02
