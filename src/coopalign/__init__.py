@@ -17,7 +17,7 @@ from .indices import AXIS, COORD_NAMES, window
 from .lattice import (ChannelMatrix, ObservationTable, SubstreamTable,
                       channel_is_generic, exact_observations, monomial_table,
                       require_generic)
-from .rx_protocol import run_rx_protocol, run_rx_slots
+from .rx_protocol import run_rx_protocol
 from .tradeoff import (centralized_report, illustrating_example, lemma1_check,
                        normalized_bound_slope, optimal_tradeoff,
                        rx_sum_upper_bound, tdma_report, tx_sum_upper_bound)
@@ -31,7 +31,7 @@ __all__ = [
     "ChannelMatrix", "ObservationTable", "SubstreamTable",
     "channel_is_generic", "exact_observations", "monomial_table",
     "require_generic",
-    "run_rx_protocol", "run_rx_slots",
+    "run_rx_protocol",
     "InverseChannel", "run_tx_backhaul", "verify_diagonalization",
     "centralized_report", "illustrating_example", "lemma1_check",
     "normalized_bound_slope", "optimal_tradeoff", "rx_sum_upper_bound",

@@ -1,7 +1,7 @@
 """Backhaul message records, per-link rate accounting, and the exchange
 engine both cooperation protocols run on.  The ledger keeps a record per
-message, not its payload; in strict mode the engine checks each payload
-against its alphabet when it is sent, for both protocols.
+message, not its payload; the engine checks each payload against its
+alphabet when it is sent, for both protocols.
 
 An exchange is a table of steps, one per backhaul link, applied in order
 once per round.  Every payload, and every correction a receiving node
@@ -126,7 +126,6 @@ class NodeState:
     store: str
     tables: dict
     slabs: set = field(default_factory=set)
-    range_violation: bool = False
 
     def add_term(self, out, term, slab, round_index):
         """Add one term, read around ``slab``, into the block ``out``."""
@@ -148,14 +147,12 @@ class NodeState:
         else:
             out[dst] -= table[src]
 
-    def store_slab(self, slab, block, strict, round_index):
+    def store_slab(self, slab, block, round_index):
         if block.max() > self.bound or block.min() < -self.bound:
-            if strict:
-                raise ProtocolError(
-                    "inconsistent combination: stored entry outside "
-                    f"half-width {self.bound}", round_index=round_index,
-                    node=self.node)
-            self.range_violation = True
+            raise ProtocolError(
+                "inconsistent combination: stored entry outside "
+                f"half-width {self.bound}", round_index=round_index,
+                node=self.node)
         table = self.tables[self.store]
         idx = [slice(None)] * table.ndim
         idx[AXIS[self.slab_coord]] = slab - 1
@@ -178,13 +175,11 @@ def _back_substitute(block, carry, slab_axis):
         block[tuple(dst)] += block[tuple(src)]
 
 
-def run_round(steps, nodes, round_index, slab, ledger, first=False,
-              strict=True):
+def run_round(steps, nodes, round_index, slab, ledger, first=False):
     """Run every step of one round on slab ``slab``, logging each message.
 
-    In strict mode a payload outside its alphabet raises ProtocolError at
-    the sender, and a stored entry outside its bound at the destination;
-    otherwise only the destination is flagged and the round goes on.
+    A payload outside its alphabet raises ProtocolError at the sender, and
+    a stored entry outside its bound at the destination.
     """
     for step in steps:
         src, dst = nodes[step.source], nodes[step.destination]
@@ -193,7 +188,7 @@ def run_round(steps, nodes, round_index, slab, ledger, first=False,
         for term in step.send:
             src.add_term(block, term, slab, round_index)
         hw = step.halfwidth[0 if first else 1] * src.q
-        if strict and (block.max() > hw or block.min() < -hw):
+        if block.max() > hw or block.min() < -hw:
             raise ProtocolError(f"payload entry outside half-width {hw} on "
                                 f"link {step.source}->{step.destination}",
                                 round_index=round_index, node=step.source)
@@ -205,4 +200,4 @@ def run_round(steps, nodes, round_index, slab, ledger, first=False,
             dst.add_term(block, term, slab, round_index)
         if step.carry:
             _back_substitute(block, step.carry, AXIS[dst.slab_coord])
-        dst.store_slab(slab, block, strict, round_index)
+        dst.store_slab(slab, block, round_index)

@@ -25,30 +25,36 @@ from .harness import (ExperimentConfig, config_from_dict, load_config,
                       run_experiment, run_trial, write_results_csv)
 from .lattice import ChannelMatrix, SubstreamTable
 from .rx_protocol import run_rx_protocol
-from .rx_protocol import expected_message_count as rx_count
+from .rx_protocol import expected_symbol_count as rx_count
 from .tradeoff import (lemma1_check, normalized_bound_slope, optimal_tradeoff,
                        rx_sum_upper_bound, tx_sum_upper_bound)
 from .tx_protocol import run_tx_backhaul, verify_diagonalization
-from .tx_protocol import expected_message_count as tx_count
+from .tx_protocol import expected_symbol_count as tx_count
 
 
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="coopalign",
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
-    for name, help_ in (("run", "run a configured experiment"),
-                        ("bounds", "evaluate converse bound curves"),
-                        ("verify", "run protocol self checks"),
-                        ("trace-dump", "emit the trial-0 message trace")):
+    # each subcommand takes only the overrides it reads
+    for name, help_, flags in (
+            ("run", "run a configured experiment", ("--out", "--scheme")),
+            ("bounds", "evaluate converse bound curves", ("--out",)),
+            ("verify", "run protocol self checks", ()),
+            ("trace-dump", "emit the trial-0 message trace",
+             ("--out", "--scheme"))):
         sp = sub.add_parser(name, help=help_)
+        sp.set_defaults(out=None, scheme=None)
         sp.add_argument("--config", type=Path, default=None,
                         help="path to a JSON experiment config")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config rng_seed")
-        sp.add_argument("--out", type=Path, default=None,
-                        help="override the config output directory")
-        sp.add_argument("--scheme", type=str, default=None,
-                        help="override the config scheme")
+        if "--out" in flags:
+            sp.add_argument("--out", type=Path,
+                            help="override the config output directory")
+        if "--scheme" in flags:
+            sp.add_argument("--scheme", type=str,
+                            help="override the config scheme")
         if name == "run":
             sp.add_argument("--jobs", type=int, default=1,
                             help="trial-level worker processes, at least 1 "

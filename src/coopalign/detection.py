@@ -1,5 +1,5 @@
-"""Receiver-side detection: the genie path used by the exact cooperation
-engine and an exhaustive ML detector for small reduced instances."""
+"""Receiver-side detection: an exhaustive nearest-point ML detector for
+small reduced instances of the lattice combinations."""
 
 from __future__ import annotations
 
@@ -12,60 +12,7 @@ import numpy as np
 from . import _kernels
 from .errors import MLBudgetError, ParameterError
 from .indices import COORD_NAMES
-from .lattice import _as_gain_array, complex_awgn, exact_observations
-
-# ============================================================
-# genie detection (exact engine, with optional error injection)
-# ============================================================
-
-
-@dataclass
-class DetectionReport:
-    """Receive-side integer combinations plus injection bookkeeping."""
-
-    tables: tuple
-    errors_injected: int = 0
-    symbol_error_flags: tuple = (False, False, False)
-
-
-def genie_detect(all_streams, error_rate=0.0, rng_seed=0) -> DetectionReport:
-    """Exact receive combinations, optionally perturbed.
-
-    With probability error_rate (scalar, or one rate per receiver) a single
-    uniformly chosen entry of that receiver's table is moved by one step,
-    clamped to {-3q..3q}, and the receiver is flagged.  error_rate 0 is the
-    exact genie; identical seeds give identical reports.
-    """
-    tables = list(exact_observations(all_streams))
-    rates = np.broadcast_to(np.asarray(error_rate, dtype=float), (3,))
-    if rates.min() < 0 or rates.max() > 1:
-        raise ParameterError("error_rate entries must lie in [0, 1]")
-    rng = np.random.default_rng(rng_seed)
-    q = all_streams[0].q
-    injected = 0
-    flags = []
-    for i, tab in enumerate(tables):
-        hit = rng.random() < rates[i]
-        flags.append(bool(hit))
-        if not hit:
-            continue
-        flat = tab.values.reshape(-1)
-        k = int(rng.integers(flat.size))
-        step = 1 if rng.random() < 0.5 else -1
-        v = flat[k]
-        if v >= 3 * q:
-            step = -1
-        elif v <= -3 * q:
-            step = 1
-        flat[k] = v + step
-        injected += 1
-    return DetectionReport(tables=tuple(tables), errors_injected=injected,
-                           symbol_error_flags=tuple(flags))
-
-
-# ============================================================
-# reduced exhaustive ML
-# ============================================================
+from .lattice import _as_gain_array, complex_awgn
 
 
 @dataclass(frozen=True)

@@ -276,7 +276,7 @@ def run_trial(config: ExperimentConfig, trial: int):
                     for i in range(3))
         report = _budget_report(res.ledger.total_symbols / 3.0, config.N,
                                 config.eps, np.asarray(config.P_grid),
-                                scheme, load_spans_cube=False)
+                                load_spans_cube=False)
         rows = _report_rows(config, trial, report,
                             "exact" if exact else "contaminated")
         trace = [dict(r, trial=trial) for r in res.ledger.trace_records()]
@@ -287,7 +287,7 @@ def run_trial(config: ExperimentConfig, trial: int):
         chk = verify_diagonalization(streams, res.built, ch, config.P_grid[-1])
         report = _budget_report(res.ledger.total_symbols / 3.0, config.N,
                                 config.eps, np.asarray(config.P_grid),
-                                scheme, load_spans_cube=True)
+                                load_spans_cube=True)
         rows = _report_rows(config, trial, report, "%.3e" % chk.residual)
         trace = [dict(r, trial=trial) for r in res.ledger.trace_records()]
         trace.append({"stage": "airtime", "source": 0, "destination": 0,

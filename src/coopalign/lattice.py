@@ -114,7 +114,7 @@ class ObservationTable:
     receiver: int
     n: int
     values: np.ndarray
-    q: int | None = None
+    q: int
 
     def __post_init__(self):
         if self.receiver not in (1, 2, 3):
@@ -123,7 +123,7 @@ class ObservationTable:
         if v.shape != (self.n + 1,) * 9:
             raise ParameterError(
                 f"values must have shape {(self.n + 1,)*9}, got {v.shape}")
-        if self.q is not None and v.size and np.abs(v).max() > 3 * self.q:
+        if v.size and np.abs(v).max() > 3 * self.q:
             raise SymbolRangeError(
                 f"observation outside Z_{3*self.q} at receiver {self.receiver}")
         self.values = v

@@ -29,10 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backhaul import BackhaulLedger, NodeState, Step, run_round
-from .detection import DetectionReport, genie_detect
-from .errors import ParameterError
-
-_DETECTOR_MODES = ("exact-genie", "genie-with-errors")
+from .lattice import exact_observations
 
 # terms: (sign, table, ((coordinate, shift), ...), slab offset); offset 0 is
 # the slab resolved this round, +1 the slab above it
@@ -63,7 +60,7 @@ RX_STEPS = (
 
 
 def receiver_nodes(tables, q):
-    """Fresh receiver states over the detected combination tables."""
+    """Fresh receiver states over the receive combination tables."""
     n = tables[0].n
     return {i: NodeState(node=i, q=q, bound=q, slab_coord=(3, 1),
                          store="resolved",
@@ -76,57 +73,21 @@ def receiver_nodes(tables, q):
 class RxProtocolResult:
     recovered: tuple              # three (N,)^9 integer arrays, user order
     ledger: BackhaulLedger
-    report: DetectionReport
-    contaminated: tuple           # per-receiver flags
     rounds: int
 
 
-def run_rx_protocol(all_streams, detector_mode="exact-genie", error_rate=0.0,
-                    rng_seed=0) -> RxProtocolResult:
-    """Run the full N-round receiver-side exchange on one time slot.
-
-    detector_mode "exact-genie" uses exact combinations and raises on any
-    inconsistency; "genie-with-errors" perturbs tables per error_rate, lets
-    the run complete and reports contamination flags instead.
-    """
-    if detector_mode not in _DETECTOR_MODES:
-        raise ParameterError(f"unknown detector mode: {detector_mode!r}")
-    strict = detector_mode == "exact-genie"
-    rate = 0.0 if strict else error_rate
-    report = genie_detect(all_streams, error_rate=rate, rng_seed=rng_seed)
-
+def run_rx_protocol(all_streams) -> RxProtocolResult:
+    """Run the full N-round receiver-side exchange on one time slot, from
+    the exact combinations; any inconsistency raises ProtocolError."""
     n, q = all_streams[0].n, all_streams[0].q
-    nodes = receiver_nodes(report.tables, q)
+    nodes = receiver_nodes(exact_observations(all_streams), q)
     ledger = BackhaulLedger()
     for r in range(n):
-        run_round(RX_STEPS, nodes, r, n - r, ledger, first=r == 0,
-                  strict=strict)
-
-    contaminated = tuple(
-        bool(report.symbol_error_flags[i - 1]) or nodes[i].range_violation
-        for i in (1, 2, 3))
+        run_round(RX_STEPS, nodes, r, n - r, ledger, first=r == 0)
     recovered = tuple(nodes[i].tables["resolved"] for i in (1, 2, 3))
-    return RxProtocolResult(recovered=recovered, ledger=ledger, report=report,
-                            contaminated=contaminated, rounds=n)
+    return RxProtocolResult(recovered=recovered, ledger=ledger, rounds=n)
 
 
-def expected_message_count(n: int) -> int:
+def expected_symbol_count(n: int) -> int:
     """Three payloads of n^8 entries per round, n rounds."""
     return 3 * n ** 9
-
-
-def run_rx_slots(slot_streams, error_slot=None, error_rate=1.0, rng_seed=0):
-    """Run the protocol independently on a sequence of time slots.
-
-    Slot error_slot (if given) runs with injected detection errors; every
-    other slot runs clean.  Per-slot seeds are derived by counter so a slot's
-    outcome does not depend on what happened in any other slot.
-    """
-    results = []
-    for t, streams in enumerate(slot_streams):
-        ss = np.random.SeedSequence(entropy=rng_seed, spawn_key=(t,))
-        seed = int(ss.generate_state(1, np.uint64)[0])
-        mode = "genie-with-errors" if t == error_slot else "exact-genie"
-        results.append(run_rx_protocol(streams, detector_mode=mode,
-                                       error_rate=error_rate, rng_seed=seed))
-    return results

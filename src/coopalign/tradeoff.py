@@ -42,7 +42,6 @@ class RateReport:
     P_grid: np.ndarray
     rates: np.ndarray             # shape (len(P_grid), 3)
     rb_bar: np.ndarray            # shape (len(P_grid),)
-    label: str = ""
 
     def __post_init__(self):
         P = np.asarray(self.P_grid, dtype=float)
@@ -266,7 +265,7 @@ def illustrating_example(gamma, base_H=None, P_grid=None, rng_seed=0) -> RateRep
                 + abs(h[2, 1] * h[0, 2] / h[0, 1]) ** 2) * P
                + abs(h[2, 1] / h[0, 1]) ** 2)
         rb[i] = (np.log2(1.0 + v32) + np.log2(1.0 + v21) + np.log2(1.0 + v13)) / 3.0
-    return RateReport(P_grid=P_grid, rates=rates, rb_bar=rb, label="illustrating")
+    return RateReport(P_grid=P_grid, rates=rates, rb_bar=rb)
 
 
 # ============================================================
@@ -274,7 +273,7 @@ def illustrating_example(gamma, base_H=None, P_grid=None, rng_seed=0) -> RateRep
 # ============================================================
 
 
-def _budget_report(symbols_per_user, N, eps, P_grid, label, load_spans_cube):
+def _budget_report(symbols_per_user, N, eps, P_grid, load_spans_cube):
     """Rate/load grids with every symbol priced at its power-law bit budget
     u*log2(P).
 
@@ -291,7 +290,7 @@ def _budget_report(symbols_per_user, N, eps, P_grid, label, load_spans_cube):
     rate = N ** 9 * u * log2p * lift
     rates = np.stack([rate, rate, rate], axis=1)
     rb = symbols_per_user * u * log2p * (1.0 if load_spans_cube else lift)
-    return RateReport(P_grid=P_grid, rates=rates, rb_bar=rb, label=label)
+    return RateReport(P_grid=P_grid, rates=rates, rb_bar=rb)
 
 
 def centralized_report(channel, P_grid=None) -> RateReport:
@@ -315,7 +314,7 @@ def centralized_report(channel, P_grid=None) -> RateReport:
                  for l in range(1, K))
         down = float(np.sum(rates[i, 1:]))
         rb[i] = (up + down) / K
-    return RateReport(P_grid=P_grid, rates=rates, rb_bar=rb, label="centralized")
+    return RateReport(P_grid=P_grid, rates=rates, rb_bar=rb)
 
 
 def tdma_report(channel, P_grid=None) -> RateReport:
@@ -330,5 +329,4 @@ def tdma_report(channel, P_grid=None) -> RateReport:
     for i, P in enumerate(P_grid):
         for k in range(K):
             rates[i, k] = np.log2(1.0 + K * P * abs(h[k, k]) ** 2) / K
-    return RateReport(P_grid=P_grid, rates=rates, rb_bar=np.zeros(P_grid.size),
-                      label="tdma")
+    return RateReport(P_grid=P_grid, rates=rates, rb_bar=np.zeros(P_grid.size))

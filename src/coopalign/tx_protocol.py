@@ -134,7 +134,7 @@ def run_tx_backhaul(all_streams) -> TxProtocolResult:
     return TxProtocolResult(built=built, ledger=ledger, rounds=n + 1)
 
 
-def expected_message_count(n: int) -> int:
+def expected_symbol_count(n: int) -> int:
     """Three payloads of (n+1)^8 entries per round, n+1 rounds."""
     return 3 * (n + 1) ** 9
 

@@ -2,51 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import make_generic_channel
-from coopalign.detection import (ReducedSpec, candidate_tables, genie_detect,
+from coopalign.detection import (ReducedSpec, candidate_tables,
                                  ml_detect_reduced, ml_detect_reduced_batch,
                                  reduced_carriers, reduced_error_sweep,
                                  reduced_power_scale, reduced_signal)
-from coopalign.errors import MLBudgetError, ParameterError
-from coopalign.lattice import SubstreamTable, exact_observations
-
-
-def _streams(rng, n=1, q=5):
-    return tuple(SubstreamTable.random(i, n, q, rng) for i in (1, 2, 3))
-
-
-class TestGenie:
-    def test_exact_mode_matches_observations(self, rng):
-        streams = _streams(rng)
-        rep = genie_detect(streams)
-        want = exact_observations(streams)
-        assert rep.errors_injected == 0
-        assert rep.symbol_error_flags == (False, False, False)
-        for i in range(3):
-            np.testing.assert_array_equal(rep.tables[i].values, want[i].values)
-
-    def test_forced_errors_flag_and_stay_in_range(self, rng):
-        streams = _streams(rng)
-        rep = genie_detect(streams, error_rate=1.0, rng_seed=3)
-        assert rep.errors_injected == 3
-        assert rep.symbol_error_flags == (True, True, True)
-        q = streams[0].q
-        want = exact_observations(streams)
-        for i in range(3):
-            diff = rep.tables[i].values - want[i].values
-            assert np.abs(diff).sum() == 1          # exactly one unit step
-            assert np.abs(rep.tables[i].values).max() <= 3 * q
-
-    def test_seed_reproducibility(self, rng):
-        streams = _streams(rng)
-        a = genie_detect(streams, error_rate=0.5, rng_seed=11)
-        b = genie_detect(streams, error_rate=0.5, rng_seed=11)
-        for i in range(3):
-            np.testing.assert_array_equal(a.tables[i].values,
-                                          b.tables[i].values)
-
-    def test_rate_validation(self, rng):
-        with pytest.raises(ParameterError):
-            genie_detect(_streams(rng), error_rate=1.5)
+from coopalign.errors import MLBudgetError
 
 
 class TestReduced:

@@ -493,6 +493,15 @@ class TestCli:
         assert cli_main(["trace-dump", "--config",
                          str(tmp_path / "cfg.json")]) == 1
 
+    @pytest.mark.parametrize("argv", [["verify", "--out", "o"],
+                                      ["verify", "--scheme", "tdma"],
+                                      ["bounds", "--scheme", "tx-coop"]])
+    def test_unread_override_is_usage_error(self, argv, capsys):
+        # a subcommand registers only the overrides it reads
+        with pytest.raises(SystemExit) as err:
+            cli_main(argv)
+        assert err.value.code == 2
+
     def test_bad_config_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"scheme": "rx-coop"}\n')

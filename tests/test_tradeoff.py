@@ -65,7 +65,7 @@ class TestRateReport:
         P = np.logspace(2, 8, 7)
         rate = 0.25 * np.log2(P)
         return RateReport(P_grid=P, rates=np.stack([rate] * 3, axis=1),
-                          rb_bar=0.5 * np.log2(P), label="synthetic")
+                          rb_bar=0.5 * np.log2(P))
 
     def test_slopes_exact_on_linear_data(self):
         rep = self._report()

@@ -11,7 +11,7 @@ from coopalign.backhaul import BackhaulLedger
 from coopalign.errors import ProtocolError, SingularChannelError
 from coopalign.indices import AXIS
 from coopalign.lattice import SubstreamTable, exact_observations
-from coopalign.tx_protocol import (InverseChannel, expected_message_count,
+from coopalign.tx_protocol import (InverseChannel, expected_symbol_count,
                                    run_tx_backhaul, transmitter_nodes,
                                    tx_round, verify_diagonalization)
 
@@ -57,8 +57,8 @@ class TestExchange:
     def test_ledger_symbol_count(self, rng, n):
         streams = _streams(rng, n)
         res = run_tx_backhaul(streams)
-        assert res.ledger.total_symbols == expected_message_count(n)
-        assert expected_message_count(n) == 3 * (n + 1) ** 9
+        assert res.ledger.total_symbols == expected_symbol_count(n)
+        assert expected_symbol_count(n) == 3 * (n + 1) ** 9
         assert len(res.ledger.messages) == 3 * (n + 1)
         assert all(m.length == (n + 1) ** 8 for m in res.ledger.messages)
         assert all(m.alphabet_halfwidth == 15 for m in res.ledger.messages)
