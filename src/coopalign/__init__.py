@@ -14,25 +14,25 @@ from .errors import (ConfigError, CoopAlignError, GenericityError,
                      MLBudgetError, ParameterError, ProtocolError,
                      SingularChannelError, SymbolRangeError)
 from .indices import AXIS, COORD_NAMES, window
-from .lattice import (ChannelMatrix, ObservationTable, SubstreamTable,
-                      channel_is_generic, exact_observations, monomial_table,
-                      require_generic)
+from .lattice import (ObservationTable, SubstreamTable, channel_is_generic,
+                      exact_observations, illustrating_gains, monomial_table,
+                      random_gains, require_generic)
 from .rx_protocol import run_rx_protocol
 from .tradeoff import (centralized_report, illustrating_example, lemma1_check,
                        normalized_bound_slope, optimal_tradeoff,
                        rx_sum_upper_bound, tdma_report, tx_sum_upper_bound)
-from .tx_protocol import (InverseChannel, run_tx_backhaul,
+from .tx_protocol import (channel_inverse, run_tx_backhaul,
                           verify_diagonalization)
 
 __all__ = [
     "__version__",
     "AXIS", "COORD_NAMES", "window",
     "BackhaulLedger", "BackhaulMessage",
-    "ChannelMatrix", "ObservationTable", "SubstreamTable",
-    "channel_is_generic", "exact_observations", "monomial_table",
-    "require_generic",
+    "ObservationTable", "SubstreamTable", "channel_is_generic",
+    "exact_observations", "illustrating_gains", "monomial_table",
+    "random_gains", "require_generic",
     "run_rx_protocol",
-    "InverseChannel", "run_tx_backhaul", "verify_diagonalization",
+    "channel_inverse", "run_tx_backhaul", "verify_diagonalization",
     "centralized_report", "illustrating_example", "lemma1_check",
     "normalized_bound_slope", "optimal_tradeoff", "rx_sum_upper_bound",
     "tdma_report", "tx_sum_upper_bound",

@@ -23,7 +23,7 @@ from .detection import ml_detect_reduced, reduced_power_scale, reduced_signal
 from .errors import ConfigError, ParameterError
 from .harness import (ExperimentConfig, config_from_dict, load_config,
                       run_experiment, run_trial, write_results_csv)
-from .lattice import ChannelMatrix, SubstreamTable
+from .lattice import SubstreamTable, random_gains
 from .rx_protocol import run_rx_protocol
 from .rx_protocol import expected_symbol_count as rx_count
 from .tradeoff import (lemma1_check, normalized_bound_slope, optimal_tradeoff,
@@ -122,7 +122,7 @@ def _cmd_verify(args) -> int:
             res.ledger.total_symbols == rx_count(n)
         results.append(_check(f"receiver protocol recovery (N={n})", ok))
 
-    ch = ChannelMatrix.random(rng)
+    ch = random_gains(rng)
     streams = tuple(SubstreamTable.random(i + 1, 1, 5, rng) for i in range(3))
     res = run_tx_backhaul(streams)
     chk = verify_diagonalization(streams, res.built, ch, 1e6)
@@ -137,7 +137,7 @@ def _cmd_verify(args) -> int:
     grid = np.logspace(6, 12, 8)
     ok = True
     for a in (0.0, 0.5, 1.0):
-        s = normalized_bound_slope(rx_sum_upper_bound, ch.h, a, grid)
+        s = normalized_bound_slope(rx_sum_upper_bound, ch, a, grid)
         ok &= abs(s - optimal_tradeoff(a)) < 1e-2
     results.append(_check("normalized bound slope matches min(1,(1+a)/2)", ok))
 
@@ -150,7 +150,7 @@ def _cmd_verify(args) -> int:
                              size=spec.table_size, dtype=np.int64)
         gamma = reduced_power_scale(spec, ch, 1e4)
         y = reduced_signal(table, spec, ch, gamma)
-        det = ml_detect_reduced(y, spec, ch, gamma)
+        det = ml_detect_reduced([y], spec, ch, gamma)[0]
         results.append(_check("reduced ML noiseless exactness",
                               bool(np.array_equal(det, table))))
 

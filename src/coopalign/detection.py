@@ -12,7 +12,7 @@ import numpy as np
 from . import _kernels
 from .errors import MLBudgetError, ParameterError
 from .indices import COORD_NAMES
-from .lattice import _as_gain_array, complex_awgn
+from .lattice import complex_awgn
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,8 @@ class ReducedSpec:
                             repeat=len(self.active_coords)))
 
 
-def reduced_carriers(spec: ReducedSpec, channel) -> np.ndarray:
+def reduced_carriers(spec: ReducedSpec, h) -> np.ndarray:
     """Carrier value per reduced label: product of active gains' powers."""
-    h = _as_gain_array(channel)
     out = np.empty(spec.table_size, dtype=np.complex128)
     for k, lab in enumerate(spec.labels()):
         v = 1.0 + 0.0j
@@ -73,12 +72,12 @@ def reduced_carriers(spec: ReducedSpec, channel) -> np.ndarray:
     return out
 
 
-def reduced_signal(table, spec: ReducedSpec, channel, gamma) -> complex:
+def reduced_signal(table, spec: ReducedSpec, h, gamma) -> complex:
     """Noiseless receive sample for one reduced combination table."""
     table = np.asarray(table, dtype=np.int64)
     if table.shape != (spec.table_size,):
         raise ParameterError("table length must match the reduced label count")
-    return complex(gamma * np.sum(reduced_carriers(spec, channel) * table))
+    return complex(gamma * np.sum(reduced_carriers(spec, h) * table))
 
 
 def candidate_tables(spec: ReducedSpec) -> np.ndarray:
@@ -100,27 +99,23 @@ def candidate_tables(spec: ReducedSpec) -> np.ndarray:
     return out
 
 
-def ml_detect_reduced(y, spec: ReducedSpec, channel, gamma):
-    """Exhaustive nearest-point detection at transmit scale gamma."""
-    return ml_detect_reduced_batch(np.asarray([y]), spec, channel, gamma)[0]
-
-
-def ml_detect_reduced_batch(ys, spec: ReducedSpec, channel, gamma):
-    """Vectorised variant: one detected table per observation sample."""
+def ml_detect_reduced(ys, spec: ReducedSpec, h, gamma):
+    """Exhaustive nearest-point detection at transmit scale gamma: one
+    detected table per observation sample."""
     cands = candidate_tables(spec)
-    points = gamma * (cands @ reduced_carriers(spec, channel))
+    points = gamma * (cands @ reduced_carriers(spec, h))
     picks = _kernels.nearest_point(np.asarray(ys, dtype=np.complex128), points)
     return cands[picks]
 
 
-def reduced_power_scale(spec: ReducedSpec, channel, P) -> float:
+def reduced_power_scale(spec: ReducedSpec, h, P) -> float:
     """Transmit scale meeting average power P for uniform random tables."""
     var_sym = (spec.alphabet_size ** 2 - 1) / 12.0
-    energy = var_sym * np.sum(np.abs(reduced_carriers(spec, channel)) ** 2)
+    energy = var_sym * np.sum(np.abs(reduced_carriers(spec, h)) ** 2)
     return math.sqrt(P / energy)
 
 
-def reduced_error_sweep(spec: ReducedSpec, channel, P_grid, trials, rng_seed,
+def reduced_error_sweep(spec: ReducedSpec, h, P_grid, trials, rng_seed,
                         noisy=True):
     """Monte Carlo detection-error rate per power level.
 
@@ -132,14 +127,14 @@ def reduced_error_sweep(spec: ReducedSpec, channel, P_grid, trials, rng_seed,
     for k, P in enumerate(P_grid):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=rng_seed, spawn_key=(k,)))
-        gamma = reduced_power_scale(spec, channel, P)
+        gamma = reduced_power_scale(spec, h, P)
         tables = rng.integers(-3 * spec.q_red, 3 * spec.q_red + 1,
                               size=(trials, spec.table_size), dtype=np.int64)
-        carriers = reduced_carriers(spec, channel)
+        carriers = reduced_carriers(spec, h)
         ys = gamma * (tables @ carriers)
         if noisy:
             ys = ys + complex_awgn(rng, trials)
-        det = ml_detect_reduced_batch(ys, spec, channel, gamma)
+        det = ml_detect_reduced(ys, spec, h, gamma)
         err = np.any(det != tables, axis=1)
         rates.append(float(np.mean(err)))
     return np.asarray(rates)

@@ -29,11 +29,12 @@ from . import __version__
 from .detection import ReducedSpec
 from .errors import (ConfigError, CoopAlignError, ProtocolError,
                      SingularChannelError)
-from .lattice import ChannelMatrix, SubstreamTable, require_generic
+from .lattice import (SubstreamTable, illustrating_gains, random_gains,
+                      require_generic)
 from .rx_protocol import RX_STEPS, run_rx_protocol
 from .tradeoff import (_budget_report, centralized_report, illustrating_example,
                        rx_sum_upper_bound, tdma_report, tx_sum_upper_bound)
-from .tx_protocol import (TX_STEPS, InverseChannel, run_tx_backhaul,
+from .tx_protocol import (TX_STEPS, channel_inverse, run_tx_backhaul,
                           verify_diagonalization)
 
 SCHEMES = ("rx-coop", "tx-coop", "centralized", "tdma",
@@ -98,7 +99,7 @@ class ExperimentConfig:
             h = _fixed_gains(self.fixed_channel)
             if self.scheme == "tx-coop":
                 try:
-                    InverseChannel.of(h)
+                    channel_inverse(h)
                 except SingularChannelError as exc:
                     raise ConfigError(f"fixed_channel: {exc}") from exc
         # a step sums up to `terms` table reads within +-3q, and the rx 1->2
@@ -204,26 +205,26 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
-def save_config(config: ExperimentConfig, path):
-    Path(path).write_text(json.dumps(config.as_json_dict(), indent=2) + "\n")
-
-
 # ============================================================
 # channels and per-trial execution
 # ============================================================
 
 
-def _channel_for(config: ExperimentConfig, rng) -> ChannelMatrix:
+def _channel_for(config: ExperimentConfig, rng) -> np.ndarray:
+    """The trial's gains; illustrating-example runs on, and so lists, the
+    proportional gains in every channel mode."""
     if config.channel_mode == "fixed":
-        return ChannelMatrix(h=_fixed_gains(config.fixed_channel))
+        h = _fixed_gains(config.fixed_channel)
+    else:
+        h = random_gains(rng)
     if config.channel_mode == "illustrating" \
             or config.scheme == "illustrating-example":
-        return ChannelMatrix.illustrating(config.gamma, rng)
-    return ChannelMatrix.random(rng)
+        h = illustrating_gains(config.gamma, h)
+    return h
 
 
-def _channel_listing(ch: ChannelMatrix):
-    return [[[float(v.real), float(v.imag)] for v in row] for row in ch.h]
+def _channel_listing(h):
+    return [[[float(v.real), float(v.imag)] for v in row] for row in h]
 
 
 def _report_rows(config, trial, report, detail=""):
@@ -262,7 +263,7 @@ def run_trial(config: ExperimentConfig, trial: int):
                 l2 = np.log2(P)
                 for name, fn in (("rx-bound", rx_sum_upper_bound),
                                  ("tx-bound", tx_sum_upper_bound)):
-                    bound = fn(ch.h, P, a * l2)
+                    bound = fn(ch, P, a * l2)
                     rows.append({"trial": trial, "P": float(P),
                                  "scheme": scheme, "alpha": float(a),
                                  "dof": float(bound / (6.0 * l2)),
@@ -297,12 +298,12 @@ def run_trial(config: ExperimentConfig, trial: int):
                           np.asarray(chk.x).tobytes()).hexdigest()[:16]})
     else:
         if scheme == "centralized":
-            report = centralized_report(ch.h, np.asarray(config.P_grid))
+            report = centralized_report(ch, np.asarray(config.P_grid))
         elif scheme == "tdma":
-            report = tdma_report(ch.h, np.asarray(config.P_grid))
+            report = tdma_report(ch, np.asarray(config.P_grid))
         elif scheme == "illustrating-example":
-            report = illustrating_example(config.gamma, base_H=ch,
-                                          P_grid=np.asarray(config.P_grid))
+            report = illustrating_example(config.gamma, ch,
+                                          np.asarray(config.P_grid))
         else:
             raise ConfigError(f"unhandled scheme {scheme!r}")
         rows = _report_rows(config, trial, report)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 COORD_NAMES = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3))
 AXIS = {name: k for k, name in enumerate(COORD_NAMES)}
-NUM_COORDS = len(COORD_NAMES)
 
 
 def window(shape, out_upper, shifts, fixed):

@@ -21,33 +21,6 @@ from .indices import AXIS, window
 # ============================================================
 
 
-@dataclass(frozen=True, eq=False)
-class ChannelMatrix:
-    """3x3 complex gains h[i, j] from transmitter j to receiver i."""
-
-    h: np.ndarray
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=np.complex128)
-        if h.shape != (3, 3):
-            raise ParameterError(f"channel matrix must be 3x3, got {h.shape}")
-        object.__setattr__(self, "h", h)
-
-    @classmethod
-    def random(cls, rng):
-        return cls(h=complex_awgn(rng, (3, 3)))
-
-    @classmethod
-    def illustrating(cls, gamma, rng):
-        """Structured instance: receiver 3 sees a gamma-scaled copy of the
-        direct/cross pair of receiver 2 (h31 = gamma*h21, h33 = gamma*h23)."""
-        g = complex(gamma)
-        h = complex_awgn(rng, (3, 3))
-        h[2, 0] = g * h[1, 0]
-        h[2, 2] = g * h[1, 2]
-        return cls(h=h)
-
-
 def complex_awgn(rng, shape=()):
     """Unit-variance circularly-symmetric complex Gaussian samples."""
     re = rng.standard_normal(shape)
@@ -55,10 +28,18 @@ def complex_awgn(rng, shape=()):
     return (re + 1j * im) * np.sqrt(0.5)
 
 
-def _as_gain_array(channel):
-    if isinstance(channel, ChannelMatrix):
-        return channel.h
-    return np.asarray(channel, dtype=np.complex128)
+def random_gains(rng):
+    """3x3 complex gains h[i, j] from transmitter j to receiver i."""
+    return complex_awgn(rng, (3, 3))
+
+
+def illustrating_gains(gamma, h):
+    """Copy of h in which receiver 3 sees a gamma-scaled copy of the
+    direct/cross pair of receiver 2 (h31 = gamma*h21, h33 = gamma*h23)."""
+    h = h.copy()
+    h[2, 0] = gamma * h[1, 0]
+    h[2, 2] = gamma * h[1, 2]
+    return h
 
 
 # ============================================================
@@ -87,14 +68,10 @@ class SubstreamTable:
                 f"values must have shape {(self.n,)*9}, got {v.shape}")
         if self.q < 1:
             raise ParameterError("symbol half-width q must be >= 1")
-        if v.size and np.abs(v).max() > self.q:
+        if v.size and (v.max() > self.q or v.min() < -self.q):
             raise SymbolRangeError(
                 f"symbol outside Z_{self.q} in substream table for user {self.owner}")
         self.values = v
-
-    @classmethod
-    def zeros(cls, owner, n, q):
-        return cls(owner=owner, n=n, q=q, values=np.zeros((n,) * 9, dtype=np.int64))
 
     @classmethod
     def random(cls, owner, n, q, rng):
@@ -123,7 +100,7 @@ class ObservationTable:
         if v.shape != (self.n + 1,) * 9:
             raise ParameterError(
                 f"values must have shape {(self.n + 1,)*9}, got {v.shape}")
-        if v.size and np.abs(v).max() > 3 * self.q:
+        if v.size and (v.max() > 3 * self.q or v.min() < -3 * self.q):
             raise SymbolRangeError(
                 f"observation outside Z_{3*self.q} at receiver {self.receiver}")
         self.values = v
@@ -134,9 +111,9 @@ class ObservationTable:
 # ============================================================
 
 
-def monomial_table(channel, upper) -> np.ndarray:
+def monomial_table(h, upper) -> np.ndarray:
     """All carrier values on the cube {1..upper}^9 as a dense array."""
-    h = _as_gain_array(channel).ravel()
+    h = h.ravel()
     exps = np.arange(1, upper + 1)
     out = h[0] ** exps
     for k in range(1, 9):
@@ -147,7 +124,7 @@ def monomial_table(channel, upper) -> np.ndarray:
 GENERIC_TOL = 1e-9
 
 
-def channel_is_generic(channel, n):
+def channel_is_generic(h, n):
     """Generic-position test: nonzero gains and pairwise-distinct carrier
     values over {1..n+1}^9, with a relative collision tolerance.
 
@@ -160,7 +137,6 @@ def channel_is_generic(channel, n):
     pair.  All i advance together, one offset k per pass, and an i leaves
     the pass set as soon as its window closes.
     """
-    h = _as_gain_array(channel)
     if np.abs(h).min() <= GENERIC_TOL:
         return False
     vals = monomial_table(h, n + 1).ravel()
@@ -190,14 +166,25 @@ def _pair_tol(a, b):
     return tol
 
 
-def require_generic(channel, n):
-    if not channel_is_generic(channel, n):
+def require_generic(h, n):
+    if not channel_is_generic(h, n):
         raise GenericityError("channel gains failed the generic-position check")
 
 
 # ============================================================
 # exact receive-side combinations
 # ============================================================
+
+
+def stream_params(streams) -> tuple:
+    """(n, q) of three users' tables given in user order that share one
+    lattice depth and one symbol half-width."""
+    a, b, c = streams
+    if (a.owner, b.owner, c.owner) != (1, 2, 3):
+        raise ParameterError("streams must be given in user order (1, 2, 3)")
+    if not (a.n == b.n == c.n and a.q == b.q == c.q):
+        raise ParameterError("streams must share lattice depth and half-width")
+    return a.n, a.q
 
 
 def exact_observations(streams) -> tuple:
@@ -208,18 +195,11 @@ def exact_observations(streams) -> tuple:
     decremented; out-of-range labels contribute zero.  Realised as one zero
     block plus three in-place adds, stream j read at shift -1 on (i,j).
     """
-    a, b, c = streams
-    if not (a.owner, b.owner, c.owner) == (1, 2, 3):
-        raise ParameterError("streams must be given in user order (1, 2, 3)")
-    if not a.n == b.n == c.n:
-        raise ParameterError("streams must share the same lattice depth")
-    if not a.q == b.q == c.q:
-        raise ParameterError("streams must share the same symbol half-width")
-    n, q = a.n, a.q
+    n, q = stream_params(streams)
     out = []
     for i in (1, 2, 3):
         acc = np.zeros((n + 1,) * 9, dtype=np.int64)
-        for j, stream in enumerate((a, b, c), 1):
+        for j, stream in enumerate(streams, 1):
             src, dst = window((n,) * 9, n + 1, {AXIS[(i, j)]: -1}, {})
             acc[dst] += stream.values[src]
         out.append(ObservationTable(receiver=i, n=n, values=acc, q=q))

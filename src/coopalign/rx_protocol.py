@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backhaul import BackhaulLedger, NodeState, Step, run_round
-from .lattice import exact_observations
+from .lattice import exact_observations, stream_params
 
 # terms: (sign, table, ((coordinate, shift), ...), slab offset); offset 0 is
 # the slab resolved this round, +1 the slab above it
@@ -59,9 +59,9 @@ RX_STEPS = (
 )
 
 
-def receiver_nodes(tables, q):
+def receiver_nodes(tables):
     """Fresh receiver states over the receive combination tables."""
-    n = tables[0].n
+    n, q = tables[0].n, tables[0].q
     return {i: NodeState(node=i, q=q, bound=q, slab_coord=(3, 1),
                          store="resolved",
                          tables={"obs": tables[i - 1].values,
@@ -79,8 +79,8 @@ class RxProtocolResult:
 def run_rx_protocol(all_streams) -> RxProtocolResult:
     """Run the full N-round receiver-side exchange on one time slot, from
     the exact combinations; any inconsistency raises ProtocolError."""
-    n, q = all_streams[0].n, all_streams[0].q
-    nodes = receiver_nodes(exact_observations(all_streams), q)
+    n, _ = stream_params(all_streams)
+    nodes = receiver_nodes(exact_observations(all_streams))
     ledger = BackhaulLedger()
     for r in range(n):
         run_round(RX_STEPS, nodes, r, n - r, ledger, first=r == 0)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenericityError, ParameterError
-from .lattice import ChannelMatrix, _as_gain_array, complex_awgn
+from .lattice import complex_awgn, illustrating_gains
 
 
 def top_half_slope(P_grid, values) -> float:
@@ -53,13 +53,6 @@ class RateReport:
         self.rates = np.asarray(self.rates, dtype=float).reshape(P.size, -1)
         self.rb_bar = np.asarray(self.rb_bar, dtype=float).reshape(P.size)
 
-    def rate_slopes(self) -> np.ndarray:
-        return np.array([top_half_slope(self.P_grid, self.rates[:, k])
-                         for k in range(self.rates.shape[1])])
-
-    def load_slope(self) -> float:
-        return top_half_slope(self.P_grid, self.rb_bar)
-
 
 def optimal_tradeoff(alpha) -> float:
     """Best per-user degrees of freedom at backhaul load slope alpha."""
@@ -74,7 +67,7 @@ def optimal_tradeoff(alpha) -> float:
 
 
 def _square_gains(H):
-    h = _as_gain_array(H)
+    h = np.asarray(H, dtype=np.complex128)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ParameterError(f"need a square gain matrix, got shape {h.shape}")
     return h
@@ -109,14 +102,12 @@ def tx_sum_upper_bound(H, P, Rb_bar) -> float:
     return total + K * float(Rb_bar)
 
 
-def normalized_bound_slope(bound_fn, H, alpha, P_grid=None) -> float:
+def normalized_bound_slope(bound_fn, H, alpha, P_grid) -> float:
     """Slope of a sum-rate bound with backhaul load alpha*log2(P), fitted
     over the top half of the grid and normalized by 2K log2(P); converges to
     (1+alpha)/2."""
     h = _square_gains(H)
     K = h.shape[0]
-    if P_grid is None:
-        P_grid = np.logspace(6, 12, 8)
     P_grid = np.asarray(P_grid, dtype=float)
     if P_grid.size < 4:
         raise ParameterError("bound slope fit needs at least 4 grid points")
@@ -209,9 +200,9 @@ def lemma1_check(K, n, P_vec=None, trials=100, rng_seed=0) -> Lemma1Report:
 # ============================================================
 
 
-def illustrating_example(gamma, base_H=None, P_grid=None, rng_seed=0) -> RateReport:
-    """Rate-level walkthrough of the three-message chain on a channel with
-    h31 = gamma*h21 and h33 = gamma*h23.
+def illustrating_example(gamma, h, P_grid) -> RateReport:
+    """Rate-level walkthrough of the three-message chain on the gains h
+    forced to h31 = gamma*h21 and h33 = gamma*h23.
 
     Receiver 3 forwards its quantized observation so receiver 2 can cancel
     all interference in one subtraction; receiver 2, knowing its symbol,
@@ -223,16 +214,8 @@ def illustrating_example(gamma, base_H=None, P_grid=None, rng_seed=0) -> RateRep
     """
     if gamma == 0:
         raise ParameterError("gamma must be nonzero")
-    if P_grid is None:
-        P_grid = np.logspace(3, 7, 5)
     P_grid = np.asarray(P_grid, dtype=float)
-    if base_H is None:
-        ch = ChannelMatrix.illustrating(gamma, np.random.default_rng(rng_seed))
-        h = ch.h
-    else:
-        h = _as_gain_array(base_H).copy()
-        h[2, 0] = gamma * h[1, 0]
-        h[2, 2] = gamma * h[1, 2]
+    h = illustrating_gains(gamma, h)
     if np.abs(h).min() == 0:
         raise GenericityError("example needs all gains nonzero")
 
@@ -293,14 +276,12 @@ def _budget_report(symbols_per_user, N, eps, P_grid, load_spans_cube):
     return RateReport(P_grid=P_grid, rates=rates, rb_bar=rb)
 
 
-def centralized_report(channel, P_grid=None) -> RateReport:
+def centralized_report(h, P_grid) -> RateReport:
     """Rate-level hub model: receivers 2..K forward unit-distortion
     quantized observations to receiver 1, which inverts the channel and
     ships each decoded message back."""
-    h = _square_gains(channel)
+    h = _square_gains(h)
     K = h.shape[0]
-    if P_grid is None:
-        P_grid = np.logspace(4, 10, 7)
     P_grid = np.asarray(P_grid, dtype=float)
     hinv = np.linalg.inv(h)
     # after inversion: unit receiver noise plus unit quantization noise on
@@ -317,13 +298,11 @@ def centralized_report(channel, P_grid=None) -> RateReport:
     return RateReport(P_grid=P_grid, rates=rates, rb_bar=rb)
 
 
-def tdma_report(channel, P_grid=None) -> RateReport:
+def tdma_report(h, P_grid) -> RateReport:
     """No-cooperation baseline: each user active 1/K of the time at K times
     the power, zero backhaul."""
-    h = _square_gains(channel)
+    h = _square_gains(h)
     K = h.shape[0]
-    if P_grid is None:
-        P_grid = np.logspace(4, 10, 7)
     P_grid = np.asarray(P_grid, dtype=float)
     rates = np.zeros((P_grid.size, K))
     for i, P in enumerate(P_grid):

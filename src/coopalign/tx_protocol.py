@@ -31,40 +31,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backhaul import BackhaulLedger, NodeState, Step, run_round
-from .errors import ProtocolError, SingularChannelError
-from .lattice import ObservationTable, _as_gain_array, monomial_table
+from .errors import SingularChannelError
+from .lattice import ObservationTable, monomial_table, stream_params
 
 
 DET_FLOOR = 1e-12             # smallest accepted |det h|
 INVERSE_TOL = 1e-9            # largest accepted max|h @ hinv - I|
 
 
-@dataclass(eq=False)
-class InverseChannel:
-    """Channel inverse with an explicit invertibility certificate."""
-
-    h: np.ndarray
-    hinv: np.ndarray
-    product_residual: float
-
-    @classmethod
-    def of(cls, channel):
-        h = _as_gain_array(channel)
-        if h.shape != (3, 3):
-            raise SingularChannelError(f"need a 3x3 gain matrix, got {h.shape}")
-        det = np.linalg.det(h)
-        if abs(det) <= DET_FLOOR:
-            raise SingularChannelError(
-                f"gain matrix determinant {abs(det):.3g} below threshold")
-        try:
-            hinv = np.linalg.inv(h)
-        except np.linalg.LinAlgError as exc:
-            raise SingularChannelError(f"gain matrix not invertible: {exc}") from exc
-        resid = float(np.abs(h @ hinv - np.eye(3)).max())
-        if not np.isfinite(resid) or resid > INVERSE_TOL:
-            raise SingularChannelError(
-                f"gain matrix too close to singular: inverse residual {resid:.3g}")
-        return cls(h=h, hinv=hinv, product_residual=resid)
+def channel_inverse(h) -> np.ndarray:
+    """Inverse of the 3x3 gain matrix h, certified by its determinant and by
+    the residual max|h @ hinv - I|; raises SingularChannelError otherwise."""
+    if h.shape != (3, 3):
+        raise SingularChannelError(f"need a 3x3 gain matrix, got {h.shape}")
+    det = np.linalg.det(h)
+    if abs(det) <= DET_FLOOR:
+        raise SingularChannelError(
+            f"gain matrix determinant {abs(det):.3g} below threshold")
+    try:
+        hinv = np.linalg.inv(h)
+    except np.linalg.LinAlgError as exc:
+        raise SingularChannelError(f"gain matrix not invertible: {exc}") from exc
+    resid = float(np.abs(h @ hinv - np.eye(3)).max())
+    if not np.isfinite(resid) or resid > INVERSE_TOL:
+        raise SingularChannelError(
+            f"gain matrix too close to singular: inverse residual {resid:.3g}")
+    return hinv
 
 
 # terms: (sign, table, ((coordinate, shift), ...), slab offset); offset 0 is
@@ -96,12 +88,7 @@ TX_STEPS = (
 
 def transmitter_nodes(all_streams):
     """Fresh transmitter states holding each user's own symbols."""
-    a, b, c = all_streams
-    if (a.owner, b.owner, c.owner) != (1, 2, 3):
-        raise ProtocolError("streams must be given in user order (1, 2, 3)")
-    if not (a.n == b.n == c.n and a.q == b.q == c.q):
-        raise ProtocolError("streams must share lattice depth and half-width")
-    n, q = a.n, a.q
+    n, q = stream_params(all_streams)
     return {m: NodeState(node=m, q=q, bound=3 * q, slab_coord=(2, 1),
                          store="built",
                          tables={"own": all_streams[m - 1].values,
@@ -123,8 +110,8 @@ class TxProtocolResult:
 
 def run_tx_backhaul(all_streams) -> TxProtocolResult:
     """Run the full (N+1)-round transmitter exchange on one time slot."""
+    n, q = stream_params(all_streams)
     nodes = transmitter_nodes(all_streams)
-    n, q = all_streams[0].n, all_streams[0].q
     ledger = BackhaulLedger()
     for r in range(1, n + 2):
         tx_round(nodes, r, ledger)
@@ -154,7 +141,7 @@ class DiagonalizationCheck:
         return self.residual <= 1e-9
 
 
-def verify_diagonalization(all_streams, built, channel, P) -> DiagonalizationCheck:
+def verify_diagonalization(all_streams, built, h, P) -> DiagonalizationCheck:
     """Check that inversion-precoded transmission of the built combination
     cubes at average power P hands each receiver only its own symbols.
 
@@ -163,16 +150,15 @@ def verify_diagonalization(all_streams, built, channel, P) -> DiagonalizationChe
     signal magnitude, so it measures how exactly the cross-user carriers
     telescope away.
     """
-    inv = InverseChannel.of(channel)
-    carriers = monomial_table(inv.hinv, all_streams[0].n + 1)
+    hinv = channel_inverse(h)
+    carriers = monomial_table(hinv, all_streams[0].n + 1)
     raw = np.array([np.sum(carriers * t.values) for t in built])
     del carriers
     # scale the realised samples to average power P
     mean_pow = float(np.mean(np.abs(raw) ** 2))
     scale = float(np.sqrt(P / mean_pow)) if mean_pow > 0 else 1.0
     x = scale * raw
-    h = inv.h
-    carriers = monomial_table(inv.hinv, all_streams[0].n)
+    carriers = monomial_table(hinv, all_streams[0].n)
     predicted = scale * np.array(
         [np.sum(carriers * s.values) for s in all_streams], dtype=np.complex128)
     # fall back to pre-cancellation mass when the predicted signal is zero

@@ -8,14 +8,16 @@ bug in the window arithmetic cannot hide in both sides of a comparison.
 
 import cmath
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from coopalign.harness import config_from_dict, run_trial
-from coopalign.lattice import (GENERIC_TOL, ChannelMatrix, SubstreamTable,
-                               monomial_table, require_generic)
+from coopalign.lattice import (GENERIC_TOL, SubstreamTable, monomial_table,
+                               random_gains, require_generic)
 from coopalign.tradeoff import top_half_slope
 
 
@@ -100,15 +102,31 @@ def oracle_nearest_point(y, points):
 def make_generic_channel(rng, n=2, max_cond=50.0):
     """Random channel passing the genericity screen with bounded condition."""
     for _ in range(64):
-        ch = ChannelMatrix.random(rng)
-        if np.linalg.cond(ch.h) > max_cond:
+        h = random_gains(rng)
+        if np.linalg.cond(h) > max_cond:
             continue
         try:
-            require_generic(ch, n)
+            require_generic(h, n)
         except Exception:
             continue
-        return ch
+        return h
     raise RuntimeError("no generic channel found in 64 draws")
+
+
+def save_config(config, path):
+    """Write a config as the JSON file `coopalign --config` reads."""
+    Path(path).write_text(json.dumps(config.as_json_dict(), indent=2) + "\n")
+
+
+def rate_slopes(report):
+    """Per-user rate slopes of a RateReport over the top half of its grid."""
+    return np.array([top_half_slope(report.P_grid, report.rates[:, k])
+                     for k in range(report.rates.shape[1])])
+
+
+def load_slope(report):
+    """Backhaul load slope of a RateReport over the top half of its grid."""
+    return top_half_slope(report.P_grid, report.rb_bar)
 
 
 def trial_point(raw):

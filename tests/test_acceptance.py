@@ -10,13 +10,13 @@ import time
 
 import numpy as np
 
-from conftest import make_generic_channel, trial_point
+from conftest import load_slope, make_generic_channel, rate_slopes, trial_point
 from coopalign import rx_protocol
 from coopalign.detection import ReducedSpec, reduced_error_sweep
 from coopalign.errors import ProtocolError
 from coopalign.harness import config_from_dict, run_experiment
-from coopalign.lattice import (ChannelMatrix, SubstreamTable,
-                               exact_observations, require_generic)
+from coopalign.lattice import (SubstreamTable, exact_observations,
+                               random_gains, require_generic)
 from coopalign.rx_protocol import run_rx_protocol
 from coopalign.rx_protocol import expected_symbol_count as rx_count
 from coopalign.tradeoff import (centralized_report, illustrating_example,
@@ -64,8 +64,8 @@ def test_c01_rx_recovery():
     t0 = time.monotonic()
     for n in (1, 2, 3):
         for _ in range(100):
-            ch = ChannelMatrix.random(rng)
-            require_generic(ch, n)
+            h = random_gains(rng)
+            require_generic(h, n)
             streams = tuple(SubstreamTable.random(i, n, 5, rng)
                             for i in (1, 2, 3))
             res = run_rx_protocol(streams)
@@ -115,9 +115,12 @@ def test_c04_operating_points():
         _, _, alpha, dof = trial_point({"scheme": scheme, "N": 2, "eps": 0.01})
         points.append((alpha, dof))
     ch = make_generic_channel(rng, n=1)
-    for report in (centralized_report(ch.h), tdma_report(ch.h),
-                   illustrating_example(1.5 + 0.5j, rng_seed=9)):
-        points.append((report.load_slope(), report.rate_slopes().mean()))
+    for report in (centralized_report(ch, np.logspace(4, 10, 7)),
+                   tdma_report(ch, np.logspace(4, 10, 7)),
+                   illustrating_example(1.5 + 0.5j,
+                                        random_gains(np.random.default_rng(9)),
+                                        np.logspace(3, 7, 5))):
+        points.append((load_slope(report), rate_slopes(report).mean()))
     for alpha, dof in points:
         assert dof <= optimal_tradeoff(alpha) + 0.02, (alpha, dof)
     cen_alpha, cen_dof = points[2]
@@ -136,7 +139,7 @@ def test_c05_bound_slopes():
     for alpha in (0.0, 0.5, 1.0):
         want = optimal_tradeoff(alpha)
         for fn in (rx_sum_upper_bound, tx_sum_upper_bound):
-            got = normalized_bound_slope(fn, ch.h, alpha, grid)
+            got = normalized_bound_slope(fn, ch, alpha, grid)
             assert abs(got - want) <= 0.01 * want, (fn.__name__, alpha, got)
 
 
@@ -153,11 +156,12 @@ def test_c06_entropy_inequality():
 
 
 def test_c07_illustrating_example():
-    rep = illustrating_example(1.5 + 0.5j, P_grid=np.logspace(3, 7, 5),
-                               rng_seed=7)
-    for s in rep.rate_slopes():
+    rep = illustrating_example(1.5 + 0.5j,
+                               random_gains(np.random.default_rng(7)),
+                               np.logspace(3, 7, 5))
+    for s in rate_slopes(rep):
         assert abs(s - 1.0) <= 0.1
-    assert abs(rep.load_slope() - 1.0) <= 0.1
+    assert abs(load_slope(rep) - 1.0) <= 0.1
 
 
 def test_c08_reduced_ml():

@@ -3,9 +3,9 @@ import pytest
 
 from conftest import make_generic_channel
 from coopalign.detection import (ReducedSpec, candidate_tables,
-                                 ml_detect_reduced, ml_detect_reduced_batch,
-                                 reduced_carriers, reduced_error_sweep,
-                                 reduced_power_scale, reduced_signal)
+                                 ml_detect_reduced, reduced_carriers,
+                                 reduced_error_sweep, reduced_power_scale,
+                                 reduced_signal)
 from coopalign.errors import MLBudgetError
 
 
@@ -30,12 +30,12 @@ class TestReduced:
         np.testing.assert_array_equal(cands[-1], [3, 3, 3, 3])
 
     def test_carriers_match_direct_products(self, rng):
-        ch = make_generic_channel(rng, n=1)
-        carr = reduced_carriers(self.SPEC, ch)
+        h = make_generic_channel(rng, n=1)
+        carr = reduced_carriers(self.SPEC, h)
         labels = self.SPEC.labels()
         assert labels[0] == (1, 1)
         for k, (e0, e1) in enumerate(labels):
-            want = ch.h[0, 0] ** e0 * ch.h[1, 1] ** e1
+            want = h[0, 0] ** e0 * h[1, 1] ** e1
             assert abs(carr[k] - want) <= 1e-12 * abs(want)
 
     def test_noiseless_detection_exact(self, rng):
@@ -43,10 +43,10 @@ class TestReduced:
         gamma = reduced_power_scale(self.SPEC, ch, 1e4)
         tables = rng.integers(-3, 4, size=(40, 4), dtype=np.int64)
         ys = [reduced_signal(t, self.SPEC, ch, gamma) for t in tables]
-        det = ml_detect_reduced_batch(np.asarray(ys), self.SPEC, ch, gamma)
+        det = ml_detect_reduced(ys, self.SPEC, ch, gamma)
         np.testing.assert_array_equal(det, tables)
-        one = ml_detect_reduced(ys[0], self.SPEC, ch, gamma)
-        np.testing.assert_array_equal(one, tables[0])
+        one = ml_detect_reduced([ys[0]], self.SPEC, ch, gamma)
+        np.testing.assert_array_equal(one, tables[:1])
 
     def test_error_rate_decreases_with_power(self, rng):
         ch = make_generic_channel(rng, n=1)

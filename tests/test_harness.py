@@ -7,11 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import save_config
 from coopalign.cli import main as cli_main
 from coopalign.errors import ConfigError, GenericityError, ProtocolError
 from coopalign.harness import (CSV_COLUMNS, ExperimentConfig, config_from_dict,
-                               load_config, run_experiment, run_trial,
-                               save_config)
+                               load_config, run_experiment, run_trial)
+
+
+FIXED_GAINS = [[[1.0, 0.2], [0.5, -0.1], [0.3, 0.4]],
+               [[-0.7, 0.9], [1.1, 0.0], [0.2, -0.3]],
+               [[0.4, 0.4], [-0.2, 0.6], [0.9, -0.5]]]
 
 
 def _cfg(**kw):
@@ -364,13 +369,27 @@ class TestRunExperiment:
         assert manifest.status == "complete"
 
     def test_fixed_channel_repeats_across_trials(self, tmp_path):
-        h = [[[1.0, 0.2], [0.5, -0.1], [0.3, 0.4]],
-             [[-0.7, 0.9], [1.1, 0.0], [0.2, -0.3]],
-             [[0.4, 0.4], [-0.2, 0.6], [0.9, -0.5]]]
-        cfg = _cfg(scheme="tdma", channel_mode="fixed", fixed_channel=h,
-                   trials=2, output_dir=str(tmp_path / "run"))
+        cfg = _cfg(scheme="tdma", channel_mode="fixed",
+                   fixed_channel=FIXED_GAINS, trials=2,
+                   output_dir=str(tmp_path / "run"))
         manifest = run_experiment(cfg)
-        assert manifest.channels[0] == manifest.channels[1] == h
+        assert manifest.channels[0] == manifest.channels[1] == FIXED_GAINS
+
+    def test_illustrating_example_lists_forced_fixed_channel(self, tmp_path):
+        # the manifest lists the proportional gains the rates were computed
+        # on, not the unforced fixed gains; results.csv is the one written
+        # while the manifest still listed the unforced gains
+        cfg = _cfg(scheme="illustrating-example", channel_mode="fixed",
+                   fixed_channel=FIXED_GAINS, trials=2,
+                   output_dir=str(tmp_path / "run"))
+        manifest = run_experiment(cfg)
+        h = np.array(manifest.channels[0]) @ [1, 1j]
+        assert h[2, 0] == pytest.approx(cfg.gamma * h[1, 0], rel=1e-15)
+        assert h[2, 2] == pytest.approx(cfg.gamma * h[1, 2], rel=1e-15)
+        digest = hashlib.sha256(
+            (tmp_path / "run" / "results.csv").read_bytes()).hexdigest()
+        assert digest == \
+            "658218ee0e94c3f66b28768fa0001171486214218b4322c51f491d3779abe4e7"
 
 
 # sha256 of the deterministic backhaul trace, recorded before the rx and tx

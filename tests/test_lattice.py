@@ -6,23 +6,29 @@ import pytest
 from conftest import (oracle_channel_is_generic, oracle_monomial,
                       oracle_observations)
 from coopalign.errors import GenericityError, ParameterError, SymbolRangeError
-from coopalign.lattice import (ChannelMatrix, ObservationTable, SubstreamTable,
+from coopalign.lattice import (ObservationTable, SubstreamTable,
                                channel_is_generic, complex_awgn,
-                               exact_observations, monomial_table,
-                               require_generic)
+                               exact_observations, illustrating_gains,
+                               monomial_table, random_gains, require_generic)
 
 
 def test_channel_matrix_shapes(rng):
-    ch = ChannelMatrix.random(rng)
-    assert ch.h.shape == (3, 3)
-    assert ch.h.dtype == np.complex128
+    h = random_gains(rng)
+    assert h.shape == (3, 3)
+    assert h.dtype == np.complex128
 
 
 def test_illustrating_channel_structure(rng):
     g = 1.25 - 0.5j
-    ch = ChannelMatrix.illustrating(g, rng)
-    assert ch.h[2, 0] == g * ch.h[1, 0]
-    assert ch.h[2, 2] == g * ch.h[1, 2]
+    base = random_gains(rng)
+    h = illustrating_gains(g, base)
+    assert h[2, 0] == g * h[1, 0]
+    assert h[2, 2] == g * h[1, 2]
+    # a copy: only the two forced entries differ from the input
+    forced = np.zeros((3, 3), dtype=bool)
+    forced[2, 0] = forced[2, 2] = True
+    np.testing.assert_array_equal(h[~forced], base[~forced])
+    assert not np.array_equal(h, base)
 
 
 def test_complex_awgn_unit_variance(rng):
@@ -32,36 +38,49 @@ def test_complex_awgn_unit_variance(rng):
 
 
 class TestTables:
-    def test_substream_alphabet_guard(self, rng):
-        bad = np.full((1,) * 9, 7, dtype=np.int64)
-        with pytest.raises(SymbolRangeError):
-            SubstreamTable(owner=1, n=1, q=5, values=bad)
+    # q = 5: a stream symbol lies in +-q, an observation in +-3q
+    @pytest.mark.parametrize("value", [5, -5, 6, -6],
+                             ids=["q", "-q", "q+1", "-(q+1)"])
+    def test_substream_alphabet_guard(self, value):
+        values = np.zeros((1,) * 9, dtype=np.int64)
+        values[(0,) * 9] = value
+        if abs(value) > 5:
+            with pytest.raises(SymbolRangeError):
+                SubstreamTable(owner=1, n=1, q=5, values=values)
+        else:
+            SubstreamTable(owner=1, n=1, q=5, values=values)
 
-    def test_observation_range_guard(self):
-        bad = np.full((2,) * 9, 16, dtype=np.int64)
-        with pytest.raises(SymbolRangeError):
-            ObservationTable(receiver=1, n=1, values=bad, q=5)
+    @pytest.mark.parametrize("value", [15, -15, 16, -16],
+                             ids=["3q", "-3q", "3q+1", "-(3q+1)"])
+    def test_observation_range_guard(self, value):
+        values = np.zeros((2,) * 9, dtype=np.int64)
+        values[(1,) * 9] = value
+        if abs(value) > 15:
+            with pytest.raises(SymbolRangeError):
+                ObservationTable(receiver=1, n=1, values=values, q=5)
+        else:
+            ObservationTable(receiver=1, n=1, values=values, q=5)
 
 
 class TestMonomials:
     def test_monomial_table_agrees_pointwise(self, rng):
-        ch = ChannelMatrix.random(rng)
-        table = monomial_table(ch, 2)
+        h = random_gains(rng)
+        table = monomial_table(h, 2)
         for lab in itertools.product(range(1, 3), repeat=9):
             got = table[tuple(c - 1 for c in lab)]
-            want = oracle_monomial(ch.h, lab)
+            want = oracle_monomial(h, lab)
             assert abs(got - want) <= 1e-9 * abs(want)
         # exponents up to 3, from a depth-3 table
-        deep = monomial_table(ch, 3)
+        deep = monomial_table(h, 3)
         for lab in ((2, 1, 3, 1, 1, 2, 1, 1, 1), (3,) * 9):
-            want = oracle_monomial(ch.h, lab)
+            want = oracle_monomial(h, lab)
             got = deep[tuple(c - 1 for c in lab)]
             assert abs(got - want) <= 1e-9 * abs(want)
 
 
 class TestGenericity:
     def test_random_channels_pass(self, rng):
-        hits = sum(channel_is_generic(ChannelMatrix.random(rng), 1)
+        hits = sum(channel_is_generic(random_gains(rng), 1)
                    for _ in range(20))
         assert hits >= 18
 
@@ -75,7 +94,7 @@ class TestGenericity:
     def test_screen_matches_oracle_on_random_channels(self, n, draws):
         rng = np.random.default_rng(np.random.SeedSequence(606 + n))
         for _ in range(draws):
-            h = ChannelMatrix.random(rng).h
+            h = random_gains(rng)
             assert channel_is_generic(h, n) == oracle_channel_is_generic(h, n)
 
     @pytest.mark.parametrize("values,verdict", [
@@ -100,7 +119,7 @@ class TestGenericity:
         assert oracle_channel_is_generic(h, 1) == verdict
 
     def test_screen_matches_oracle_on_constructed_channels(self):
-        h = ChannelMatrix.random(np.random.default_rng(607)).h
+        h = random_gains(np.random.default_rng(607))
 
         def edit(at, value):
             g = h.copy()
@@ -152,12 +171,12 @@ class TestObservations:
     def test_physical_receive_equals_integer_reconstruction(self, rng):
         # y_i from complex superposition == carrier-weighted integer table
         streams = tuple(SubstreamTable.random(i, 1, 5, rng) for i in (1, 2, 3))
-        ch = ChannelMatrix.random(rng)
+        h = random_gains(rng)
         gamma = 1e3                         # any common transmit scale
-        x = np.array([gamma * np.sum(monomial_table(ch, 1) * s.values)
+        x = np.array([gamma * np.sum(monomial_table(h, 1) * s.values)
                       for s in streams])
-        y = ch.h @ x
+        y = h @ x
         obs = exact_observations(streams)
         for i in range(3):
-            recon = gamma * np.sum(monomial_table(ch, 2) * obs[i].values)
+            recon = gamma * np.sum(monomial_table(h, 2) * obs[i].values)
             assert abs(y[i] - recon) <= 1e-9 * max(abs(y[i]), 1.0)

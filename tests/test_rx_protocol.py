@@ -19,7 +19,7 @@ def _streams(rng, n, q=5):
 
 
 def _fresh_nodes(streams):
-    return receiver_nodes(exact_observations(streams), streams[0].q)
+    return receiver_nodes(exact_observations(streams))
 
 
 def _digest(values):
@@ -67,7 +67,9 @@ class TestRecovery:
         assert all(m.length == n ** 8 for m in res.ledger.messages)
 
     def test_zero_streams_zero_traffic(self):
-        streams = tuple(SubstreamTable.zeros(i, 2, 5) for i in (1, 2, 3))
+        zeros = np.zeros((2,) * 9, dtype=np.int64)
+        streams = tuple(SubstreamTable(owner=i, n=2, q=5, values=zeros)
+                        for i in (1, 2, 3))
         res = run_rx_protocol(streams)
         for i in range(3):
             assert not res.recovered[i].any()
@@ -167,7 +169,7 @@ class TestStateMachine:
     ])
     def test_strict_mode_flags_inconsistent_subtraction(self, rng, delta,
                                                         where, text):
-        nodes = receiver_nodes(_corrupted_tables(_streams(rng, 2), delta), 5)
+        nodes = receiver_nodes(_corrupted_tables(_streams(rng, 2), delta))
         with pytest.raises(ProtocolError, match=text) as err:
             for r in range(2):
                 _rx_round(nodes, r, 2)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_generic_channel, trial_point
+from conftest import load_slope, make_generic_channel, rate_slopes, trial_point
 from coopalign.errors import GenericityError, ParameterError
+from coopalign.lattice import random_gains
 from coopalign.tradeoff import (Lemma1Report, RateReport, centralized_report,
                                 illustrating_example, lemma1_check,
                                 normalized_bound_slope, optimal_tradeoff,
@@ -69,8 +70,8 @@ class TestRateReport:
 
     def test_slopes_exact_on_linear_data(self):
         rep = self._report()
-        np.testing.assert_allclose(rep.rate_slopes(), 0.25, rtol=1e-12)
-        assert rep.load_slope() == pytest.approx(0.5)
+        np.testing.assert_allclose(rate_slopes(rep), 0.25, rtol=1e-12)
+        assert load_slope(rep) == pytest.approx(0.5)
 
     def test_grid_validation(self):
         with pytest.raises(ParameterError):
@@ -105,14 +106,14 @@ class TestBounds:
     def test_normalized_slope_tracks_optimal(self, rng, alpha):
         ch = make_generic_channel(rng, n=1)
         for fn in (rx_sum_upper_bound, tx_sum_upper_bound):
-            s = normalized_bound_slope(fn, ch.h, alpha)
+            s = normalized_bound_slope(fn, ch, alpha, np.logspace(6, 12, 8))
             assert abs(s - optimal_tradeoff(alpha)) <= 1e-2
 
     def test_slope_grid_validation(self, rng):
         ch = make_generic_channel(rng, n=1)
         with pytest.raises(ParameterError):
-            normalized_bound_slope(rx_sum_upper_bound, ch.h, 0.0,
-                                   P_grid=[1e2, 1e4, 1e6])
+            normalized_bound_slope(rx_sum_upper_bound, ch, 0.0,
+                                   [1e2, 1e4, 1e6])
 
 
 class TestLemma1:
@@ -140,27 +141,32 @@ class TestLemma1:
 
 
 class TestIllustratingExample:
+    GRID = np.logspace(3, 7, 5)
+
     def test_slopes_near_one(self):
-        rep = illustrating_example(1.5 + 0.5j, rng_seed=4)
+        h = random_gains(np.random.default_rng(4))
+        rep = illustrating_example(1.5 + 0.5j, h, self.GRID)
         assert rep.rates.shape == (5, 3)
-        for s in rep.rate_slopes():
+        for s in rate_slopes(rep):
             assert abs(s - 1.0) <= 0.1
-        assert abs(rep.load_slope() - 1.0) <= 0.1
+        assert abs(load_slope(rep) - 1.0) <= 0.1
 
     def test_zero_gamma_rejected(self):
         with pytest.raises(ParameterError):
-            illustrating_example(0.0)
+            illustrating_example(0.0, np.ones((3, 3), dtype=np.complex128),
+                                 self.GRID)
 
     def test_zero_gain_rejected(self):
         h = np.ones((3, 3), dtype=np.complex128)
         h[0, 1] = 0.0
         with pytest.raises(GenericityError):
-            illustrating_example(2.0, base_H=h)
+            illustrating_example(2.0, h, self.GRID)
 
     def test_degenerate_coefficients_rejected(self):
         # all-ones gains cancel the first decode coefficient exactly
         with pytest.raises(GenericityError):
-            illustrating_example(1.0, base_H=np.ones((3, 3)))
+            illustrating_example(1.0, np.ones((3, 3), dtype=np.complex128),
+                                 self.GRID)
 
 
 def _assert_scheme_point(scheme, N, value):
@@ -186,12 +192,12 @@ class TestSchemeReports:
 
     def test_centralized_report_limits(self, rng):
         ch = make_generic_channel(rng, n=1)
-        rep = centralized_report(ch.h)
-        assert abs(rep.load_slope() - 4.0 / 3.0) <= 0.05 * 4.0 / 3.0
-        assert abs(rep.rate_slopes().mean() - 1.0) <= 0.05
+        rep = centralized_report(ch, np.logspace(4, 10, 7))
+        assert abs(load_slope(rep) - 4.0 / 3.0) <= 0.05 * 4.0 / 3.0
+        assert abs(rate_slopes(rep).mean() - 1.0) <= 0.05
 
     def test_tdma_report_limits(self, rng):
         ch = make_generic_channel(rng, n=1)
-        rep = tdma_report(ch.h)
-        assert rep.load_slope() == 0.0
-        assert abs(rep.rate_slopes().mean() - 1.0 / 3.0) <= 0.02
+        rep = tdma_report(ch, np.logspace(4, 10, 7))
+        assert load_slope(rep) == 0.0
+        assert abs(rate_slopes(rep).mean() - 1.0 / 3.0) <= 0.02
