@@ -132,15 +132,26 @@ def channel_is_generic(h, n):
     powers of sub-unit gains shrink below it, so closeness is measured
     relative to the magnitudes involved.
 
-    After a stable sort by real part, entry i is compared with i+1, i+2, ...
-    while the real-part gap stays within a window taken from the (i, i+1)
-    pair.  All i advance together, one offset k per pass, and an i leaves
-    the pass set as soon as its window closes.
+    A channel with a non-finite carrier (a nan or inf gain, or a power that
+    overflows) is not generic.
+
+    The carriers are ordered by real part; entries with exactly equal real
+    parts keep their table order (the stable order).  Entry i is compared
+    with i+1, i+2, ... while the real-part gap stays within a window taken
+    from the (i, i+1) pair.  All i advance together, one offset k per pass,
+    and an i leaves the pass set as soon as its window closes.
     """
     if np.abs(h).min() <= GENERIC_TOL:
         return False
-    vals = monomial_table(h, n + 1).ravel()
-    sv = vals[np.argsort(vals.real, kind="stable")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = monomial_table(h, n + 1).ravel()
+    if not np.isfinite(vals).all():
+        return False
+    # without an exact tie every sort gives the same order, and the default
+    # one is several times faster than the stable one
+    sv = vals[np.argsort(vals.real)]
+    if np.any(sv.real[1:] == sv.real[:-1]):
+        sv = vals[np.argsort(vals.real, kind="stable")]
     del vals
     size, re = len(sv), sv.real
     span = _pair_tol(sv[:-1], sv[1:])

@@ -118,6 +118,36 @@ class TestGenericity:
         assert channel_is_generic(h, 1) == verdict
         assert oracle_channel_is_generic(h, 1) == verdict
 
+    def test_exact_tie_takes_stable_order(self, monkeypatch):
+        import conftest
+        import coopalign.lattice as lattice
+
+        # a and b have bit-equal real parts.  In table order (a, b, c) the
+        # window of a closes before c, so the verdict is True; in the order
+        # (b, a, c) the pair (a, c) is compared and lies within tolerance.
+        ties = [1 + 100j, 1 + 0j, 1.00000007 + 100j]
+        # descending filler far from the ties; the default sort then puts
+        # b before a, so only the stable fallback gives the table order
+        values = np.array([*np.arange(41.0, 9.0, -1.0), *ties])
+        a = len(values) - 3
+        order = list(np.argsort(values.real))
+        assert order.index(a) > order.index(a + 1)
+
+        def table(h, upper):
+            return values.copy()
+
+        monkeypatch.setattr(lattice, "monomial_table", table)
+        monkeypatch.setattr(conftest, "monomial_table", table)
+        h = np.ones((3, 3), dtype=np.complex128)
+        assert channel_is_generic(h, 1) is True
+        assert oracle_channel_is_generic(h, 1) is True
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
+    def test_non_finite_carrier_fails(self, value):
+        h = random_gains(np.random.default_rng(608))
+        h[0, 0] = value
+        assert channel_is_generic(h, 1) is False
+
     def test_screen_matches_oracle_on_constructed_channels(self):
         h = random_gains(np.random.default_rng(607))
 
