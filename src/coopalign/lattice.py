@@ -154,24 +154,32 @@ def channel_is_generic(h, n):
         sv = vals[np.argsort(vals.real, kind="stable")]
     del vals
     size, re = len(sv), sv.real
-    span = _pair_tol(sv[:-1], sv[1:])
-    i = np.flatnonzero(re[1:] - re[:-1] <= span)
-    k = 1
-    while i.size:
-        a, b = sv[i], sv[i + k]
-        if np.any(np.abs(b - a) <= _pair_tol(a, b)):
-            return False
-        i = i[i + k + 1 < size]
-        i = i[re[i + k + 1] - re[i] <= span[i]]
-        k += 1
+    # a difference of finite carriers may overflow; as an infinite gap or
+    # distance it correctly makes that pair not close
+    with np.errstate(over="ignore"):
+        span = _pair_tol(sv[:-1], sv[1:])
+        i = np.flatnonzero(re[1:] - re[:-1] <= span)
+        k = 1
+        while i.size:
+            a, b = sv[i], sv[i + k]
+            if np.any(np.abs(b - a) <= _pair_tol(a, b)):
+                return False
+            i = i[i + k + 1 < size]
+            i = i[re[i + k + 1] - re[i] <= span[i]]
+            k += 1
     return True
 
 
 def _pair_tol(a, b):
-    """GENERIC_TOL * max(0.5 * (|a| + |b|), 1e-300) elementwise, in one buffer."""
-    tol = np.abs(a)
-    tol += np.abs(b)
+    """GENERIC_TOL * max(0.5 * (|a| + |b|), 1e-300) elementwise, in one buffer.
+
+    Each magnitude is halved before the add, so two finite magnitudes give a
+    finite sum; that equals half the sum unless a half is subnormal.
+    """
+    tol, half = np.abs(a), np.abs(b)
     tol *= 0.5
+    half *= 0.5
+    tol += half
     np.maximum(tol, 1e-300, out=tol)
     tol *= GENERIC_TOL
     return tol

@@ -99,6 +99,26 @@ def oracle_nearest_point(y, points):
     return out
 
 
+def brute_nearest_point(y, points):
+    """The brute-force kernel the strip search replaced: squared distances
+    `(Δre)² + (Δim)²` to every candidate, 256 rows at a time, and an argmin,
+    so ties resolve to the smallest index."""
+    y = np.asarray(y, dtype=np.complex128)
+    points = np.asarray(points, dtype=np.complex128)
+    pr = np.ascontiguousarray(points.real)
+    pi = np.ascontiguousarray(points.imag)
+    out = np.empty(y.shape[0], dtype=np.int64)
+    for lo in range(0, y.shape[0], 256):
+        blk = y[lo:lo + 256]
+        d = blk.real[:, None] - pr
+        e = blk.imag[:, None] - pi
+        d *= d
+        e *= e
+        d += e
+        out[lo:lo + 256] = np.argmin(d, axis=1)
+    return out
+
+
 def make_generic_channel(rng, n=2, max_cond=50.0):
     """Random channel passing the genericity screen with bounded condition."""
     for _ in range(64):

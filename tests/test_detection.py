@@ -1,12 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from conftest import make_generic_channel
+from coopalign import _kernels
 from coopalign.detection import (ReducedSpec, candidate_tables,
                                  ml_detect_reduced, reduced_carriers,
                                  reduced_error_sweep, reduced_power_scale,
                                  reduced_signal)
 from coopalign.errors import MLBudgetError
+from coopalign.lattice import random_gains
 
 
 class TestReduced:
@@ -56,3 +60,30 @@ class TestReduced:
         noiseless = reduced_error_sweep(self.SPEC, ch, [1e2], trials=100,
                                         rng_seed=5, noisy=False)
         assert noiseless[0] == 0.0
+
+
+def test_sweep_picks_digest(monkeypatch):
+    """24,000 noisy detections (q_red 1 and 2, seeds 0-5, four power points,
+    500 trials each) pick exactly what the brute-force kernel picked."""
+    picks = []
+    kernel = _kernels.nearest_point
+
+    def record(y, points):
+        picks.append(kernel(y, points))
+        return picks[-1]
+
+    monkeypatch.setattr(_kernels, "nearest_point", record)
+    rates = []
+    for q_red in (1, 2):
+        spec = ReducedSpec(active_coords=((1, 1), (2, 2)), n_red=1, q_red=q_red)
+        for seed in range(6):
+            h = random_gains(np.random.default_rng(seed))
+            rates.append(reduced_error_sweep(spec, h, [1e2, 1e3, 1e4, 1e5],
+                                             trials=500, rng_seed=seed))
+    picks = np.concatenate(picks).astype(np.int64)
+    assert picks.size == 24_000
+    assert hashlib.sha256(picks.tobytes()).hexdigest() == \
+        "76616a53f08696597795d8f32a5d613d79484b039a3ac8f79342083191fb9302"
+    rates = np.concatenate(rates).astype(np.float64)
+    assert hashlib.sha256(rates.tobytes()).hexdigest() == \
+        "fd100cf9d6f24b2098a8c02d26579a578cb0c6c288b74e96488d27e0f5011370"

@@ -1,9 +1,11 @@
 import numpy as np
-from conftest import oracle_nearest_point
+import pytest
+from conftest import brute_nearest_point, oracle_nearest_point
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopalign import _kernels
+from coopalign.errors import ParameterError
 
 
 def _random_instance(rng, n_obs=700, n_pts=300):
@@ -18,12 +20,36 @@ def test_numpy_kernel_is_argmin(rng):
                                   oracle_nearest_point(y, points))
 
 
-def test_chunk_boundaries(rng):
-    # sizes around the broadcast chunk edge must not change results
-    for n in (255, 256, 257, 513):
-        y, points = _random_instance(rng, n_obs=n, n_pts=20)
-        np.testing.assert_array_equal(_kernels.nearest_point(y, points),
-                                      oracle_nearest_point(y, points))
+@pytest.mark.parametrize("pairs", [1, 7, 300, 1 << 18])
+def test_pair_blocks_split_anywhere(monkeypatch, rng, pairs):
+    # the strips are evaluated in blocks of about `pairs` pairs; a block
+    # edge anywhere, even inside one observation's strip, must not change a
+    # pick, and a strip larger than the block budget is a block on its own
+    monkeypatch.setattr(_kernels, "_PAIRS", pairs)
+    y, points = _random_instance(rng, n_obs=257, n_pts=400)
+    wide = np.concatenate([[20.0j], y])     # its strip holds every candidate
+    np.testing.assert_array_equal(_kernels.nearest_point(wide, points),
+                                  brute_nearest_point(wide, points))
+
+
+def test_strip_covers_a_rounded_down_gap():
+    # for p = -0.5, Re y - Re p = 2^53 + 0.5 rounds to 2^53, so p ties the
+    # real-part neighbour 2^53 (1 + 1j) at d = 2^106 while lying just below
+    # Re y - sqrt(d); 40 far candidates keep p out of the neighbours that
+    # set d0
+    y = np.array([2.0 ** 53 + 0j])
+    fill = np.arange(1.0, 41.0) + 1e20j
+    points = np.array([-0.5 + 0j, *fill, 2.0 ** 53 * (1 + 1j)])
+    assert _kernels.nearest_point(y, points)[0] == 0
+    assert brute_nearest_point(y, points)[0] == 0
+
+
+def test_strip_covers_squares_that_underflow():
+    # (1e-170)^2 underflows to 0, so both candidates lie at d = 0
+    y = np.array([0j])
+    points = np.array([1e-170 + 0j, 0j])
+    assert _kernels.nearest_point(y, points)[0] == 0
+    assert brute_nearest_point(y, points)[0] == 0
 
 
 def test_tie_break_smallest_index():
@@ -37,6 +63,61 @@ def test_dispatcher_runs():
     y = np.array([0.1 + 0.2j, -0.3 + 0.05j])
     points = np.array([0.0 + 0.0j, 0.1 + 0.2j, 1.0 + 1.0j])
     np.testing.assert_array_equal(_kernels.nearest_point(y, points), [1, 0])
+
+
+@pytest.mark.parametrize("where", ["y", "points"])
+@pytest.mark.parametrize("value", [complex(np.nan, 0.0), complex(0.0, np.inf),
+                                   complex(-np.inf, 1.0)])
+def test_non_finite_input_rejected(where, value):
+    args = {"y": np.array([0.5 + 0.5j, 1.0 + 0.0j]),
+            "points": np.array([0.0 + 0.0j, 1.0 + 1.0j, 2.0 + 0.0j])}
+    args[where][1] = value
+    with pytest.raises(ParameterError, match="finite"):
+        _kernels.nearest_point(args["y"], args["points"])
+
+
+def test_no_candidates_rejected():
+    with pytest.raises(ParameterError, match="candidate"):
+        _kernels.nearest_point(np.array([0.0j]), np.array([], dtype=np.complex128))
+
+
+_COORD = st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False)
+_POINT = st.builds(complex, _COORD, _COORD)
+_UNIT = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def _strip_layout(draw):
+    """Random float observations and candidates, in one of the layouts that
+    stress the strip: free, all candidates on one real part (the strip is
+    everything), duplicate candidates, observations far outside the
+    candidates' hull, and a single candidate."""
+    layout = draw(st.sampled_from(["free", "one_real", "duplicates", "far",
+                                   "single"]))
+    pts = draw(st.lists(_POINT, min_size=1,
+                        max_size=1 if layout == "single" else 40))
+    obs = draw(st.lists(_POINT, min_size=1, max_size=20))
+    if layout == "one_real":
+        re = draw(_COORD)
+        pts = [complex(re, p.imag) for p in pts]
+    elif layout == "duplicates":
+        dups = draw(st.lists(st.sampled_from(pts), min_size=1, max_size=20))
+        pts = draw(st.permutations(pts + dups))
+    elif layout == "far":
+        pts = draw(st.lists(st.builds(complex, _UNIT, _UNIT), min_size=1,
+                            max_size=40))
+        far = st.floats(2.0, 1e100) | st.floats(-1e100, -2.0)
+        obs = draw(st.lists(st.builds(complex, far, _COORD), min_size=1,
+                            max_size=20))
+    return np.array(obs, dtype=np.complex128), np.array(pts, dtype=np.complex128)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_strip_layout())
+def test_strip_matches_brute_force(inst):
+    y, points = inst
+    np.testing.assert_array_equal(_kernels.nearest_point(y, points),
+                                  brute_nearest_point(y, points))
 
 
 _GRID = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
@@ -65,8 +146,10 @@ def test_pick_is_smallest_index_among_exact_minima(inst):
     pts, obs2 = inst
     points = np.array([complex(re, im) for re, im in pts])
     y = np.array([complex(re, im) / 2 for re, im in obs2])
-    got = _kernels.nearest_point(y, points)
-    for k, (yr, yi) in enumerate(obs2):
-        # four times the squared distance, in exact integers
+    # four times the squared distance, in exact integers
+    want = []
+    for yr, yi in obs2:
         d = [(yr - 2 * pr) ** 2 + (yi - 2 * pi) ** 2 for pr, pi in pts]
-        assert got[k] == d.index(min(d))
+        want.append(d.index(min(d)))
+    assert list(_kernels.nearest_point(y, points)) == want
+    assert list(brute_nearest_point(y, points)) == want

@@ -148,6 +148,33 @@ class TestGenericity:
         h[0, 0] = value
         assert channel_is_generic(h, 1) is False
 
+    @pytest.mark.parametrize("value,verdict", [
+        (1e153, True),
+        # finite carriers whose magnitude sums overflowed in the tolerance
+        (1.2e154, True),
+        # h11^2 times the other gains overflows: a non-finite carrier
+        (1.3e154, False),
+    ])
+    def test_carriers_near_float_limit(self, value, verdict):
+        # runs under the suite's warnings-as-errors: no overflow warning
+        h = random_gains(np.random.default_rng(608))
+        h[0, 0] = value
+        assert channel_is_generic(h, 1) is verdict
+
+    @pytest.mark.parametrize("values", [
+        # adjacent real parts whose gap overflows
+        (-1e308 + 0j, 1e308 + 0j),
+        # equal real parts, so the pair is compared; b - a overflows
+        (1 + 1.5e308j, 1 - 1.5e308j),
+    ])
+    def test_overflowing_difference_is_not_close(self, monkeypatch, values):
+        import coopalign.lattice as lattice
+
+        monkeypatch.setattr(lattice, "monomial_table",
+                            lambda h, upper: np.array(values))
+        h = np.ones((3, 3), dtype=np.complex128)
+        assert channel_is_generic(h, 1) is True
+
     def test_screen_matches_oracle_on_constructed_channels(self):
         h = random_gains(np.random.default_rng(607))
 
