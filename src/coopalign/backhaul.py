@@ -194,7 +194,7 @@ def run_round(steps, nodes, round_index, slab, ledger, first=False):
                                 round_index=round_index, node=step.source)
         ledger.add(BackhaulMessage(
             step.source, step.destination, round_index, block.size, hw,
-            hashlib.sha256(block.tobytes()).hexdigest()[:16]))
+            hashlib.sha256(block).hexdigest()[:16]))
         # only the digest is kept: the destination finishes the block in place
         for term in step.receive:
             dst.add_term(block, term, slab, round_index)

@@ -29,8 +29,8 @@ from . import __version__
 from .detection import ReducedSpec
 from .errors import (ConfigError, CoopAlignError, ProtocolError,
                      SingularChannelError)
-from .lattice import (SubstreamTable, illustrating_gains, random_gains,
-                      require_generic)
+from .lattice import (GENERIC_TOL, SubstreamTable, illustrating_gains,
+                      random_gains, require_generic)
 from .rx_protocol import RX_STEPS, run_rx_protocol
 from .tradeoff import (_budget_report, centralized_report, illustrating_example,
                        rx_sum_upper_bound, tdma_report, tx_sum_upper_bound)
@@ -97,11 +97,14 @@ class ExperimentConfig:
             raise ConfigError("channel_mode 'fixed' requires channel values")
         if self.fixed_channel is not None:
             h = _fixed_gains(self.fixed_channel)
+            if self.scheme in ("rx-coop", "tx-coop"):
+                _require_nonvanishing("gain", h)
             if self.scheme == "tx-coop":
                 try:
-                    channel_inverse(h)
+                    hinv = channel_inverse(h)
                 except SingularChannelError as exc:
                     raise ConfigError(f"fixed_channel: {exc}") from exc
+                _require_nonvanishing("inverse gain", hinv)
         # a step sums up to `terms` table reads within +-3q, and the rx 1->2
         # back-substitution chains N such sums: none may wrap in int64
         terms = max(len(s.send) + len(s.receive) for s in RX_STEPS + TX_STEPS)
@@ -156,6 +159,17 @@ def _fixed_gains(fixed_channel) -> np.ndarray:
         raise ConfigError("fixed_channel must be 3x3 finite [re, im] pairs, "
                           f"got {_listify(fixed_channel)!r}")
     return np.ascontiguousarray(a, dtype=float).view(np.complex128)[..., 0]
+
+
+def _require_nonvanishing(what, g):
+    """Every carrier of the lattice schemes is a product of all nine gains
+    (of the inverse gains, for tx-coop's transmit carriers), so one entry
+    at or below GENERIC_TOL makes every carrier vanish or blur together."""
+    i, j = divmod(int(np.abs(g).argmin()), 3)
+    if abs(g[i, j]) <= GENERIC_TOL:
+        raise ConfigError(
+            f"fixed_channel: {what} ({i + 1},{j + 1}) has magnitude "
+            f"{abs(g[i, j]):.3g}, at or below {GENERIC_TOL:g}")
 
 
 def _numbers(field_name, values) -> tuple:
@@ -294,8 +308,8 @@ def run_trial(config: ExperimentConfig, trial: int):
         trace.append({"stage": "airtime", "source": 0, "destination": 0,
                       "round": res.rounds + 1, "length": 3,
                       "alphabet_halfwidth": 0, "trial": trial,
-                      "payload_digest": hashlib.sha256(
-                          np.asarray(chk.x).tobytes()).hexdigest()[:16]})
+                      "payload_digest":
+                          hashlib.sha256(chk.x).hexdigest()[:16]})
     else:
         if scheme == "centralized":
             report = centralized_report(ch, np.asarray(config.P_grid))

@@ -111,14 +111,80 @@ class ObservationTable:
 # ============================================================
 
 
+def _powers(h, upper):
+    """The nine gains' powers 1..upper, in label order."""
+    exps = np.arange(1, upper + 1)
+    return [g ** exps for g in h.ravel()]
+
+
+def _outer_chain(out, powers):
+    for p in powers:
+        out = np.multiply.outer(out, p)
+    return out
+
+
 def monomial_table(h, upper) -> np.ndarray:
     """All carrier values on the cube {1..upper}^9 as a dense array."""
-    h = h.ravel()
-    exps = np.arange(1, upper + 1)
-    out = h[0] ** exps
-    for k in range(1, 9):
-        out = np.multiply.outer(out, h[k] ** exps)
-    return out
+    p = _powers(h, upper)
+    return _outer_chain(p[0], p[1:])
+
+
+SUM_LEAF = 1 << 16            # most terms one np.sum call of carrier_sums adds
+
+
+def carrier_sums(h, cubes) -> np.ndarray:
+    """np.sum(monomial_table(h, u) * c) for each cube c on {1..u}^9, bit for
+    bit, holding about one leaf of SUM_LEAF carriers at a time.
+
+    The sums must match np.sum's to the last bit, because the tx airtime
+    digest and residual that tx-coop writes are computed from them.  np.sum
+    of a contiguous complex array is one pairwise sum over the flat buffer:
+    n elements split at (n - n % 8) // 2 (numpy halves the count of doubles
+    and rounds it down to a multiple of 8) down to short unrolled leaves.
+    This walks the same tree, hands every node of at most SUM_LEAF elements
+    to np.sum, and adds the partial sums back up in tree order.  np.sum
+    starts from +0.0, which can only turn a -0.0 leaf into +0.0, and a zero
+    total is +0.0 either way.
+
+    A leaf's carriers come from the monomial_table chain with its leading
+    axes taken from a prefix table, so every product is formed by the same
+    ufunc loop at the same position as in the dense table.  A carrier that
+    is zero, or a carrier or sum that is not finite, raises GenericityError:
+    a zero carrier drops its term and a non-finite one poisons the sum.
+    """
+    u = cubes[0].shape[0]
+    # a block over the trailing axes is at most 1/16 of a leaf, so the
+    # blocks covering a leaf build few carriers it does not use
+    trailing = 1
+    while trailing < 8 and u ** (trailing + 1) <= SUM_LEAF // 16:
+        trailing += 1
+    flat = [c.reshape(-1) for c in cubes]
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = _powers(h, u)
+        prefix = _outer_chain(p[0], p[1:9 - trailing]).ravel()
+        sums = _tree_sums(prefix, p[9 - trailing:], flat, 0, u ** 9)
+    # a non-finite carrier makes every sum non-finite, even times 0
+    if not np.isfinite(sums).all():
+        raise GenericityError("a carrier or a carrier sum is not finite")
+    return sums
+
+
+def _tree_sums(prefix, tail, flat, lo, hi):
+    """carrier_sums over flat[lo:hi]; a module-level function, because a
+    closure that calls itself is a reference cycle that keeps the cubes
+    alive until the cyclic collector runs."""
+    n = hi - lo
+    if n > SUM_LEAF:
+        mid = lo + (n - n % 8) // 2
+        return (_tree_sums(prefix, tail, flat, lo, mid)
+                + _tree_sums(prefix, tail, flat, mid, hi))
+    block = len(tail[0]) ** len(tail)
+    first = lo // block
+    c = _outer_chain(prefix[first:-(-hi // block)], tail).ravel()
+    c = c[lo - first * block:hi - first * block]
+    if not c.all():
+        raise GenericityError("a carrier is zero")
+    return np.array([np.sum(c * f[lo:hi]) for f in flat])
 
 
 GENERIC_TOL = 1e-9

@@ -32,7 +32,7 @@ import numpy as np
 
 from .backhaul import BackhaulLedger, NodeState, Step, run_round
 from .errors import SingularChannelError
-from .lattice import ObservationTable, monomial_table, stream_params
+from .lattice import ObservationTable, carrier_sums, stream_params
 
 
 DET_FLOOR = 1e-12             # smallest accepted |det h|
@@ -149,18 +149,22 @@ def verify_diagonalization(all_streams, built, h, P) -> DiagonalizationCheck:
     prediction; the mismatch is reported relative to the peak predicted
     signal magnitude, so it measures how exactly the cross-user carriers
     telescope away.
+
+    Both sets of carrier sums are streamed by lattice.carrier_sums, which
+    reproduces np.sum(carriers * values) bit for bit: the transmit samples
+    and the residual are written to trace.jsonl and results.csv, so they
+    keep numpy's summation order, not a cheaper one.  A transmit carrier
+    that is zero or not finite, or a sum that overflows, raises
+    GenericityError: it would silence or poison the samples the check
+    compares.
     """
     hinv = channel_inverse(h)
-    carriers = monomial_table(hinv, all_streams[0].n + 1)
-    raw = np.array([np.sum(carriers * t.values) for t in built])
-    del carriers
+    raw = carrier_sums(hinv, [t.values for t in built])
     # scale the realised samples to average power P
     mean_pow = float(np.mean(np.abs(raw) ** 2))
     scale = float(np.sqrt(P / mean_pow)) if mean_pow > 0 else 1.0
     x = scale * raw
-    carriers = monomial_table(hinv, all_streams[0].n)
-    predicted = scale * np.array(
-        [np.sum(carriers * s.values) for s in all_streams], dtype=np.complex128)
+    predicted = scale * carrier_sums(hinv, [s.values for s in all_streams])
     # fall back to pre-cancellation mass when the predicted signal is zero
     denom = float(np.abs(predicted).max())
     if denom == 0.0:

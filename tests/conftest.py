@@ -61,6 +61,12 @@ def oracle_monomial(h, label):
     return cmath.exp(acc)
 
 
+def dense_cube_sum(h, u, t):
+    """The carrier sum as one dense product: every carrier on {1..u}^9 times
+    the cube t, added up by a single np.sum."""
+    return np.sum(monomial_table(h, u) * t)
+
+
 def oracle_channel_is_generic(h, n):
     """The genericity screen as a per-entry loop: after a stable sort by
     real part, entry i is compared with every later entry whose real part

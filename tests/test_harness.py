@@ -19,6 +19,16 @@ FIXED_GAINS = [[[1.0, 0.2], [0.5, -0.1], [0.3, 0.4]],
                [[0.4, 0.4], [-0.2, 0.6], [0.9, -0.5]]]
 
 
+def _diagonal(g):
+    return [[[g if i == j else 0.0, 0.0] for j in range(3)] for i in range(3)]
+
+
+def _with_gain(i, j, g):
+    gains = json.loads(json.dumps(FIXED_GAINS))
+    gains[i - 1][j - 1] = [g, 0.0]
+    return gains
+
+
 def _cfg(**kw):
     base = {"scheme": "rx-coop", "N": 1, "trials": 3,
             "P_grid": (1e2, 1e4, 1e6, 1e8), "rng_seed": 11}
@@ -102,6 +112,22 @@ class TestConfig:
             {"active_coords": [[1, 1]], "n_red": 1, "q_red": 1}, **kw)})
           for kw in ({"n_red": 1.5}, {"q_red": 1.5}, {"ml_budget": "x"},
                      {"n_red": True})],
+        # diagonal channels: every carrier is a product of all nine gains,
+        # so a zero cross gain silences them all
+        ("fixed_channel", {"scheme": "tx-coop", "N": 2,
+                           "channel_mode": "fixed",
+                           "fixed_channel": _diagonal(1e-3)}),
+        ("fixed_channel", {"scheme": "tx-coop", "N": 4,
+                           "channel_mode": "fixed",
+                           "fixed_channel": _diagonal(3e-4)}),
+        ("fixed_channel", {"scheme": "rx-coop", "channel_mode": "fixed",
+                           "fixed_channel": _with_gain(1, 2, 1e-10)}),
+        # invertible, every gain at least 1, but the inverse's (3,1) entry
+        # is 0: the minor h21 h32 - h22 h31 vanishes
+        ("fixed_channel", {"scheme": "tx-coop", "channel_mode": "fixed",
+                           "fixed_channel": [[[1, 0], [1, 0], [3, 0]],
+                                             [[1, 0], [2, 0], [1, 0]],
+                                             [[2, 0], [4, 0], [5, 0]]]}),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, field, bad):
         raw = dict({"N": 1, "trials": 1, "output_dir": str(tmp_path / "o")},
@@ -114,6 +140,14 @@ class TestConfig:
         assert cli_main(["run", "--config", str(path)]) == 1
         assert field in capsys.readouterr().err
         assert not (tmp_path / "o" / "results.csv").exists()
+
+    @pytest.mark.parametrize("scheme", ["tdma", "centralized",
+                                        "illustrating-example", "bounds-only"])
+    def test_vanishing_gain_loads_for_schemes_without_carriers(self, scheme):
+        cfg = config_from_dict({"scheme": scheme, "N": 1,
+                                "channel_mode": "fixed",
+                                "fixed_channel": _diagonal(1e-3)})
+        assert cfg.fixed_channel[0][1] == (0.0, 0.0)
 
     @pytest.mark.parametrize("N", [1, 3])
     def test_q_at_int64_bound_loads(self, N):
@@ -422,10 +456,16 @@ GOLDEN_RESULTS_CSV = {
     ("rx-coop", 2): "82adb37ff4d15dcd7f3b9a246bd101cd84486dbdaa928a3dd6d731d98b3708fe",
     ("tx-coop", 1): "732cbd465b3313d6a905391dfc25928c89683cbac5485dbf4ea2428bfa3295a8",
     ("tx-coop", 2): "6d672425cb4819f0f2142acbfbda3f4f7f9d4acbd0f259d61a48592003afc574",
+    # at N >= 3 the streamed carrier sums split into leaves: recorded while
+    # the carrier sums were one dense np.sum, with numpy 2.4.6
+    ("tx-coop", 3): "626d4263f9c237abe636c0eec92056956dbc2764f88602b8830da8bc03a3731b",
+    ("tx-coop", 4): "090147e3cf9467a507cbcebf0d6b1188bef4abc9f3c2fc3be79037e0cd246a9e",
 }
 GOLDEN_AIRTIME = {
     1: "f3215d7440c249b86e1d8013eb4d077f2fdb7db2088371d6ef7240abc9c9ed67",
     2: "c22b85693bdac01caea36b954773d9876f9290d01f972facfc9029d4e962325f",
+    3: "513be85945550fb0c095fc35d35e87f4d2bbe040865c7d5b5c0761808bb415a1",
+    4: "68e56e59cde9fbce88869793be5e5c700536894a16c6201a93ba529053de37c6",
 }
 
 

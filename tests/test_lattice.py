@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import (oracle_channel_is_generic, oracle_monomial,
-                      oracle_observations)
+from conftest import (dense_cube_sum, oracle_channel_is_generic,
+                      oracle_monomial, oracle_observations)
+from coopalign import lattice
 from coopalign.errors import GenericityError, ParameterError, SymbolRangeError
 from coopalign.lattice import (ObservationTable, SubstreamTable,
-                               channel_is_generic, complex_awgn,
+                               carrier_sums, channel_is_generic, complex_awgn,
                                exact_observations, illustrating_gains,
                                monomial_table, random_gains, require_generic)
 
@@ -76,6 +77,62 @@ class TestMonomials:
             want = oracle_monomial(h, lab)
             got = deep[tuple(c - 1 for c in lab)]
             assert abs(got - want) <= 1e-9 * abs(want)
+
+
+class TestCarrierSums:
+    # (u, leaf): the default leaf; a cube of exactly one leaf; one element
+    # past a leaf, so the root splits once; small leaves, so the tree is
+    # deep and leaves start inside trailing-axis blocks
+    @pytest.mark.parametrize("u,leaf", [
+        (1, None), (2, None), (3, None), (4, None), (5, None),
+        (2, 2 ** 9), (3, 3 ** 9), (4, 4 ** 9), (4, 4 ** 9 - 1),
+        (5, 5 ** 9 - 1), (2, 64), (3, 1000), (4, 4099), (5, 2 ** 12)])
+    def test_bytes_equal_dense_sum(self, monkeypatch, rng, u, leaf):
+        if leaf is not None:
+            monkeypatch.setattr(lattice, "SUM_LEAF", leaf)
+        for _ in range(2):
+            h = np.linalg.inv(random_gains(rng))
+            cubes = [rng.integers(-15, 16, (u,) * 9) for _ in range(3)]
+            want = np.array([dense_cube_sum(h, u, c) for c in cubes])
+            assert carrier_sums(h, cubes).tobytes() == want.tobytes()
+
+    def test_zero_cubes_sum_to_positive_zero(self, monkeypatch, rng):
+        # np.sum starts from +0.0, so a zero total is +0.0 in both parts
+        monkeypatch.setattr(lattice, "SUM_LEAF", 64)
+        h = -np.ones((3, 3)) * (1 + 1j)
+        cubes = [np.zeros((3,) * 9, dtype=np.int64)]
+        got = carrier_sums(h, cubes)
+        assert got.tobytes() == np.zeros(1, np.complex128).tobytes()
+        assert got.tobytes() == np.array([dense_cube_sum(h, 3, cubes[0])]) \
+            .tobytes()
+
+    @pytest.mark.parametrize("scale,error", [
+        (1e-40, "a carrier is zero"), (1e40, "not finite"),
+        (np.inf, "not finite")])
+    def test_vanishing_or_non_finite_carrier_raises(self, rng, scale, error):
+        # every carrier is a product of all nine gains, each at least to the
+        # first power: they all underflow to 0 or overflow, without warning
+        h = random_gains(rng) * scale
+        cubes = [rng.integers(-15, 16, (2,) * 9) for _ in range(3)]
+        with pytest.raises(GenericityError, match=error):
+            carrier_sums(h, cubes)
+
+    def test_overflowing_product_raises(self):
+        # finite carriers up to 10**307.5, times 15: the products overflow
+        h = np.full((3, 3), 10 ** (307.5 / 18), dtype=np.complex128)
+        cubes = [np.full((2,) * 9, 15, dtype=np.int64)]
+        with pytest.raises(GenericityError, match="sum is not finite"):
+            carrier_sums(h, cubes)
+
+    def test_overflow_between_leaves_raises(self, monkeypatch):
+        # carriers G, G^2, G^3 with G^3 = 1e305, each on 3^8 labels: every
+        # 64-term leaf sum is finite, the tree's upper sums are not
+        monkeypatch.setattr(lattice, "SUM_LEAF", 64)
+        h = np.ones((3, 3), dtype=np.complex128)
+        h[0, 0] = 10 ** (305 / 3)
+        cubes = [np.full((3,) * 9, 15, dtype=np.int64)]
+        with pytest.raises(GenericityError, match="sum is not finite"):
+            carrier_sums(h, cubes)
 
 
 class TestGenericity:

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +10,10 @@ from hypothesis import given, settings
 from conftest import (make_generic_channel, oracle_monomial,
                       oracle_observations, stream_sets)
 from coopalign.backhaul import BackhaulLedger
-from coopalign.errors import (ParameterError, ProtocolError,
+from coopalign.errors import (GenericityError, ParameterError, ProtocolError,
                               SingularChannelError)
 from coopalign.indices import AXIS
-from coopalign.lattice import SubstreamTable, exact_observations
+from coopalign.lattice import SubstreamTable, exact_observations, random_gains
 from coopalign.tx_protocol import (channel_inverse, expected_symbol_count,
                                    run_tx_backhaul, transmitter_nodes,
                                    tx_round, verify_diagonalization)
@@ -196,3 +198,41 @@ class TestDiagonalization:
         chk = verify_diagonalization(streams, built, ch, 1e6)
         assert chk.residual == 0.0
         assert not np.abs(chk.x).any()
+
+    @pytest.mark.parametrize("h", [
+        # a diagonal channel: the off-diagonal inverse gains are 0, so every
+        # transmit carrier is 0 and the check would compare zero signals
+        np.diag([1e-3, 2e-3, 3e-3]).astype(np.complex128),
+        # large gains: inverse gains near 1e-40, whose products underflow
+        random_gains(np.random.default_rng(3)) * 1e40,
+    ], ids=["diagonal", "underflow"])
+    def test_vanishing_transmit_carrier_raises(self, rng, h):
+        streams = _streams(rng, 1)
+        built = run_tx_backhaul(streams).built
+        with pytest.raises(GenericityError, match="a carrier is zero"):
+            verify_diagonalization(streams, built, h, 1e6)
+
+    def test_bounded_memory_at_depth_4(self, rng):
+        # the dense carrier table and each carrier product were 31 MB at
+        # N = 4; the streamed sums hold about one leaf.  With the cyclic
+        # collector off, built cubes that a reference cycle kept alive
+        # would stay traced after the call
+        streams = _streams(rng, 4)
+        h = make_generic_channel(rng, n=1)
+        gc.disable()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            built = run_tx_backhaul(streams).built
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            chk = verify_diagonalization(streams, built, h, 1e6)
+            peak = tracemalloc.get_traced_memory()[1]
+            del built
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert chk.ok
+        assert peak - before <= 8 * 2 ** 20
+        assert after - base <= 2 ** 16
