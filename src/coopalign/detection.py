@@ -4,6 +4,7 @@ small reduced instances of the lattice combinations."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import product
 
@@ -91,21 +92,35 @@ def candidate_tables(spec: ReducedSpec) -> np.ndarray:
         raise MLBudgetError(
             f"{spec.n_candidates} candidates exceed budget {spec.ml_budget}")
     m, A = spec.table_size, spec.alphabet_size
-    idx = np.arange(spec.n_candidates, dtype=np.int64)
+    digits = np.arange(-3 * spec.q_red, 3 * spec.q_red + 1, dtype=np.int64)
     out = np.empty((spec.n_candidates, m), dtype=np.int64)
-    for pos in range(m - 1, -1, -1):
-        out[:, pos] = idx % A - 3 * spec.q_red
-        idx //= A
+    # the rows as an A x ... x A grid: digit pos varies along grid axis pos
+    grid = out.reshape((A,) * m + (m,))
+    for pos in range(m):
+        grid[..., pos] = digits.reshape((A,) + (1,) * (m - 1 - pos))
     return out
+
+
+def _candidate_set(spec: ReducedSpec, h):
+    """The candidate step, once per channel: every candidate table, its
+    unit-scale receive point `base` and the kernel's orders of `base`."""
+    cands = candidate_tables(spec)
+    base = cands @ reduced_carriers(spec, h)
+    return cands, base, _kernels.axis_orders(base)
+
+
+def _detect(ys, candidates, gamma):
+    """The observation step at transmit scale gamma: one detected table per
+    observation sample."""
+    cands, base, orders = candidates
+    return cands[_kernels.nearest_point(ys, gamma * base, orders)]
 
 
 def ml_detect_reduced(ys, spec: ReducedSpec, h, gamma):
     """Exhaustive nearest-point detection at transmit scale gamma: one
     detected table per observation sample."""
-    cands = candidate_tables(spec)
-    points = gamma * (cands @ reduced_carriers(spec, h))
-    picks = _kernels.nearest_point(np.asarray(ys, dtype=np.complex128), points)
-    return cands[picks]
+    return _detect(np.asarray(ys, dtype=np.complex128), _candidate_set(spec, h),
+                   gamma)
 
 
 def reduced_power_scale(spec: ReducedSpec, h, P) -> float:
@@ -119,10 +134,23 @@ def reduced_error_sweep(spec: ReducedSpec, h, P_grid, trials, rng_seed,
                         noisy=True):
     """Monte Carlo detection-error rate per power level.
 
-    Draws uniform tables, transmits at the power-matched scale, detects with
-    the exhaustive detector and counts whole-table mismatches.  Streams are
-    split per power level from one root seed.
+    Builds the candidate set once for the sweep.  At each power level it
+    draws `trials` uniform tables, transmits them at the power-matched scale
+    gamma (with unit complex noise when `noisy`), detects each sample by
+    exhaustive nearest-point search over the candidates scaled by gamma,
+    and counts whole-table mismatches.  Streams are split per power level
+    from one root seed.  `trials` must be an int >= 1 and every P finite
+    and > 0.
     """
+    if type(trials) is not int or trials < 1:
+        raise ParameterError(f"trials must be an int >= 1, got {trials!r}")
+    P_grid = list(P_grid)
+    for P in P_grid:
+        if not (isinstance(P, numbers.Real) and math.isfinite(P) and P > 0):
+            raise ParameterError(f"every P in P_grid must be finite and > 0, "
+                                 f"got {P!r}")
+    candidates = _candidate_set(spec, h)
+    carriers = reduced_carriers(spec, h)
     rates = []
     for k, P in enumerate(P_grid):
         rng = np.random.default_rng(
@@ -130,11 +158,10 @@ def reduced_error_sweep(spec: ReducedSpec, h, P_grid, trials, rng_seed,
         gamma = reduced_power_scale(spec, h, P)
         tables = rng.integers(-3 * spec.q_red, 3 * spec.q_red + 1,
                               size=(trials, spec.table_size), dtype=np.int64)
-        carriers = reduced_carriers(spec, h)
         ys = gamma * (tables @ carriers)
         if noisy:
             ys = ys + complex_awgn(rng, trials)
-        det = ml_detect_reduced(ys, spec, h, gamma)
+        det = _detect(ys, candidates, gamma)
         err = np.any(det != tables, axis=1)
         rates.append(float(np.mean(err)))
     return np.asarray(rates)

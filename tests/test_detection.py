@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import make_generic_channel
-from coopalign import _kernels
+from coopalign import _kernels, detection
 from coopalign.detection import (ReducedSpec, candidate_tables,
                                  ml_detect_reduced, reduced_carriers,
                                  reduced_error_sweep, reduced_power_scale,
                                  reduced_signal)
-from coopalign.errors import MLBudgetError
+from coopalign.errors import MLBudgetError, ParameterError
 from coopalign.lattice import random_gains
 
 
@@ -32,6 +32,18 @@ class TestReduced:
         np.testing.assert_array_equal(cands[0], [-3, -3, -3, -3])
         np.testing.assert_array_equal(cands[1], [-3, -3, -3, -2])
         np.testing.assert_array_equal(cands[-1], [3, 3, 3, 3])
+
+    @pytest.mark.parametrize("spec", [
+        SPEC, ReducedSpec(active_coords=((1, 2),), n_red=2, q_red=2),
+        ReducedSpec(active_coords=((3, 2),), n_red=4, q_red=1)])
+    def test_candidate_rows_are_mixed_radix_expansions(self, spec):
+        # row r is r in base A, first label most significant, digits -3q..3q
+        cands = candidate_tables(spec)
+        A, q = spec.alphabet_size, spec.q_red
+        r = np.arange(spec.n_candidates)
+        for pos in range(spec.table_size):
+            place = A ** (spec.table_size - 1 - pos)
+            np.testing.assert_array_equal(cands[:, pos], r // place % A - 3 * q)
 
     def test_carriers_match_direct_products(self, rng):
         h = make_generic_channel(rng, n=1)
@@ -68,8 +80,8 @@ def test_sweep_picks_digest(monkeypatch):
     picks = []
     kernel = _kernels.nearest_point
 
-    def record(y, points):
-        picks.append(kernel(y, points))
+    def record(y, points, orders):
+        picks.append(kernel(y, points, orders))
         return picks[-1]
 
     monkeypatch.setattr(_kernels, "nearest_point", record)
@@ -87,3 +99,45 @@ def test_sweep_picks_digest(monkeypatch):
     rates = np.concatenate(rates).astype(np.float64)
     assert hashlib.sha256(rates.tobytes()).hexdigest() == \
         "fd100cf9d6f24b2098a8c02d26579a578cb0c6c288b74e96488d27e0f5011370"
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"trials": 0}, "trials"), ({"trials": -3}, "trials"),
+    ({"trials": 2.5}, "trials"), ({"trials": True}, "trials"),
+    ({"P_grid": [-1.0]}, "P_grid"), ({"P_grid": [1e2, 0.0]}, "P_grid"),
+    ({"P_grid": [float("nan")]}, "P_grid"), ({"P_grid": [float("inf")]}, "P_grid"),
+    ({"P_grid": ["1e2"]}, "P_grid")])
+def test_sweep_rejects_bad_inputs_before_building_candidates(monkeypatch, kwargs,
+                                                             name):
+    def unreachable(spec):
+        raise AssertionError("candidate set built for a rejected sweep")
+
+    monkeypatch.setattr(detection, "candidate_tables", unreachable)
+    args = {"P_grid": [1e2], "trials": 10, **kwargs}
+    with pytest.raises(ParameterError, match=name):
+        reduced_error_sweep(TestReduced.SPEC, random_gains(np.random.default_rng(0)),
+                            args["P_grid"], args["trials"], rng_seed=1)
+
+
+def test_sweep_builds_candidates_once(monkeypatch):
+    # one candidate build per sweep, and one kernel call per power point
+    # over every candidate, which pipebench's traced pair count relies on
+    builds, calls = [], []
+    tables, kernel = detection.candidate_tables, _kernels.nearest_point
+
+    def count_builds(spec):
+        builds.append(spec)
+        return tables(spec)
+
+    def count_calls(*args):
+        calls.append(len(args[1]))
+        return kernel(*args)
+
+    monkeypatch.setattr(detection, "candidate_tables", count_builds)
+    monkeypatch.setattr(_kernels, "nearest_point", count_calls)
+    spec = ReducedSpec(active_coords=((1, 1), (2, 2)), n_red=1, q_red=2)
+    P_grid = [1e2, 1e3, 1e4, 1e5]
+    reduced_error_sweep(spec, random_gains(np.random.default_rng(1)), P_grid,
+                        trials=20, rng_seed=1)
+    assert len(builds) == 1
+    assert calls == [spec.n_candidates] * len(P_grid)

@@ -8,6 +8,11 @@ from coopalign import _kernels
 from coopalign.errors import ParameterError
 
 
+def _search(y, points):
+    """The kernel with the candidate step run on the candidates themselves."""
+    return _kernels.nearest_point(y, points, _kernels.axis_orders(points))
+
+
 def _random_instance(rng, n_obs=700, n_pts=300):
     y = rng.normal(size=n_obs) + 1j * rng.normal(size=n_obs)
     points = rng.normal(size=n_pts) + 1j * rng.normal(size=n_pts)
@@ -16,8 +21,10 @@ def _random_instance(rng, n_obs=700, n_pts=300):
 
 def test_numpy_kernel_is_argmin(rng):
     y, points = _random_instance(rng)
-    np.testing.assert_array_equal(_kernels.nearest_point(y, points),
+    np.testing.assert_array_equal(_search(y, points),
                                   oracle_nearest_point(y, points))
+    np.testing.assert_array_equal(_search(y, points),
+                                  brute_nearest_point(y, points))
 
 
 @pytest.mark.parametrize("pairs", [1, 7, 300, 1 << 18])
@@ -28,7 +35,7 @@ def test_pair_blocks_split_anywhere(monkeypatch, rng, pairs):
     monkeypatch.setattr(_kernels, "_PAIRS", pairs)
     y, points = _random_instance(rng, n_obs=257, n_pts=400)
     wide = np.concatenate([[20.0j], y])     # its strip holds every candidate
-    np.testing.assert_array_equal(_kernels.nearest_point(wide, points),
+    np.testing.assert_array_equal(_search(wide, points),
                                   brute_nearest_point(wide, points))
 
 
@@ -40,7 +47,7 @@ def test_strip_covers_a_rounded_down_gap():
     y = np.array([2.0 ** 53 + 0j])
     fill = np.arange(1.0, 41.0) + 1e20j
     points = np.array([-0.5 + 0j, *fill, 2.0 ** 53 * (1 + 1j)])
-    assert _kernels.nearest_point(y, points)[0] == 0
+    assert _search(y, points)[0] == 0
     assert brute_nearest_point(y, points)[0] == 0
 
 
@@ -48,7 +55,7 @@ def test_strip_covers_squares_that_underflow():
     # (1e-170)^2 underflows to 0, so both candidates lie at d = 0
     y = np.array([0j])
     points = np.array([1e-170 + 0j, 0j])
-    assert _kernels.nearest_point(y, points)[0] == 0
+    assert _search(y, points)[0] == 0
     assert brute_nearest_point(y, points)[0] == 0
 
 
@@ -56,13 +63,97 @@ def test_tie_break_smallest_index():
     # two candidates at identical distance: the lower index wins
     y = np.array([0.0 + 0.0j])
     points = np.array([1.0 + 0.0j, -1.0 + 0.0j, 1.0 + 0.0j])
-    assert _kernels.nearest_point(y, points)[0] == 0
+    assert _search(y, points)[0] == 0
+    assert brute_nearest_point(y, points)[0] == 0
 
 
-def test_dispatcher_runs():
+def test_three_point_instance():
     y = np.array([0.1 + 0.2j, -0.3 + 0.05j])
     points = np.array([0.0 + 0.0j, 0.1 + 0.2j, 1.0 + 1.0j])
-    np.testing.assert_array_equal(_kernels.nearest_point(y, points), [1, 0])
+    np.testing.assert_array_equal(_search(y, points), [1, 0])
+    np.testing.assert_array_equal(brute_nearest_point(y, points), [1, 0])
+
+
+def _unit_points(rng):
+    """Unit-scale points of a reduced candidate set: 7^4 integer tables
+    times four random carriers, with many near-coincident points."""
+    digits = np.array(np.meshgrid(*[np.arange(-3, 4)] * 4, indexing="ij"))
+    carriers = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return digits.reshape(4, -1).T @ carriers
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
+def test_orders_of_the_unscaled_points_serve_every_scale(rng, gamma):
+    # the sweep's path: orders from base, candidates gamma * base
+    base = _unit_points(rng)
+    orders = _kernels.axis_orders(base)
+    points = gamma * base
+    y = points[rng.integers(len(points), size=300)] + \
+        gamma * (rng.normal(size=300) + 1j * rng.normal(size=300))
+    np.testing.assert_array_equal(_kernels.nearest_point(y, points, orders),
+                                  brute_nearest_point(y, points))
+
+
+def _strip_pairs(monkeypatch):
+    """Counts the observation-candidate pairs the strip blocks evaluate (the
+    d0 neighbours are 2-D calls and are not counted)."""
+    seen = []
+    sq_dist = _kernels._sq_dist
+
+    def count(yr, yi, pr, pi):
+        if np.ndim(pr) == 1:
+            seen.append(len(pr))
+        return sq_dist(yr, yi, pr, pi)
+
+    monkeypatch.setattr(_kernels, "_sq_dist", count)
+    return seen
+
+
+@pytest.mark.parametrize("line", [1j, 1.0])
+def test_search_runs_on_the_narrower_axis(monkeypatch, rng, line):
+    # on a vertical line (1j) every real-part strip holds every candidate,
+    # on a horizontal one (1.0) every imaginary-part strip does, so the
+    # search must run on the other axis to evaluate fewer than all pairs
+    seen = _strip_pairs(monkeypatch)
+    points = 0.5 + line * rng.normal(size=400) * 10
+    y = 0.5 + line * rng.normal(size=50) * 10 + rng.normal(size=50) * 1e-3
+    np.testing.assert_array_equal(_search(y, points),
+                                  brute_nearest_point(y, points))
+    assert 0 < sum(seen) < len(y) * len(points) // 10
+
+
+def test_imaginary_axis_tie_goes_to_the_smallest_index(monkeypatch):
+    # indices 1, 2 and 3 tie at d = 1; the imaginary order puts 2 first
+    # (Im = -1), and far candidates on the same vertical line make the
+    # imaginary strips the narrower ones
+    seen = _strip_pairs(monkeypatch)
+    far = 1j * np.arange(50.0, 150.0)
+    points = np.array([far[0], 1j, -1j, 1j, *far[1:]])
+    y = np.array([0j])
+    assert _kernels.axis_orders(points)[1][0] == 2
+    assert _search(y, points)[0] == 1
+    assert brute_nearest_point(y, points)[0] == 1
+    assert sum(seen) == 3
+
+
+def test_one_order_rejected(rng):
+    y, points = _random_instance(rng, n_obs=5, n_pts=40)
+    with pytest.raises(ParameterError, match="imaginary-part order"):
+        _kernels.nearest_point(y, points, _kernels.axis_orders(points)[:1])
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("fault", ["short", "unsorted"])
+def test_bad_order_rejected(rng, axis, fault):
+    y, points = _random_instance(rng, n_obs=5, n_pts=40)
+    orders = list(_kernels.axis_orders(points))
+    if fault == "short":
+        orders[axis] = orders[axis][:-1]
+    else:
+        orders[axis] = orders[axis][::-1]
+    name = ("real", "imaginary")[axis]
+    with pytest.raises(ParameterError, match=f"the {name}-part order"):
+        _kernels.nearest_point(y, points, orders)
 
 
 @pytest.mark.parametrize("where", ["y", "points"])
@@ -73,12 +164,12 @@ def test_non_finite_input_rejected(where, value):
             "points": np.array([0.0 + 0.0j, 1.0 + 1.0j, 2.0 + 0.0j])}
     args[where][1] = value
     with pytest.raises(ParameterError, match="finite"):
-        _kernels.nearest_point(args["y"], args["points"])
+        _search(args["y"], args["points"])
 
 
 def test_no_candidates_rejected():
     with pytest.raises(ParameterError, match="candidate"):
-        _kernels.nearest_point(np.array([0.0j]), np.array([], dtype=np.complex128))
+        _search(np.array([0.0j]), np.array([], dtype=np.complex128))
 
 
 _COORD = st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False)
@@ -116,8 +207,19 @@ def _strip_layout(draw):
 @given(_strip_layout())
 def test_strip_matches_brute_force(inst):
     y, points = inst
-    np.testing.assert_array_equal(_kernels.nearest_point(y, points),
+    np.testing.assert_array_equal(_search(y, points),
                                   brute_nearest_point(y, points))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_strip_layout(), st.sampled_from([1e-3, 0.7, 1.0, 3e5]))
+def test_supplied_orders_match_brute_force(inst, gamma):
+    # orders of the unscaled candidates, search over the scaled ones
+    y, base = inst
+    points = gamma * base
+    np.testing.assert_array_equal(
+        _kernels.nearest_point(y, points, _kernels.axis_orders(base)),
+        brute_nearest_point(y, points))
 
 
 _GRID = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
@@ -151,5 +253,5 @@ def test_pick_is_smallest_index_among_exact_minima(inst):
     for yr, yi in obs2:
         d = [(yr - 2 * pr) ** 2 + (yi - 2 * pi) ** 2 for pr, pi in pts]
         want.append(d.index(min(d)))
-    assert list(_kernels.nearest_point(y, points)) == want
+    assert list(_search(y, points)) == want
     assert list(brute_nearest_point(y, points)) == want
