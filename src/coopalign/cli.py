@@ -1,10 +1,9 @@
 """Command line front end.
 
 Subcommands:
-  run         execute a configured experiment and write results/manifest/trace
-  bounds      evaluate sum-capacity upper bounds on the configured power grid
-  verify      run built-in self checks and print one PASS/FAIL line each
-  trace-dump  run trial 0 of a protocol scheme and emit its message trace
+  run     execute a configured experiment and write results/manifest/trace
+          (`--scheme bounds-only` gives the converse bound curves)
+  verify  run built-in self checks and print one PASS/FAIL line each
 
 Exit codes: 0 success, 1 invalid config or parameters, 2 runtime failure.
 """
@@ -13,16 +12,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .detection import ml_detect_reduced, reduced_power_scale, reduced_signal
+from .detection import reduced_error_sweep
 from .errors import ConfigError, ParameterError
 from .harness import (ExperimentConfig, config_from_dict, load_config,
-                      run_experiment, run_trial, write_results_csv)
+                      run_experiment)
 from .lattice import SubstreamTable, random_gains
 from .rx_protocol import run_rx_protocol
 from .rx_protocol import expected_symbol_count as rx_count
@@ -36,29 +34,21 @@ def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="coopalign",
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
-    # each subcommand takes only the overrides it reads
-    for name, help_, flags in (
-            ("run", "run a configured experiment", ("--out", "--scheme")),
-            ("bounds", "evaluate converse bound curves", ("--out",)),
-            ("verify", "run protocol self checks", ()),
-            ("trace-dump", "emit the trial-0 message trace",
-             ("--out", "--scheme"))):
-        sp = sub.add_parser(name, help=help_)
-        sp.set_defaults(out=None, scheme=None)
+    run = sub.add_parser("run", help="run a configured experiment")
+    verify = sub.add_parser("verify", help="run protocol self checks")
+    verify.set_defaults(out=None, scheme=None)
+    for sp in (run, verify):
         sp.add_argument("--config", type=Path, default=None,
                         help="path to a JSON experiment config")
         sp.add_argument("--seed", type=int, default=None,
                         help="override the config rng_seed")
-        if "--out" in flags:
-            sp.add_argument("--out", type=Path,
-                            help="override the config output directory")
-        if "--scheme" in flags:
-            sp.add_argument("--scheme", type=str,
-                            help="override the config scheme")
-        if name == "run":
-            sp.add_argument("--jobs", type=int, default=1,
-                            help="trial-level worker processes, at least 1 "
-                            "(never more than the trial count)")
+    run.add_argument("--out", type=Path, default=None,
+                     help="override the config output directory")
+    run.add_argument("--scheme", type=str, default=None,
+                     help="override the config scheme")
+    run.add_argument("--jobs", type=int, default=1,
+                     help="trial-level worker processes, at least 1 "
+                     "(never more than the trial count)")
     return p
 
 
@@ -88,17 +78,6 @@ def _cmd_run(args) -> int:
     print(f"wrote {Path(cfg.output_dir) / 'results.csv'} "
           f"({cfg.scheme}, {len(manifest.channels)} trials, "
           f"{manifest.wall_time_s:.2f}s)")
-    return 0
-
-
-def _cmd_bounds(args) -> int:
-    cfg = _load(args)
-    cfg = dataclasses.replace(cfg, scheme="bounds-only").validate()
-    rows, _, _ = run_trial(cfg, 0)
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_results_csv(rows, out / "bounds.csv")
-    print(f"wrote {out / 'bounds.csv'} ({len(rows)} rows)")
     return 0
 
 
@@ -145,40 +124,18 @@ def _cmd_verify(args) -> int:
     results.append(_check("entropy bound sweep (50 instances)", rep.all_passed))
 
     if cfg.reduced_spec is not None:
-        spec = cfg.build_reduced_spec()
-        table = rng.integers(-3 * spec.q_red, 3 * spec.q_red + 1,
-                             size=spec.table_size, dtype=np.int64)
-        gamma = reduced_power_scale(spec, ch, 1e4)
-        y = reduced_signal(table, spec, ch, gamma)
-        det = ml_detect_reduced([y], spec, ch, gamma)[0]
+        rates = reduced_error_sweep(cfg.build_reduced_spec(), ch, [1e4],
+                                    trials=16, rng_seed=cfg.rng_seed,
+                                    noisy=False)
         results.append(_check("reduced ML noiseless exactness",
-                              bool(np.array_equal(det, table))))
+                              not rates.any()))
 
     return 0 if all(results) else 2
 
 
-def _cmd_trace_dump(args) -> int:
-    cfg = _load(args)
-    if cfg.scheme not in ("rx-coop", "tx-coop"):
-        raise ConfigError(
-            f"trace-dump needs a protocol scheme, got {cfg.scheme!r}")
-    _, _, trace = run_trial(cfg, 0)
-    lines = [json.dumps(rec, sort_keys=True) for rec in trace]
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "trace.jsonl").write_text("\n".join(lines) + "\n")
-        print(f"wrote {out / 'trace.jsonl'} ({len(lines)} records)")
-    else:
-        for line in lines:
-            print(line)
-    return 0
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    cmd = {"run": _cmd_run, "bounds": _cmd_bounds, "verify": _cmd_verify,
-           "trace-dump": _cmd_trace_dump}[args.command]
+    cmd = {"run": _cmd_run, "verify": _cmd_verify}[args.command]
     try:
         return cmd(args)
     except (ConfigError, ParameterError) as exc:

@@ -56,6 +56,17 @@ class ReducedSpec:
     def n_candidates(self) -> int:
         return self.alphabet_size ** self.table_size
 
+    def check_budget(self):
+        """Raise MLBudgetError if the candidate count exceeds ml_budget.
+
+        With at least 7 symbols a table longer than ml_budget.bit_length()
+        is over budget, so the count is computed only for short tables.
+        """
+        m, budget = self.table_size, self.ml_budget
+        if m > budget.bit_length() or self.n_candidates > budget:
+            raise MLBudgetError(f"{self.alphabet_size}^{m} candidates exceed "
+                                f"budget {budget}")
+
     def labels(self):
         """Active-coordinate tuples in canonical (lexicographic) order."""
         return list(product(range(1, self.n_red + 2),
@@ -73,14 +84,6 @@ def reduced_carriers(spec: ReducedSpec, h) -> np.ndarray:
     return out
 
 
-def reduced_signal(table, spec: ReducedSpec, h, gamma) -> complex:
-    """Noiseless receive sample for one reduced combination table."""
-    table = np.asarray(table, dtype=np.int64)
-    if table.shape != (spec.table_size,):
-        raise ParameterError("table length must match the reduced label count")
-    return complex(gamma * np.sum(reduced_carriers(spec, h) * table))
-
-
 def candidate_tables(spec: ReducedSpec) -> np.ndarray:
     """All integer tables in lexicographic order, one row per candidate.
 
@@ -88,9 +91,7 @@ def candidate_tables(spec: ReducedSpec) -> np.ndarray:
     significant digit, digits mapped to {-3q..3q} ascending: exactly the
     ordering np.argmin needs for deterministic lexicographic tie-breaks.
     """
-    if spec.n_candidates > spec.ml_budget:
-        raise MLBudgetError(
-            f"{spec.n_candidates} candidates exceed budget {spec.ml_budget}")
+    spec.check_budget()
     m, A = spec.table_size, spec.alphabet_size
     digits = np.arange(-3 * spec.q_red, 3 * spec.q_red + 1, dtype=np.int64)
     out = np.empty((spec.n_candidates, m), dtype=np.int64)
@@ -107,20 +108,6 @@ def _candidate_set(spec: ReducedSpec, h):
     cands = candidate_tables(spec)
     base = cands @ reduced_carriers(spec, h)
     return cands, base, _kernels.axis_orders(base)
-
-
-def _detect(ys, candidates, gamma):
-    """The observation step at transmit scale gamma: one detected table per
-    observation sample."""
-    cands, base, orders = candidates
-    return cands[_kernels.nearest_point(ys, gamma * base, orders)]
-
-
-def ml_detect_reduced(ys, spec: ReducedSpec, h, gamma):
-    """Exhaustive nearest-point detection at transmit scale gamma: one
-    detected table per observation sample."""
-    return _detect(np.asarray(ys, dtype=np.complex128), _candidate_set(spec, h),
-                   gamma)
 
 
 def reduced_power_scale(spec: ReducedSpec, h, P) -> float:
@@ -149,7 +136,7 @@ def reduced_error_sweep(spec: ReducedSpec, h, P_grid, trials, rng_seed,
         if not (isinstance(P, numbers.Real) and math.isfinite(P) and P > 0):
             raise ParameterError(f"every P in P_grid must be finite and > 0, "
                                  f"got {P!r}")
-    candidates = _candidate_set(spec, h)
+    cands, base, orders = _candidate_set(spec, h)
     carriers = reduced_carriers(spec, h)
     rates = []
     for k, P in enumerate(P_grid):
@@ -161,7 +148,7 @@ def reduced_error_sweep(spec: ReducedSpec, h, P_grid, trials, rng_seed,
         ys = gamma * (tables @ carriers)
         if noisy:
             ys = ys + complex_awgn(rng, trials)
-        det = _detect(ys, candidates, gamma)
+        det = cands[_kernels.nearest_point(ys, gamma * base, orders)]
         err = np.any(det != tables, axis=1)
         rates.append(float(np.mean(err)))
     return np.asarray(rates)

@@ -126,7 +126,9 @@ class ExperimentConfig:
         try:
             d = dict(self.reduced_spec)
             d["active_coords"] = tuple(tuple(c) for c in d["active_coords"])
-            return ReducedSpec(**d)
+            spec = ReducedSpec(**d)
+            spec.check_budget()
+            return spec
         except (KeyError, TypeError, ValueError, CoopAlignError) as exc:
             raise ConfigError(f"invalid reduced_spec: {exc}") from exc
 

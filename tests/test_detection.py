@@ -6,9 +6,7 @@ import pytest
 from conftest import make_generic_channel
 from coopalign import _kernels, detection
 from coopalign.detection import (ReducedSpec, candidate_tables,
-                                 ml_detect_reduced, reduced_carriers,
-                                 reduced_error_sweep, reduced_power_scale,
-                                 reduced_signal)
+                                 reduced_carriers, reduced_error_sweep)
 from coopalign.errors import MLBudgetError, ParameterError
 from coopalign.lattice import random_gains
 
@@ -25,6 +23,18 @@ class TestReduced:
         big = ReducedSpec(active_coords=((1, 1), (2, 2)), n_red=2, q_red=1)
         with pytest.raises(MLBudgetError):
             candidate_tables(big)
+
+    def test_budget_check_matches_candidate_count(self):
+        # the table-size shortcut never changes the verdict
+        for n_red, q_red in ((1, 1), (2, 1), (1, 2), (3, 1)):
+            count = ReducedSpec(((1, 1), (2, 2)), n_red, q_red).n_candidates
+            for budget in (0, 1, count - 1, count, count + 1, 10 ** 6):
+                spec = ReducedSpec(((1, 1), (2, 2)), n_red, q_red, budget)
+                if count > budget:
+                    with pytest.raises(MLBudgetError):
+                        spec.check_budget()
+                else:
+                    spec.check_budget()
 
     def test_candidate_enumeration_lexicographic(self):
         cands = candidate_tables(self.SPEC)
@@ -56,13 +66,10 @@ class TestReduced:
 
     def test_noiseless_detection_exact(self, rng):
         ch = make_generic_channel(rng, n=1)
-        gamma = reduced_power_scale(self.SPEC, ch, 1e4)
-        tables = rng.integers(-3, 4, size=(40, 4), dtype=np.int64)
-        ys = [reduced_signal(t, self.SPEC, ch, gamma) for t in tables]
-        det = ml_detect_reduced(ys, self.SPEC, ch, gamma)
-        np.testing.assert_array_equal(det, tables)
-        one = ml_detect_reduced([ys[0]], self.SPEC, ch, gamma)
-        np.testing.assert_array_equal(one, tables[:1])
+        for trials in (40, 1):  # 1: a single observation sample
+            rates = reduced_error_sweep(self.SPEC, ch, [1e4], trials=trials,
+                                        rng_seed=3, noisy=False)
+            assert rates.tolist() == [0.0]
 
     def test_error_rate_decreases_with_power(self, rng):
         ch = make_generic_channel(rng, n=1)

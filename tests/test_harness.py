@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
@@ -128,6 +129,9 @@ class TestConfig:
                            "fixed_channel": [[[1, 0], [1, 0], [3, 0]],
                                              [[1, 0], [2, 0], [1, 0]],
                                              [[2, 0], [4, 0], [5, 0]]]}),
+        # 7^9 candidates, over the default ml_budget of 10^6
+        ("reduced_spec", {"scheme": "rx-coop", "reduced_spec": {
+            "active_coords": [[1, 1], [2, 2]], "n_red": 2, "q_red": 1}}),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, field, bad):
         raw = dict({"N": 1, "trials": 1, "output_dir": str(tmp_path / "o")},
@@ -178,6 +182,14 @@ class TestConfig:
         cfg = _cfg(reduced_spec={"active_coords": [[1, 1]], "n_red": 1,
                                  "q_red": 1})
         assert cfg.build_reduced_spec().table_size == 2
+
+    def test_huge_reduced_spec_rejected_without_counting(self):
+        # 7^(10^12) candidates: rejected on the table size alone
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="reduced_spec.*budget"):
+            _cfg(reduced_spec={"active_coords": [[1, 1], [2, 2]],
+                               "n_red": 10 ** 6, "q_red": 1})
+        assert time.perf_counter() - start < 0.5
 
 
 def _fail_trial_2(config, trial):
@@ -533,30 +545,33 @@ class TestCli:
         assert "FAIL" not in out
         assert out.count("PASS") >= 6
 
-    def test_bounds_writes_csv(self, tmp_path, capsys):
-        save_config(_cfg(), tmp_path / "cfg.json")
-        assert cli_main(["bounds", "--config", str(tmp_path / "cfg.json"),
-                         "--out", str(tmp_path / "b")]) == 0
-        assert (tmp_path / "b" / "bounds.csv").exists()
+    @staticmethod
+    def _reduced_config(tmp_path, n_red):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scheme": "rx-coop", "N": 1, "reduced_spec": {
+            "active_coords": [[1, 1], [2, 2]], "n_red": n_red, "q_red": 1}}))
+        return str(path)
 
-    def test_trace_dump_stdout(self, tmp_path, capsys):
-        save_config(_cfg(trials=1), tmp_path / "cfg.json")
-        assert cli_main(["trace-dump", "--config",
-                         str(tmp_path / "cfg.json")]) == 0
-        out = capsys.readouterr().out.strip().splitlines()
-        assert len(out) == 3
-        assert all(json.loads(ln)["stage"] == "backhaul" for ln in out)
+    def test_verify_runs_reduced_check(self, tmp_path, capsys):
+        # 7^4 candidates: the reduced ML check is a seventh PASS line
+        assert cli_main(["verify", "--config",
+                         self._reduced_config(tmp_path, 1)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("PASS") == 7 and "FAIL" not in out
+        assert "PASS  reduced ML noiseless exactness" in out
 
-    def test_trace_dump_rejects_rate_level_scheme(self, tmp_path, capsys):
-        save_config(_cfg(scheme="tdma"), tmp_path / "cfg.json")
-        assert cli_main(["trace-dump", "--config",
-                         str(tmp_path / "cfg.json")]) == 1
+    def test_verify_rejects_over_budget_spec_before_any_check(self, tmp_path,
+                                                              capsys):
+        # 7^9 candidates: the config fails to load, so no check runs
+        assert cli_main(["verify", "--config",
+                         self._reduced_config(tmp_path, 2)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "reduced_spec" in err
 
     @pytest.mark.parametrize("argv", [["verify", "--out", "o"],
-                                      ["verify", "--scheme", "tdma"],
-                                      ["bounds", "--scheme", "tx-coop"]])
+                                      ["verify", "--scheme", "tdma"]])
     def test_unread_override_is_usage_error(self, argv, capsys):
-        # a subcommand registers only the overrides it reads
+        # verify registers none of run's overrides
         with pytest.raises(SystemExit) as err:
             cli_main(argv)
         assert err.value.code == 2
