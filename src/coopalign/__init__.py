@@ -14,9 +14,9 @@ from .errors import (ConfigError, CoopAlignError, GenericityError,
                      MLBudgetError, ParameterError, ProtocolError,
                      SingularChannelError, SymbolRangeError)
 from .indices import AXIS, COORD_NAMES, window
-from .lattice import (ObservationTable, SubstreamTable, channel_is_generic,
-                      exact_observations, illustrating_gains, monomial_table,
-                      random_gains, require_generic)
+from .lattice import (SubstreamTable, channel_is_generic, exact_observations,
+                      illustrating_gains, monomial_table, random_gains,
+                      require_generic)
 from .rx_protocol import run_rx_protocol
 from .tradeoff import (centralized_report, illustrating_example, lemma1_check,
                        normalized_bound_slope, optimal_tradeoff,
@@ -28,7 +28,7 @@ __all__ = [
     "__version__",
     "AXIS", "COORD_NAMES", "window",
     "BackhaulLedger", "BackhaulMessage",
-    "ObservationTable", "SubstreamTable", "channel_is_generic",
+    "SubstreamTable", "channel_is_generic",
     "exact_observations", "illustrating_gains", "monomial_table",
     "random_gains", "require_generic",
     "run_rx_protocol",

@@ -28,6 +28,12 @@ from .errors import ParameterError, ProtocolError
 from .indices import AXIS, window
 
 
+def payload_digest(a) -> str:
+    """The first 16 hex digits of the sha256 of a C-contiguous array's
+    bytes, read through the buffer protocol without a copy."""
+    return hashlib.sha256(a).hexdigest()[:16]
+
+
 @dataclass(frozen=True)
 class BackhaulMessage:
     """One node-to-node payload: its length, alphabet half-width and the
@@ -194,7 +200,7 @@ def run_round(steps, nodes, round_index, slab, ledger, first=False):
                                 round_index=round_index, node=step.source)
         ledger.add(BackhaulMessage(
             step.source, step.destination, round_index, block.size, hw,
-            hashlib.sha256(block).hexdigest()[:16]))
+            payload_digest(block)))
         # only the digest is kept: the destination finishes the block in place
         for term in step.receive:
             dst.add_term(block, term, slab, round_index)

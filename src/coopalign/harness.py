@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .backhaul import payload_digest
 from .detection import ReducedSpec
 from .errors import (ConfigError, CoopAlignError, ProtocolError,
                      SingularChannelError)
@@ -93,18 +94,23 @@ class ExperimentConfig:
             raise ConfigError(f"rng_seed must be a 64-bit value, got {self.rng_seed!r}")
         if self.channel_mode not in ("random-generic", "fixed", "illustrating"):
             raise ConfigError(f"unknown channel_mode {self.channel_mode!r}")
-        if self.channel_mode == "fixed" and self.fixed_channel is None:
-            raise ConfigError("channel_mode 'fixed' requires channel values")
+        if (self.fixed_channel is None) == (self.channel_mode == "fixed"):
+            raise ConfigError("fixed_channel is required with channel_mode "
+                              f"'fixed' and read only then, got channel_mode "
+                              f"{self.channel_mode!r}")
         if self.fixed_channel is not None:
             h = _fixed_gains(self.fixed_channel)
             if self.scheme in ("rx-coop", "tx-coop"):
                 _require_nonvanishing("gain", h)
-            if self.scheme == "tx-coop":
+            if self.scheme in ("tx-coop", "centralized"):
                 try:
                     hinv = channel_inverse(h)
                 except SingularChannelError as exc:
                     raise ConfigError(f"fixed_channel: {exc}") from exc
-                _require_nonvanishing("inverse gain", hinv)
+                if self.scheme == "tx-coop":
+                    _require_nonvanishing("inverse gain", hinv)
+        if self.gamma == 0:
+            raise ConfigError("gamma must be nonzero")
         # a step sums up to `terms` table reads within +-3q, and the rx 1->2
         # back-substitution chains N such sums: none may wrap in int64
         terms = max(len(s.send) + len(s.receive) for s in RX_STEPS + TX_STEPS)
@@ -308,10 +314,9 @@ def run_trial(config: ExperimentConfig, trial: int):
         rows = _report_rows(config, trial, report, "%.3e" % chk.residual)
         trace = [dict(r, trial=trial) for r in res.ledger.trace_records()]
         trace.append({"stage": "airtime", "source": 0, "destination": 0,
-                      "round": res.rounds + 1, "length": 3,
+                      "round": config.N + 2, "length": 3,
                       "alphabet_halfwidth": 0, "trial": trial,
-                      "payload_digest":
-                          hashlib.sha256(chk.x).hexdigest()[:16]})
+                      "payload_digest": payload_digest(chk.x)})
     else:
         if scheme == "centralized":
             report = centralized_report(ch, np.asarray(config.P_grid))

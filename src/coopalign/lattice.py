@@ -4,7 +4,8 @@ Each transmitter modulates one integer symbol per lattice label s (nine
 channel-gain exponents, each in {1..N}) onto the monomial carrier
 prod_ij h_ij^(s_ij).  A receiver's noiseless signal then decomposes over the
 enlarged label cube {1..N+1}^9 into integer combinations of at most three
-symbols, one per user, which is what the cooperation protocols exchange.
+symbols, one per user: the plain int64 cubes the cooperation protocols
+exchange, within +-3q because they sum symbols checked to lie in +-q.
 """
 
 from __future__ import annotations
@@ -77,33 +78,6 @@ class SubstreamTable:
     def random(cls, owner, n, q, rng):
         v = rng.integers(-q, q + 1, size=(n,) * 9, dtype=np.int64)
         return cls(owner=owner, n=n, q=q, values=v)
-
-
-@dataclass(eq=False)
-class ObservationTable:
-    """Integer receive-side combinations on the cube {1..n+1}^9.
-
-    Entry r[s] is the sum of the three user symbols whose labels are s with
-    the receiver's own gain exponent decremented once, so values lie in
-    {-3q..3q} when the streams use half-width q.
-    """
-
-    receiver: int
-    n: int
-    values: np.ndarray
-    q: int
-
-    def __post_init__(self):
-        if self.receiver not in (1, 2, 3):
-            raise ParameterError(f"receiver must be 1, 2 or 3, got {self.receiver}")
-        v = np.asarray(self.values, dtype=np.int64)
-        if v.shape != (self.n + 1,) * 9:
-            raise ParameterError(
-                f"values must have shape {(self.n + 1,)*9}, got {v.shape}")
-        if v.size and (v.max() > 3 * self.q or v.min() < -3 * self.q):
-            raise SymbolRangeError(
-                f"observation outside Z_{3*self.q} at receiver {self.receiver}")
-        self.values = v
 
 
 # ============================================================
@@ -273,19 +247,20 @@ def stream_params(streams) -> tuple:
 
 
 def exact_observations(streams) -> tuple:
-    """Noiseless integer receive combinations for all three receivers.
+    """Noiseless integer receive combinations for all three receivers: three
+    int64 cubes of shape (n+1,)*9 in receiver order.
 
     For receiver i the label s picks up user 1's symbol at s with coordinate
     (i,1) decremented, user 2's at (i,2) decremented and user 3's at (i,3)
     decremented; out-of-range labels contribute zero.  Realised as one zero
     block plus three in-place adds, stream j read at shift -1 on (i,j).
     """
-    n, q = stream_params(streams)
+    n, _ = stream_params(streams)
     out = []
     for i in (1, 2, 3):
         acc = np.zeros((n + 1,) * 9, dtype=np.int64)
         for j, stream in enumerate(streams, 1):
             src, dst = window((n,) * 9, n + 1, {AXIS[(i, j)]: -1}, {})
             acc[dst] += stream.values[src]
-        out.append(ObservationTable(receiver=i, n=n, values=acc, q=q))
+        out.append(acc)
     return tuple(out)

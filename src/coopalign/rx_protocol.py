@@ -59,12 +59,12 @@ RX_STEPS = (
 )
 
 
-def receiver_nodes(tables):
-    """Fresh receiver states over the receive combination tables."""
-    n, q = tables[0].n, tables[0].q
+def receiver_nodes(tables, q):
+    """Fresh receiver states over the combination cubes of half-width q."""
+    n = tables[0].shape[0] - 1
     return {i: NodeState(node=i, q=q, bound=q, slab_coord=(3, 1),
                          store="resolved",
-                         tables={"obs": tables[i - 1].values,
+                         tables={"obs": tables[i - 1],
                                  "resolved": np.zeros((n,) * 9, dtype=np.int64)})
             for i in (1, 2, 3)}
 
@@ -73,19 +73,18 @@ def receiver_nodes(tables):
 class RxProtocolResult:
     recovered: tuple              # three (N,)^9 integer arrays, user order
     ledger: BackhaulLedger
-    rounds: int
 
 
 def run_rx_protocol(all_streams) -> RxProtocolResult:
     """Run the full N-round receiver-side exchange on one time slot, from
     the exact combinations; any inconsistency raises ProtocolError."""
-    n, _ = stream_params(all_streams)
-    nodes = receiver_nodes(exact_observations(all_streams))
+    n, q = stream_params(all_streams)
+    nodes = receiver_nodes(exact_observations(all_streams), q)
     ledger = BackhaulLedger()
     for r in range(n):
         run_round(RX_STEPS, nodes, r, n - r, ledger, first=r == 0)
     recovered = tuple(nodes[i].tables["resolved"] for i in (1, 2, 3))
-    return RxProtocolResult(recovered=recovered, ledger=ledger, rounds=n)
+    return RxProtocolResult(recovered=recovered, ledger=ledger)
 
 
 def expected_symbol_count(n: int) -> int:

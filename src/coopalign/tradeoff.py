@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import GenericityError, ParameterError
 from .lattice import complex_awgn, illustrating_gains
+from .tx_protocol import channel_inverse
 
 
 def top_half_slope(P_grid, values) -> float:
@@ -279,20 +280,21 @@ def _budget_report(symbols_per_user, N, eps, P_grid, load_spans_cube):
 def centralized_report(h, P_grid) -> RateReport:
     """Rate-level hub model: receivers 2..K forward unit-distortion
     quantized observations to receiver 1, which inverts the channel and
-    ships each decoded message back."""
+    ships each decoded message back.  A channel that channel_inverse does
+    not certify raises SingularChannelError."""
     h = _square_gains(h)
     K = h.shape[0]
     P_grid = np.asarray(P_grid, dtype=float)
-    hinv = np.linalg.inv(h)
+    hinv = channel_inverse(h)
     # after inversion: unit receiver noise plus unit quantization noise on
     # the K-1 forwarded observations
     noise_rows = 2.0 * np.sum(np.abs(hinv) ** 2, axis=1)
+    row_pow = [np.sum(np.abs(h[l]) ** 2) for l in range(1, K)]
     rates = np.zeros((P_grid.size, K))
     rb = np.zeros(P_grid.size)
     for i, P in enumerate(P_grid):
         rates[i] = np.log2(1.0 + P / noise_rows)
-        up = sum(np.log2(1.0 + P * np.sum(np.abs(h[l]) ** 2) + 1.0)
-                 for l in range(1, K))
+        up = sum(np.log2(1.0 + P * g + 1.0) for g in row_pow)
         down = float(np.sum(rates[i, 1:]))
         rb[i] = (up + down) / K
     return RateReport(P_grid=P_grid, rates=rates, rb_bar=rb)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .backhaul import BackhaulLedger, NodeState, Step, run_round
 from .errors import SingularChannelError
-from .lattice import ObservationTable, carrier_sums, stream_params
+from .lattice import carrier_sums, stream_params
 
 
 DET_FLOOR = 1e-12             # smallest accepted |det h|
@@ -103,22 +103,21 @@ def tx_round(nodes, r, ledger):
 
 @dataclass
 class TxProtocolResult:
-    built: tuple                  # three ObservationTables, receiver order
+    """Outcome of the N+1 rounds: the nodes' own built cubes, not copies."""
+
+    built: tuple                  # three (N+1,)^9 int64 arrays, receiver order
     ledger: BackhaulLedger
-    rounds: int
 
 
 def run_tx_backhaul(all_streams) -> TxProtocolResult:
     """Run the full (N+1)-round transmitter exchange on one time slot."""
-    n, q = stream_params(all_streams)
+    n, _ = stream_params(all_streams)
     nodes = transmitter_nodes(all_streams)
     ledger = BackhaulLedger()
     for r in range(1, n + 2):
         tx_round(nodes, r, ledger)
-    built = tuple(ObservationTable(receiver=m, n=n, q=q,
-                                   values=nodes[m].tables["built"])
-                  for m in (1, 2, 3))
-    return TxProtocolResult(built=built, ledger=ledger, rounds=n + 1)
+    built = tuple(nodes[m].tables["built"] for m in (1, 2, 3))
+    return TxProtocolResult(built=built, ledger=ledger)
 
 
 def expected_symbol_count(n: int) -> int:
@@ -159,7 +158,7 @@ def verify_diagonalization(all_streams, built, h, P) -> DiagonalizationCheck:
     compares.
     """
     hinv = channel_inverse(h)
-    raw = carrier_sums(hinv, [t.values for t in built])
+    raw = carrier_sums(hinv, built)
     # scale the realised samples to average power P
     mean_pow = float(np.mean(np.abs(raw) ** 2))
     scale = float(np.sqrt(P / mean_pow)) if mean_pow > 0 else 1.0

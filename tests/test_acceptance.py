@@ -87,8 +87,7 @@ def test_c02_tx_equality():
             res = run_tx_backhaul(streams)
             want = exact_observations(streams)
             for i in range(3):
-                np.testing.assert_array_equal(res.built[i].values,
-                                              want[i].values)
+                np.testing.assert_array_equal(res.built[i], want[i])
             assert res.ledger.total_symbols <= tx_count(n)
             assert res.ledger.total_symbols == 3 * (n + 1) ** 9
             chk = verify_diagonalization(streams, res.built, ch, 1e8)
@@ -192,7 +191,7 @@ def test_c09_error_confinement(monkeypatch):
         # one step on receiver 1's entry at label (1,2) = 2, which its
         # 1->2 payload reads
         tables = exact_observations(streams)
-        tables[0].values[0, 1, 0, 0, 0, 0, 0, 0, 0] += 1
+        tables[0][0, 1, 0, 0, 0, 0, 0, 0, 0] += 1
         return tables
 
     dirty = []

@@ -132,6 +132,17 @@ class TestConfig:
         # 7^9 candidates, over the default ml_budget of 10^6
         ("reduced_spec", {"scheme": "rx-coop", "reduced_spec": {
             "active_coords": [[1, 1], [2, 2]], "n_red": 2, "q_red": 1}}),
+        # the hub inverts the channel: a singular fixed one fails at load
+        ("fixed_channel", {"scheme": "centralized", "channel_mode": "fixed",
+                           "fixed_channel": [[[1, 0]] * 3] * 3}),
+        # fixed gains are read only in fixed mode, whatever their values
+        ("fixed_channel", {"scheme": "rx-coop",
+                           "fixed_channel": _with_gain(1, 2, 1e-12)}),
+        ("fixed_channel", {"scheme": "rx-coop", "fixed_channel": FIXED_GAINS}),
+        ("fixed_channel", {"scheme": "illustrating-example",
+                           "channel_mode": "illustrating",
+                           "fixed_channel": FIXED_GAINS}),
+        ("gamma", {"scheme": "illustrating-example", "gamma": 0}),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, field, bad):
         raw = dict({"N": 1, "trials": 1, "output_dir": str(tmp_path / "o")},

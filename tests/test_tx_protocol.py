@@ -52,15 +52,14 @@ class TestExchange:
         res = run_tx_backhaul(streams)
         want = exact_observations(streams)
         for i in range(3):
-            np.testing.assert_array_equal(res.built[i].values,
-                                          want[i].values)
+            np.testing.assert_array_equal(res.built[i], want[i])
 
     def test_built_matches_bruteforce_oracle(self, rng):
         streams = _streams(rng, 1)
         res = run_tx_backhaul(streams)
         want = oracle_observations(streams)
         for i in range(3):
-            np.testing.assert_array_equal(res.built[i].values, want[i])
+            np.testing.assert_array_equal(res.built[i], want[i])
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_ledger_symbol_count(self, rng, n):
@@ -71,7 +70,6 @@ class TestExchange:
         assert len(res.ledger.messages) == 3 * (n + 1)
         assert all(m.length == (n + 1) ** 8 for m in res.ledger.messages)
         assert all(m.alphabet_halfwidth == 15 for m in res.ledger.messages)
-        assert res.rounds == n + 1
 
     def test_link_cycle(self, rng):
         res = run_tx_backhaul(_streams(rng, 1))
@@ -93,7 +91,7 @@ class TestExchange:
         streams = _zero_streams(1)
         res = run_tx_backhaul(streams)
         for t in res.built:
-            assert not t.values.any()
+            assert not t.any()
         assert all(m.digest == _digest(np.zeros(m.length, dtype=np.int64))
                    for m in res.ledger.messages)
 
@@ -139,8 +137,13 @@ class TestExchange:
 @given(stream_sets())
 def test_built_tables_exact_for_any_tables(streams):
     res = run_tx_backhaul(streams)
+    n, q = streams[0].n, streams[0].q
     for built, want in zip(res.built, exact_observations(streams)):
-        np.testing.assert_array_equal(built.values, want.values)
+        for cube in (built, want):
+            assert cube.dtype == np.int64 and cube.shape == (n + 1,) * 9
+        np.testing.assert_array_equal(built, want)
+        # each combination sums three symbols in +-q
+        assert np.abs(want).max() <= 3 * q
 
 
 class TestInverseChannel:
@@ -168,7 +171,7 @@ class TestDiagonalization:
         chk = verify_diagonalization(streams, built, h, 250.0)
         want = np.array([
             sum(oracle_monomial(hinv, lab)
-                * t.values[tuple(c - 1 for c in lab)]
+                * t[tuple(c - 1 for c in lab)]
                 for lab in itertools.product(range(1, 3), repeat=9))
             for t in built])
         scale = np.sqrt(250.0 / np.mean(np.abs(want) ** 2))
