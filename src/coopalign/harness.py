@@ -19,7 +19,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -119,6 +118,8 @@ class ExperimentConfig:
             raise ConfigError(f"q must be an integer in [1, {q_max}] at "
                               f"N = {self.N}, got {self.q!r}")
         a = np.asarray(self.alpha_grid, dtype=float)
+        if a.size == 0:
+            raise ConfigError("alpha_grid needs at least one value")
         if not np.all(np.isfinite(a) & (a >= 0)):
             raise ConfigError(
                 f"alpha_grid values must be finite and >= 0, got {self.alpha_grid}")
@@ -354,7 +355,9 @@ class RunManifest:
     failed_trial: dict = None     # trial, seed inputs; round, node if known
 
     def write(self, path):
-        d = asdict(self)
+        # no asdict deep copy: config and channels are plain containers
+        # built for this manifest alone, and json.dumps only reads them
+        d = {f: getattr(self, f) for f in self.__dataclass_fields__}
         for key in ("error", "failed_trial"):
             if d[key] is None:
                 d.pop(key)
@@ -383,6 +386,8 @@ def _trial_results(config, trials, jobs):
         for t in trials:
             yield run_trial(config, t)
         return
+    # imported here so a serial run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futs = [pool.submit(run_trial, config, t) for t in trials]
         try:

@@ -278,25 +278,22 @@ def _budget_report(symbols_per_user, N, eps, P_grid, load_spans_cube):
 
 
 def centralized_report(h, P_grid) -> RateReport:
-    """Rate-level hub model: receivers 2..K forward unit-distortion
+    """Rate-level hub model: receivers 2 and 3 forward unit-distortion
     quantized observations to receiver 1, which inverts the channel and
     ships each decoded message back.  A channel that channel_inverse does
-    not certify raises SingularChannelError."""
-    h = _square_gains(h)
-    K = h.shape[0]
+    not certify, which includes any but a 3x3 one, raises
+    SingularChannelError."""
+    h = np.asarray(h, dtype=np.complex128)
     P_grid = np.asarray(P_grid, dtype=float)
     hinv = channel_inverse(h)
     # after inversion: unit receiver noise plus unit quantization noise on
-    # the K-1 forwarded observations
+    # the two forwarded observations
     noise_rows = 2.0 * np.sum(np.abs(hinv) ** 2, axis=1)
-    row_pow = [np.sum(np.abs(h[l]) ** 2) for l in range(1, K)]
-    rates = np.zeros((P_grid.size, K))
-    rb = np.zeros(P_grid.size)
-    for i, P in enumerate(P_grid):
-        rates[i] = np.log2(1.0 + P / noise_rows)
-        up = sum(np.log2(1.0 + P * g + 1.0) for g in row_pow)
-        down = float(np.sum(rates[i, 1:]))
-        rb[i] = (up + down) / K
+    row_pow = np.sum(np.abs(h[1:]) ** 2, axis=1)
+    P = P_grid[:, None]
+    rates = np.log2(1.0 + P / noise_rows)
+    up = np.log2(1.0 + P * row_pow + 1.0)
+    rb = (up.sum(axis=1) + rates[:, 1:].sum(axis=1)) / 3
     return RateReport(P_grid=P_grid, rates=rates, rb_bar=rb)
 
 

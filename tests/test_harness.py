@@ -1,18 +1,24 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coopalign
 from conftest import save_config
 from coopalign.cli import main as cli_main
 from coopalign.errors import ConfigError, GenericityError, ProtocolError
-from coopalign.harness import (CSV_COLUMNS, ExperimentConfig, config_from_dict,
-                               load_config, run_experiment, run_trial)
+from coopalign.harness import (CSV_COLUMNS, ExperimentConfig, RunManifest,
+                               config_from_dict, load_config, run_experiment,
+                               run_trial)
 
 
 FIXED_GAINS = [[[1.0, 0.2], [0.5, -0.1], [0.3, 0.4]],
@@ -143,6 +149,8 @@ class TestConfig:
                            "channel_mode": "illustrating",
                            "fixed_channel": FIXED_GAINS}),
         ("gamma", {"scheme": "illustrating-example", "gamma": 0}),
+        # used to write a header-only results.csv under a complete manifest
+        ("alpha_grid", {"scheme": "bounds-only", "alpha_grid": []}),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, field, bad):
         raw = dict({"N": 1, "trials": 1, "output_dir": str(tmp_path / "o")},
@@ -238,9 +246,9 @@ class TestRunExperiment:
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
         # stands in for ProcessPoolExecutor: records the pool size and runs
-        # each submit in this process, so no worker is ever started
-        import coopalign.harness as hmod
-        from concurrent.futures import Future
+        # each submit in this process, so no worker is ever started; the
+        # harness imports the name from concurrent.futures when it pools
+        import concurrent.futures
         sizes = []
 
         class Recorder:
@@ -254,11 +262,12 @@ class TestRunExperiment:
                 return False
 
             def submit(self, fn, *args):
-                fut = Future()
+                fut = concurrent.futures.Future()
                 fut.set_result(fn(*args))
                 return fut
 
-        monkeypatch.setattr(hmod, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Recorder)
         return sizes
 
     def test_pool_capped_at_trial_count(self, tmp_path, pool_sizes):
@@ -272,6 +281,30 @@ class TestRunExperiment:
         assert cli_main(["run", "--jobs", "4", "--out", str(tmp_path / "b"),
                          "--scheme", "bounds-only"]) == 0
         assert pool_sizes == []
+
+    def test_serial_run_loads_no_process_pool(self, tmp_path):
+        # a fresh interpreter, so nothing this test process imported counts;
+        # the two-worker run shows the check can see a loaded pool
+        code = (
+            "import json, sys, coopalign, coopalign.cli\n"
+            "from coopalign.harness import config_from_dict, run_experiment\n"
+            "cfg = config_from_dict({'scheme': 'tdma', 'N': 1, 'trials': 2,\n"
+            "                        'output_dir': sys.argv[1]})\n"
+            "names = ('multiprocessing', 'concurrent.futures.process')\n"
+            "loaded = []\n"
+            "for jobs in (1, 2):\n"
+            "    assert run_experiment(cfg, jobs=jobs).status == 'complete'\n"
+            "    loaded.append([m for m in names if m in sys.modules])\n"
+            "print(json.dumps(loaded))\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(coopalign.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        serial, pooled = json.loads(proc.stdout)
+        assert serial == []
+        assert pooled == ["multiprocessing", "concurrent.futures.process"]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_cli_rejects_nonpositive_jobs(self, tmp_path, capsys, jobs):
@@ -304,6 +337,30 @@ class TestRunExperiment:
         digest = hashlib.sha256(
             (tmp_path / "run" / "results.csv").read_bytes()).hexdigest()
         assert on_disk["outputs"]["results.csv"] == digest
+
+    def test_manifest_text_matches_asdict(self, tmp_path):
+        # oracle: the asdict-based dict the manifest was written from before,
+        # with the unset error fields dropped the same way
+        def oracle(m):
+            d = dataclasses.asdict(m)
+            for key in ("error", "failed_trial"):
+                if d[key] is None:
+                    d.pop(key)
+            return json.dumps(d, indent=2) + "\n"
+
+        out = tmp_path / "run"
+        complete = run_experiment(_cfg(
+            trials=2, reduced_spec={"active_coords": [[1, 1]], "n_red": 1,
+                                    "q_red": 1}, output_dir=str(out)))
+        assert (out / "manifest.json").read_text() == oracle(complete)
+        incomplete = RunManifest(config=complete.config)
+        failed = dataclasses.replace(
+            complete, status="incomplete", error="ProtocolError: induced",
+            failed_trial={"trial": 2, "entropy": 11, "spawn_key": [2],
+                          "round": 1, "node": 2})
+        for m in (incomplete, complete, failed):
+            m.write(tmp_path / "manifest.json")
+            assert (tmp_path / "manifest.json").read_text() == oracle(m)
 
     def test_failed_run_leaves_incomplete_manifest(self, tmp_path, monkeypatch):
         cfg = _cfg(output_dir=str(tmp_path / "boom"))
@@ -522,6 +579,15 @@ def test_baseline_results_golden(tmp_path, scheme):
                                      "output_dir": str(tmp_path)}))
     digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_BASELINE_CSV[scheme]
+
+
+def test_centralized_results_golden_n3(tmp_path):
+    # the hub model reads no N: at N = 3 it writes the N = 2 golden bytes
+    run_experiment(config_from_dict({"scheme": "centralized", "N": 3,
+                                     "trials": 3, "rng_seed": 11,
+                                     "output_dir": str(tmp_path)}))
+    digest = hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_BASELINE_CSV["centralized"]
 
 
 def test_screen_runs_only_for_lattice_schemes(tmp_path, monkeypatch):

@@ -196,6 +196,29 @@ class TestSchemeReports:
         assert abs(load_slope(rep) - 4.0 / 3.0) <= 0.05 * 4.0 / 3.0
         assert abs(rate_slopes(rep).mean() - 1.0) <= 0.05
 
+    def test_centralized_report_matches_per_point_loop(self, rng):
+        # reference: one power point at a time, with the report's arithmetic
+        # in the same order, so the bytes must agree
+        def loop(h, P_grid):
+            hinv = np.linalg.inv(h)
+            noise_rows = 2.0 * np.sum(np.abs(hinv) ** 2, axis=1)
+            row_pow = [np.sum(np.abs(h[l]) ** 2) for l in (1, 2)]
+            rates = np.zeros((P_grid.size, 3))
+            rb = np.zeros(P_grid.size)
+            for i, P in enumerate(P_grid):
+                rates[i] = np.log2(1.0 + P / noise_rows)
+                up = sum(np.log2(1.0 + P * g + 1.0) for g in row_pow)
+                rb[i] = (up + float(np.sum(rates[i, 1:]))) / 3
+            return rates, rb
+
+        for _ in range(200):
+            h = random_gains(rng) * 10.0 ** rng.uniform(-2, 2, size=(3, 3))
+            P = np.sort(10.0 ** rng.uniform(0.1, 12, size=rng.integers(4, 9)))
+            rep = centralized_report(h, P)
+            rates, rb = loop(h, P)
+            assert np.array_equal(rep.rates, rates)
+            assert np.array_equal(rep.rb_bar, rb)
+
     def test_tdma_report_limits(self, rng):
         ch = make_generic_channel(rng, n=1)
         rep = tdma_report(ch, np.logspace(4, 10, 7))
