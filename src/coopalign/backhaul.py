@@ -26,11 +26,16 @@ import numpy as np
 
 from .errors import ParameterError, ProtocolError
 from .indices import AXIS, window
+from .lattice import STEP_TERMS
 
 
 def payload_digest(a) -> str:
     """The first 16 hex digits of the sha256 of a C-contiguous array's
-    bytes, read through the buffer protocol without a copy."""
+    bytes.  An integer array is hashed as its int64 bytes, whatever type
+    holds it: a narrower one is first copied to int64, while an int64 or
+    non-integer array is read through the buffer protocol without a copy."""
+    if a.dtype.kind == "i":
+        a = a.astype(np.int64, copy=False)
     return hashlib.sha256(a).hexdigest()[:16]
 
 
@@ -117,6 +122,9 @@ class Step:
     def __post_init__(self):
         if self.source == self.destination:
             raise ParameterError("step source and destination must differ")
+        # the cube types are chosen for sums of at most STEP_TERMS reads
+        if len(self.send) + len(self.receive) > STEP_TERMS:
+            raise ParameterError(f"a step adds at most {STEP_TERMS} terms")
 
 
 @dataclass(eq=False)
@@ -189,8 +197,9 @@ def run_round(steps, nodes, round_index, slab, ledger, first=False):
     """
     for step in steps:
         src, dst = nodes[step.source], nodes[step.destination]
-        upper = src.tables[src.store].shape[0]
-        block = np.zeros((upper,) * 8, dtype=np.int64)
+        store = src.tables[src.store]
+        upper = store.shape[0]
+        block = np.zeros((upper,) * 8, dtype=store.dtype)
         for term in step.send:
             src.add_term(block, term, slab, round_index)
         hw = step.halfwidth[0 if first else 1] * src.q

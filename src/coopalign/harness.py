@@ -30,11 +30,11 @@ from .detection import ReducedSpec
 from .errors import (ConfigError, CoopAlignError, ProtocolError,
                      SingularChannelError)
 from .lattice import (GENERIC_TOL, SubstreamTable, illustrating_gains,
-                      random_gains, require_generic)
-from .rx_protocol import RX_STEPS, run_rx_protocol
+                      q_limit, random_gains, require_generic)
+from .rx_protocol import run_rx_protocol
 from .tradeoff import (_budget_report, centralized_report, illustrating_example,
                        rx_sum_upper_bound, tdma_report, tx_sum_upper_bound)
-from .tx_protocol import (TX_STEPS, channel_inverse, run_tx_backhaul,
+from .tx_protocol import (channel_inverse, run_tx_backhaul,
                           verify_diagonalization)
 
 SCHEMES = ("rx-coop", "tx-coop", "centralized", "tdma",
@@ -110,10 +110,8 @@ class ExperimentConfig:
                     _require_nonvanishing("inverse gain", hinv)
         if self.gamma == 0:
             raise ConfigError("gamma must be nonzero")
-        # a step sums up to `terms` table reads within +-3q, and the rx 1->2
-        # back-substitution chains N such sums: none may wrap in int64
-        terms = max(len(s.send) + len(s.receive) for s in RX_STEPS + TX_STEPS)
-        q_max = (2 ** 63 - 1) // (terms * 3 * self.N)
+        # no exchange sum may wrap, even in the widest cube type
+        q_max = q_limit(self.N, np.int64)
         if not (type(self.q) is int and 1 <= self.q <= q_max):
             raise ConfigError(f"q must be an integer in [1, {q_max}] at "
                               f"N = {self.N}, got {self.q!r}")

@@ -4,8 +4,10 @@ Each transmitter modulates one integer symbol per lattice label s (nine
 channel-gain exponents, each in {1..N}) onto the monomial carrier
 prod_ij h_ij^(s_ij).  A receiver's noiseless signal then decomposes over the
 enlarged label cube {1..N+1}^9 into integer combinations of at most three
-symbols, one per user: the plain int64 cubes the cooperation protocols
-exchange, within +-3q because they sum symbols checked to lie in +-q.
+symbols, one per user: the plain integer cubes the cooperation protocols
+exchange, within +-3q because they sum symbols checked to lie in +-q.  Every
+cube is int16 when the exchange's sums at that q and N fit it, else int64
+(cube_dtype).
 """
 
 from __future__ import annotations
@@ -48,11 +50,33 @@ def illustrating_gains(gamma, h):
 # ============================================================
 
 
+# a backhaul step adds at most this many table reads into one block
+STEP_TERMS = 5
+
+
+def q_limit(n, dtype) -> int:
+    """Largest symbol half-width whose exchange sums at lattice depth n fit
+    the integer type dtype.
+
+    Every table an exchange reads lies within +-3q, a step adds at most
+    STEP_TERMS reads into a block, and the rx back-substitution chains n
+    such blocks, so no sum passes STEP_TERMS * 3 * n * q.
+    """
+    return int(np.iinfo(dtype).max) // (STEP_TERMS * 3 * n)
+
+
+def cube_dtype(n, q) -> np.dtype:
+    """int16 when it holds every exchange sum at depth n and half-width q,
+    else int64."""
+    return np.dtype(np.int16 if q <= q_limit(n, np.int16) else np.int64)
+
+
 @dataclass(eq=False)
 class SubstreamTable:
     """One user's integer symbols, indexed by lattice labels in {1..n}^9.
 
-    Values lie in {-q..q}; reads outside the cube are zero.
+    Values lie in {-q..q} and are held as cube_dtype(n, q); reads outside
+    the cube are zero.
     """
 
     owner: int
@@ -63,19 +87,23 @@ class SubstreamTable:
     def __post_init__(self):
         if self.owner not in (1, 2, 3):
             raise ParameterError(f"owner must be 1, 2 or 3, got {self.owner}")
-        v = np.asarray(self.values, dtype=np.int64)
+        v = np.asarray(self.values)
+        if v.dtype.kind not in "iu":
+            raise ParameterError(f"symbols must be integers, got {v.dtype}")
         if v.shape != (self.n,) * 9:
             raise ParameterError(
                 f"values must have shape {(self.n,)*9}, got {v.shape}")
         if self.q < 1:
             raise ParameterError("symbol half-width q must be >= 1")
+        # checked before the cast, which would wrap an entry far out of range
         if v.size and (v.max() > self.q or v.min() < -self.q):
             raise SymbolRangeError(
                 f"symbol outside Z_{self.q} in substream table for user {self.owner}")
-        self.values = v
+        self.values = v.astype(cube_dtype(self.n, self.q), copy=False)
 
     @classmethod
     def random(cls, owner, n, q, rng):
+        # drawn as int64 whatever the cube type: the draws depend on it
         v = rng.integers(-q, q + 1, size=(n,) * 9, dtype=np.int64)
         return cls(owner=owner, n=n, q=q, values=v)
 
@@ -248,7 +276,7 @@ def stream_params(streams) -> tuple:
 
 def exact_observations(streams) -> tuple:
     """Noiseless integer receive combinations for all three receivers: three
-    int64 cubes of shape (n+1,)*9 in receiver order.
+    cubes of shape (n+1,)*9 in receiver order, of the streams' integer type.
 
     For receiver i the label s picks up user 1's symbol at s with coordinate
     (i,1) decremented, user 2's at (i,2) decremented and user 3's at (i,3)
@@ -258,7 +286,7 @@ def exact_observations(streams) -> tuple:
     n, _ = stream_params(streams)
     out = []
     for i in (1, 2, 3):
-        acc = np.zeros((n + 1,) * 9, dtype=np.int64)
+        acc = np.zeros((n + 1,) * 9, dtype=streams[0].values.dtype)
         for j, stream in enumerate(streams, 1):
             src, dst = window((n,) * 9, n + 1, {AXIS[(i, j)]: -1}, {})
             acc[dst] += stream.values[src]

@@ -65,7 +65,8 @@ def receiver_nodes(tables, q):
     return {i: NodeState(node=i, q=q, bound=q, slab_coord=(3, 1),
                          store="resolved",
                          tables={"obs": tables[i - 1],
-                                 "resolved": np.zeros((n,) * 9, dtype=np.int64)})
+                                 "resolved": np.zeros((n,) * 9,
+                                                      dtype=tables[0].dtype)})
             for i in (1, 2, 3)}
 
 

@@ -89,10 +89,11 @@ TX_STEPS = (
 def transmitter_nodes(all_streams):
     """Fresh transmitter states holding each user's own symbols."""
     n, q = stream_params(all_streams)
+    dtype = all_streams[0].values.dtype
     return {m: NodeState(node=m, q=q, bound=3 * q, slab_coord=(2, 1),
                          store="built",
                          tables={"own": all_streams[m - 1].values,
-                                 "built": np.zeros((n + 1,) * 9, dtype=np.int64)})
+                                 "built": np.zeros((n + 1,) * 9, dtype=dtype)})
             for m in (1, 2, 3)}
 
 
@@ -105,7 +106,8 @@ def tx_round(nodes, r, ledger):
 class TxProtocolResult:
     """Outcome of the N+1 rounds: the nodes' own built cubes, not copies."""
 
-    built: tuple                  # three (N+1,)^9 int64 arrays, receiver order
+    built: tuple                  # three (N+1,)^9 cubes of the streams' type,
+                                  # receiver order
     ledger: BackhaulLedger
 
 

@@ -9,11 +9,25 @@ bug in the window arithmetic cannot hide in both sides of a comparison.
 import cmath
 import itertools
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+
+# On a failing property test hypothesis's pytest plugin imports this module,
+# which imports libcst when it is installed, and libcst raises a
+# DeprecationWarning while it loads.  Under filterwarnings = ["error"] that
+# warning aborts the whole session inside the plugin's hook, so the tests
+# after the failure never run.  Loaded here with only that category ignored,
+# only for this import; every later warning still fails its test.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from coopalign.harness import config_from_dict, run_trial
 from coopalign.lattice import (GENERIC_TOL, SubstreamTable, monomial_table,
@@ -165,12 +179,23 @@ def trial_point(raw):
             top_half_slope(P, [r["rate_bits"] for r in rows]))
 
 
+def narrowest_cube_dtype(n, q):
+    """int16 if its range holds every exchange sum, 15 N q (five table reads
+    within +-3q per step, N steps chained), else int64."""
+    if 15 * n * q > np.iinfo(np.int64).max:
+        raise ValueError(f"no cube type holds q = {q} at N = {n}")
+    return np.dtype(np.int16 if 15 * n * q <= np.iinfo(np.int16).max
+                    else np.int64)
+
+
 @st.composite
 def stream_sets(draw):
     """Three users' tables at N in {1, 2}, with q anywhere up to the load
-    bound (2**63 - 1) // (15 N), filled at random, all +q or all -q."""
+    bound (2**63 - 1) // (15 N), or at or just past the largest q of an
+    int16 cube, filled at random, all +q or all -q."""
     n = draw(st.integers(1, 2))
-    q = draw(st.integers(1, (2 ** 63 - 1) // (15 * n)))
+    edges = [np.iinfo(np.int16).max // (15 * n) + d for d in (0, 1)]
+    q = draw(st.integers(1, (2 ** 63 - 1) // (15 * n)) | st.sampled_from(edges))
     kind = draw(st.sampled_from(("random", "plus", "minus")))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if kind == "random":

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from coopalign.backhaul import (BackhaulLedger, BackhaulMessage, NodeState,
-                                Step, run_round)
+                                Step, payload_digest, run_round)
 from coopalign.errors import ParameterError, ProtocolError
+from coopalign.lattice import STEP_TERMS
 
 
 def _msg(src, dst, length, hw, rnd=0):
@@ -49,6 +50,24 @@ def test_digest_tracks_payload():
     rec = m.trace_record()
     assert rec["stage"] == "backhaul"
     assert rec["length"] == 1 and rec["payload_digest"] == m.digest
+
+
+def test_narrow_payload_digested_as_int64_bytes():
+    # a payload held in int16 keeps the digest of its int64 bytes
+    block = np.arange(-300, 300, 7).reshape(2, -1)
+    want = hashlib.sha256(block.astype(np.int64).tobytes()).hexdigest()[:16]
+    for t in (np.int16, np.int64):
+        assert payload_digest(block.astype(t)) == want
+
+
+def test_step_rejects_too_many_terms():
+    # the cube types hold sums of at most STEP_TERMS reads
+    term = (+1, "own", (), 0)
+    Step(1, 2, send=(term,) * 3, receive=(term,) * (STEP_TERMS - 3),
+         halfwidth=(1, 1))
+    with pytest.raises(ParameterError, match="terms"):
+        Step(1, 2, send=(term,) * 3, receive=(term,) * (STEP_TERMS - 2),
+             halfwidth=(1, 1))
 
 
 @pytest.mark.parametrize("halfwidth,node,text", [

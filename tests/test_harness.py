@@ -19,6 +19,7 @@ from coopalign.errors import ConfigError, GenericityError, ProtocolError
 from coopalign.harness import (CSV_COLUMNS, ExperimentConfig, RunManifest,
                                config_from_dict, load_config, run_experiment,
                                run_trial)
+from coopalign.lattice import q_limit
 
 
 FIXED_GAINS = [[[1.0, 0.2], [0.5, -0.1], [0.3, 0.4]],
@@ -179,6 +180,15 @@ class TestConfig:
         cfg = config_from_dict({"scheme": "rx-coop", "N": N,
                                 "q": (2 ** 63 - 1) // (15 * N)})
         assert cfg.q == (2 ** 63 - 1) // (15 * N)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    def test_q_bound_is_the_int64_cube_limit(self, N):
+        # the load bound and the cube types come from one function
+        q = q_limit(N, np.int64)
+        assert config_from_dict({"scheme": "tx-coop", "N": N, "q": q}).q == q
+        with pytest.raises(ConfigError,
+                           match=rf"q must be an integer in \[1, {q}\]"):
+            config_from_dict({"scheme": "tx-coop", "N": N, "q": q + 1})
 
     @pytest.mark.parametrize("field", sorted(ExperimentConfig.__dataclass_fields__))
     @settings(max_examples=20, deadline=None)
@@ -560,6 +570,40 @@ def test_protocol_results_golden(tmp_path, scheme, n):
         assert hashlib.sha256(airtime).hexdigest() == GOLDEN_AIRTIME[n]
     else:
         assert airtime == b""
+
+
+# sha256 of (results.csv, trace.jsonl) for config {"scheme": S, "N": 2,
+# "trials": 2, "rng_seed": 11, "q": q}, recorded while every cube was int64;
+# at N = 2 the largest q of an int16 cube is 1092, and the pins at 71582788
+# and 71582789 hold two q deep in the int64 range
+GOLDEN_CUBE_TYPES = {
+    ("rx-coop", 1092): ("ebc0c5364dfbda1948a8a72f5eb1fd7db1340c6d6779b6c77e1b431526b42181",
+                        "1d84f3decca8f26af6d7c94cd9c513a347dfea7c3d96d820335d588ac590a94a"),
+    ("rx-coop", 1093): ("ebc0c5364dfbda1948a8a72f5eb1fd7db1340c6d6779b6c77e1b431526b42181",
+                        "a40d022872deb9699e5848ecafff17d01464f060dd7f35cc9ba41a4db0c4bf2b"),
+    ("rx-coop", 71582788): ("ebc0c5364dfbda1948a8a72f5eb1fd7db1340c6d6779b6c77e1b431526b42181",
+                            "e37353b08804ab6990cf307e1df742dc188fe911926f41e83773960a183d3f82"),
+    ("rx-coop", 71582789): ("ebc0c5364dfbda1948a8a72f5eb1fd7db1340c6d6779b6c77e1b431526b42181",
+                            "acc0f7851429b856babb6a9dc4afc1b3b47db9a44d34823bd79fbe5977b6bfbc"),
+    ("tx-coop", 1092): ("37a78bd06d90441017d9a993888aacef740f49bbd6e3594b89b8a80554f64ced",
+                        "366cdec8a307f6a3cabcdda2f5c8964a42706739163af732e29e9f39682da6e0"),
+    ("tx-coop", 1093): ("6b137ea18ccfbc6c76d3de867b995fa2dfac16d08c2a00889eb6325d643f415a",
+                        "8a33eabf9ad6e28d430725cac6ca7d25af849d54a54f05859720a014cca948cb"),
+    ("tx-coop", 71582788): ("afc3afd64e48dbe0b1279e4e69c28d495af576408f09fa29150a402f8ca421ab",
+                            "74eacc95874e279cce9bfb6f364ab6758811e43797bfbd7547674ab81ad5dd4d"),
+    ("tx-coop", 71582789): ("d7ae10395207aa8a94d6fcfc8e5ddaf33a45c77227a3352a3071b36386c1cd04",
+                            "b09f3a79d866c55da41b1a47f10aa30d6f1b6bc272364a9e671acc09368bb1b5"),
+}
+
+
+@pytest.mark.parametrize("scheme,q", sorted(GOLDEN_CUBE_TYPES))
+def test_results_golden_across_cube_types(tmp_path, scheme, q):
+    run_experiment(config_from_dict({"scheme": scheme, "N": 2, "trials": 2,
+                                     "rng_seed": 11, "q": q,
+                                     "output_dir": str(tmp_path)}))
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                for f in ("results.csv", "trace.jsonl"))
+    assert got == GOLDEN_CUBE_TYPES[scheme, q]
 
 
 # sha256 of results.csv for config {"scheme": S, "N": 2, "trials": 3,

@@ -3,14 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import (dense_cube_sum, oracle_channel_is_generic,
-                      oracle_monomial, oracle_observations)
+from conftest import (dense_cube_sum, narrowest_cube_dtype,
+                      oracle_channel_is_generic, oracle_monomial,
+                      oracle_observations)
 from coopalign import lattice
 from coopalign.errors import GenericityError, ParameterError, SymbolRangeError
 from coopalign.lattice import (SubstreamTable, carrier_sums,
-                               channel_is_generic, complex_awgn,
+                               channel_is_generic, complex_awgn, cube_dtype,
                                exact_observations, illustrating_gains,
-                               monomial_table, random_gains, require_generic)
+                               monomial_table, q_limit, random_gains,
+                               require_generic)
 
 
 def test_channel_matrix_shapes(rng):
@@ -50,6 +52,40 @@ class TestTables:
                 SubstreamTable(owner=1, n=1, q=5, values=values)
         else:
             SubstreamTable(owner=1, n=1, q=5, values=values)
+
+    @pytest.mark.parametrize("values", [
+        np.full((1,) * 9, 0.7), np.full((1,) * 9, 2.0),
+        np.ones((1,) * 9, dtype=bool)], ids=["0.7", "2.0", "bool"])
+    def test_non_integer_symbols_rejected(self, values):
+        # a float table used to be truncated and a bool one read as 0/1
+        with pytest.raises(ParameterError, match="integers"):
+            SubstreamTable(owner=1, n=1, q=5, values=values)
+
+    @pytest.mark.parametrize("value", [5 + 2 ** 16, -5 - 2 ** 16])
+    def test_range_checked_before_narrowing(self, value):
+        # as int16 this entry would wrap to +-5, inside the alphabet
+        values = np.full((1,) * 9, value, dtype=np.int64)
+        assert values.astype(np.int16)[(0,) * 9] == np.sign(value) * 5
+        with pytest.raises(SymbolRangeError):
+            SubstreamTable(owner=1, n=1, q=5, values=values)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_held_in_narrowest_type(self, n):
+        # at and just past the largest q of an int16 cube
+        for q in (q_limit(n, np.int16), q_limit(n, np.int16) + 1):
+            table = SubstreamTable(owner=2, n=n, q=q, values=np.full(
+                (n,) * 9, -q, dtype=np.int64))
+            assert table.values.dtype == narrowest_cube_dtype(n, q)
+            assert (table.values == -q).all()
+
+    def test_random_draw_is_the_int64_draw(self):
+        # the rng stream does not depend on the cube type
+        for q in (5, 1092, 1093, 71582789):
+            a, b = (np.random.default_rng(3) for _ in range(2))
+            table = SubstreamTable.random(1, 2, q, a)
+            want = b.integers(-q, q + 1, size=(2,) * 9, dtype=np.int64)
+            assert table.values.dtype == cube_dtype(2, q)
+            np.testing.assert_array_equal(table.values, want)
 
 
 class TestMonomials:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import (make_generic_channel, oracle_monomial,
-                      oracle_observations, stream_sets)
+from conftest import (make_generic_channel, narrowest_cube_dtype,
+                      oracle_monomial, oracle_observations, stream_sets)
 from coopalign.backhaul import BackhaulLedger
 from coopalign.errors import (GenericityError, ParameterError, ProtocolError,
                               SingularChannelError)
@@ -138,9 +138,10 @@ class TestExchange:
 def test_built_tables_exact_for_any_tables(streams):
     res = run_tx_backhaul(streams)
     n, q = streams[0].n, streams[0].q
+    dtype = narrowest_cube_dtype(n, q)
     for built, want in zip(res.built, exact_observations(streams)):
         for cube in (built, want):
-            assert cube.dtype == np.int64 and cube.shape == (n + 1,) * 9
+            assert cube.dtype == dtype and cube.shape == (n + 1,) * 9
         np.testing.assert_array_equal(built, want)
         # each combination sums three symbols in +-q
         assert np.abs(want).max() <= 3 * q
