@@ -203,11 +203,13 @@ def channel_is_generic(h, n):
     A channel with a non-finite carrier (a nan or inf gain, or a power that
     overflows) is not generic.
 
-    The carriers are ordered by real part; entries with exactly equal real
-    parts keep their table order (the stable order).  Entry i is compared
-    with i+1, i+2, ... while the real-part gap stays within a window taken
-    from the (i, i+1) pair.  All i advance together, one offset k per pass,
-    and an i leaves the pass set as soon as its window closes.
+    The carriers are taken in the stable order of their real parts: by real
+    part, and entries with equal real parts (-0.0 equal to +0.0) in table
+    order, exactly as np.argsort(kind="stable") orders them (_stable_order).
+    Entry i is compared with i+1, i+2, ... while the real-part gap stays
+    within a window taken from the (i, i+1) pair.  All i advance together,
+    one offset k per pass, and an i leaves the pass set as soon as its
+    window closes.
     """
     if np.abs(h).min() <= GENERIC_TOL:
         return False
@@ -215,22 +217,20 @@ def channel_is_generic(h, n):
         vals = monomial_table(h, n + 1).ravel()
     if not np.isfinite(vals).all():
         return False
-    # without an exact tie every sort gives the same order, and the default
-    # one is several times faster than the stable one
-    sv = vals[np.argsort(vals.real)]
-    if np.any(sv.real[1:] == sv.real[:-1]):
-        sv = vals[np.argsort(vals.real, kind="stable")]
+    sv = vals[_stable_order(vals.real)]
     del vals
     size, re = len(sv), sv.real
+    half = np.abs(sv)
+    half *= 0.5
     # a difference of finite carriers may overflow; as an infinite gap or
     # distance it correctly makes that pair not close
     with np.errstate(over="ignore"):
-        span = _pair_tol(sv[:-1], sv[1:])
+        span = _pair_tol(half[:-1], half[1:])
         i = np.flatnonzero(re[1:] - re[:-1] <= span)
         k = 1
         while i.size:
-            a, b = sv[i], sv[i + k]
-            if np.any(np.abs(b - a) <= _pair_tol(a, b)):
+            tol = _pair_tol(half[i], half[i + k])
+            if np.any(np.abs(sv[i + k] - sv[i]) <= tol):
                 return False
             i = i[i + k + 1 < size]
             i = i[re[i + k + 1] - re[i] <= span[i]]
@@ -238,19 +238,52 @@ def channel_is_generic(h, n):
     return True
 
 
-def _pair_tol(a, b):
-    """GENERIC_TOL * max(0.5 * (|a| + |b|), 1e-300) elementwise, in one buffer.
+def _pair_tol(half_a, half_b):
+    """GENERIC_TOL * max(0.5 * (|a| + |b|), 1e-300) elementwise, given the
+    halved magnitudes |a| / 2 and |b| / 2.
 
-    Each magnitude is halved before the add, so two finite magnitudes give a
-    finite sum; that equals half the sum unless a half is subnormal.
+    Adding halves, two finite magnitudes give a finite sum; that equals half
+    the sum unless a half is subnormal.
     """
-    tol, half = np.abs(a), np.abs(b)
-    tol *= 0.5
-    half *= 0.5
-    tol += half
+    tol = half_a + half_b
     np.maximum(tol, 1e-300, out=tol)
     tol *= GENERIC_TOL
     return tol
+
+
+_SIGN_FLIP = np.int64(0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _stable_order(x):
+    """np.argsort(x, kind="stable") for a finite float64 array x, from one
+    in-place sort of int64 keys.
+
+    A key is the float's bits, mapped so that signed integer order is float
+    order, with its low b bits, as many as an index needs, replaced by the
+    entry's index.  -0.0 is first made +0.0, which float order treats as
+    equal to it.  Keys with different high bits are then in float order,
+    and keys of equal floats in index order.  Only floats that differ in
+    their low b bits alone can end up out of order; they share their high
+    bits with a sorted neighbour, and one lexsort by (value, index) over
+    all such entries puts them back: the high bits already order one run
+    of equal high bits against another.
+    """
+    size = len(x)
+    b = (size - 1).bit_length()
+    low = (1 << b) - 1
+    key = (x + 0.0).view(np.int64)
+    key ^= (key >> 63) & _SIGN_FLIP
+    key &= ~low
+    key |= np.arange(size)
+    key.sort()
+    high = key >> b
+    tie = np.flatnonzero(high[1:] == high[:-1])
+    key &= low
+    if tie.size:
+        at = np.union1d(tie, tie + 1)
+        idx = key[at]
+        key[at] = idx[np.lexsort((idx, x[idx]))]
+    return key
 
 
 def require_generic(h, n):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (dense_cube_sum, narrowest_cube_dtype,
                       oracle_channel_is_generic, oracle_monomial,
@@ -209,7 +211,7 @@ class TestGenericity:
         # (b, a, c) the pair (a, c) is compared and lies within tolerance.
         ties = [1 + 100j, 1 + 0j, 1.00000007 + 100j]
         # descending filler far from the ties; the default sort then puts
-        # b before a, so only the stable fallback gives the table order
+        # b before a, so only a stable order gives the table order
         values = np.array([*np.arange(41.0, 9.0, -1.0), *ties])
         a = len(values) - 3
         order = list(np.argsort(values.real))
@@ -223,6 +225,22 @@ class TestGenericity:
         h = np.ones((3, 3), dtype=np.complex128)
         assert channel_is_generic(h, 1) is True
         assert oracle_channel_is_generic(h, 1) is True
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_screen_builds_carriers_once(self, monkeypatch, n):
+        # one carrier table per screen, on {1..n+1}^9, which pipebench's
+        # traced count of screened carriers relies on
+        calls = []
+        table = lattice.monomial_table
+
+        def count_calls(h, upper):
+            out = table(h, upper)
+            calls.append((upper, out.size))
+            return out
+
+        monkeypatch.setattr(lattice, "monomial_table", count_calls)
+        assert channel_is_generic(random_gains(np.random.default_rng(609)), n)
+        assert calls == [(n + 1, (n + 1) ** 9)]
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
     def test_non_finite_carrier_fails(self, value):
@@ -281,10 +299,64 @@ class TestGenericity:
         for d in (1e-10, 4e-10, 9.9e-10, 1.01e-9, 2.5e-9, 1e-8):
             cases.append((edit((1, 1), h[0, 0] * (1 + d)), 2, None))
             cases.append((edit((1, 1), h[0, 0] * np.exp(1j * d)), 2, None))
+        same = edit((1, 1), h[0, 0])
+        for n in (1, 2):
+            cases += [
+                # real carriers: every imaginary part is zero
+                (h.real + 0j, n, True),
+                (illustrating_gains(1.25 - 0.5j, h), n, False),
+                (same, n, False),
+                # purely imaginary gains: half the carriers have real part
+                # +0.0 or -0.0; here the collisions come before that run
+                (1j * same.imag, n, False),
+            ]
+        # the oracle compares every pair in the run of zero real parts:
+        # 32,640 pairs at n = 1, but 4.8e7 at n = 2
+        cases.append((1j * h.imag, 1, True))
         for g, n, verdict in cases:
             got = channel_is_generic(g, n)
             assert got == oracle_channel_is_generic(g, n)
             assert verdict is None or got == verdict
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                -1e-310, 1e308, -1e308, 1.0, -1.0]
+
+
+@st.composite
+def _sort_inputs(draw):
+    """Finite floats with repeats, signed zeros, subnormals, +-1e308 and
+    one-ulp neighbours, whose keys share all but their lowest bits."""
+    k = draw(st.integers(0, 7))
+    size = draw(st.sampled_from([1, 2, 1 << k, (1 << k) + 1])
+                | st.integers(1, 200))
+    base = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                         | st.sampled_from(_EDGE_FLOATS),
+                         min_size=1, max_size=8))
+    big = np.finfo(np.float64).max
+    pool = base + [np.nextafter(v, t) for v in base for t in (-big, big)]
+    return np.array(draw(st.lists(st.sampled_from(pool),
+                                  min_size=size, max_size=size)))
+
+
+class TestStableOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(_sort_inputs())
+    # +0.0 before -0.0 in index order
+    @example(np.array([0.0, -0.0, 0.0, -1.0]))
+    # 1.0 and its upper neighbour share their high bits, which the index
+    # bits would put in the wrong order
+    @example(np.array([np.nextafter(1.0, 2.0), 1.0, 1.0]))
+    def test_matches_stable_argsort(self, x):
+        got = lattice._stable_order(x)
+        np.testing.assert_array_equal(got, np.argsort(x, kind="stable"))
+
+    def test_carriers_of_random_channels(self):
+        rng = np.random.default_rng(611)
+        for n in (1, 2, 3):
+            x = monomial_table(random_gains(rng), n + 1).ravel().real
+            np.testing.assert_array_equal(lattice._stable_order(x),
+                                          np.argsort(x, kind="stable"))
 
 
 class TestObservations:
