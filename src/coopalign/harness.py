@@ -27,13 +27,14 @@ import numpy as np
 from . import __version__
 from .backhaul import payload_digest
 from .detection import ReducedSpec
-from .errors import (ConfigError, CoopAlignError, ProtocolError,
-                     SingularChannelError)
+from .errors import (ConfigError, CoopAlignError, GenericityError,
+                     ProtocolError, SingularChannelError)
 from .lattice import (GENERIC_TOL, SubstreamTable, illustrating_gains,
                       q_limit, random_gains, require_generic)
 from .rx_protocol import run_rx_protocol
-from .tradeoff import (_budget_report, centralized_report, illustrating_example,
-                       rx_sum_upper_bound, tdma_report, tx_sum_upper_bound)
+from .tradeoff import (_budget_report, centralized_report, decode_coefficients,
+                       illustrating_example, rx_sum_upper_bound, tdma_report,
+                       tx_sum_upper_bound)
 from .tx_protocol import (channel_inverse, run_tx_backhaul,
                           verify_diagonalization)
 
@@ -97,19 +98,21 @@ class ExperimentConfig:
             raise ConfigError("fixed_channel is required with channel_mode "
                               f"'fixed' and read only then, got channel_mode "
                               f"{self.channel_mode!r}")
+        if self.gamma == 0:
+            raise ConfigError("gamma must be nonzero")
         if self.fixed_channel is not None:
             h = _fixed_gains(self.fixed_channel)
             if self.scheme in ("rx-coop", "tx-coop"):
                 _require_nonvanishing("gain", h)
-            if self.scheme in ("tx-coop", "centralized"):
-                try:
+            try:
+                if self.scheme in ("tx-coop", "centralized"):
                     hinv = channel_inverse(h)
-                except SingularChannelError as exc:
-                    raise ConfigError(f"fixed_channel: {exc}") from exc
-                if self.scheme == "tx-coop":
-                    _require_nonvanishing("inverse gain", hinv)
-        if self.gamma == 0:
-            raise ConfigError("gamma must be nonzero")
+                if self.scheme == "illustrating-example":
+                    decode_coefficients(self.gamma, h)
+            except (SingularChannelError, GenericityError) as exc:
+                raise ConfigError(f"fixed_channel: {exc}") from exc
+            if self.scheme == "tx-coop":
+                _require_nonvanishing("inverse gain", hinv)
         # no exchange sum may wrap, even in the widest cube type
         q_max = q_limit(self.N, np.int64)
         if not (type(self.q) is int and 1 <= self.q <= q_max):
@@ -279,17 +282,19 @@ def run_trial(config: ExperimentConfig, trial: int):
     trace = []
     if scheme == "bounds-only":
         rows = []
+        P = np.asarray(config.P_grid)
+        l2 = np.log2(P)
         for a in config.alpha_grid:
-            for P in config.P_grid:
-                l2 = np.log2(P)
-                for name, fn in (("rx-bound", rx_sum_upper_bound),
-                                 ("tx-bound", tx_sum_upper_bound)):
-                    bound = fn(ch, P, a * l2)
-                    rows.append({"trial": trial, "P": float(P),
+            load = a * l2
+            bounds = (("rx-bound", rx_sum_upper_bound(ch, P, load)),
+                      ("tx-bound", tx_sum_upper_bound(ch, P, load)))
+            for i in range(P.size):
+                for name, bound in bounds:
+                    rows.append({"trial": trial, "P": float(P[i]),
                                  "scheme": scheme, "alpha": float(a),
-                                 "dof": float(bound / (6.0 * l2)),
-                                 "load_bits": float(a * l2),
-                                 "rate_bits": float(bound), "detail": name})
+                                 "dof": float(bound[i] / (6.0 * l2[i])),
+                                 "load_bits": float(load[i]),
+                                 "rate_bits": float(bound[i]), "detail": name})
     elif scheme == "rx-coop":
         streams = tuple(SubstreamTable.random(i + 1, config.N, config.q, rng)
                         for i in range(3))

@@ -51,7 +51,9 @@ class RateReport:
         if not np.all(np.diff(P) > 0):
             raise ParameterError("power grid must be strictly increasing")
         self.P_grid = P
-        self.rates = np.asarray(self.rates, dtype=float).reshape(P.size, -1)
+        self.rates = np.asarray(self.rates, dtype=float)
+        if self.rates.shape != (P.size, 3):
+            raise ParameterError(f"rates must be {P.size}x3, got {self.rates.shape}")
         self.rb_bar = np.asarray(self.rb_bar, dtype=float).reshape(P.size)
 
 
@@ -67,53 +69,51 @@ def optimal_tradeoff(alpha) -> float:
 # ============================================================
 
 
-def _square_gains(H):
+def _bound_args(H, P):
+    """The 3x3 gains and the powers; raises ParameterError on any other
+    gain shape or on a power that is not positive."""
     h = np.asarray(H, dtype=np.complex128)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ParameterError(f"need a square gain matrix, got shape {h.shape}")
-    return h
+    if h.shape != (3, 3):
+        raise ParameterError(f"need a 3x3 gain matrix, got shape {h.shape}")
+    P = np.asarray(P, dtype=float)
+    if not np.all(P > 0):
+        raise ParameterError(f"P must be positive, got {P}")
+    return h, P
 
 
-def rx_sum_upper_bound(H, P, Rb_bar) -> float:
+def rx_sum_upper_bound(H, P, Rb_bar):
     """Upper bound on twice the sum rate for receiver-side cooperation:
-    cyclic sum of log2(1 + P(|h_{l,l-1}|^2 + |h_{ll}|^2)) plus K times the
-    average backhaul load, indices wrapped modulo K."""
-    h = _square_gains(H)
-    if not P > 0:
-        raise ParameterError(f"P must be positive, got {P}")
-    K = h.shape[0]
-    total = 0.0
-    for l in range(2, K + 2):
-        i = (l - 1) % K          # receiver l, 0-based
-        j = (l - 2) % K          # transmitter l-1, 0-based
-        total += np.log2(1.0 + P * (abs(h[i, j]) ** 2 + abs(h[i, i]) ** 2))
-    return float(total + K * Rb_bar)
+    sum over receivers l of log2(1 + P(|h_{l,l-1}|^2 + |h_{ll}|^2)), with
+    transmitter 0 read as 3, plus 3 times the average backhaul load.  P may
+    be an array, with Rb_bar of the same shape."""
+    h, P = _bound_args(H, P)
+    # the gain powers come from the scalar abs and pow: np.abs of the
+    # complex array, or an array ** 2 (a multiply), moves their last bit
+    g = [abs(h[i, i - 1]) ** 2 + abs(h[i, i]) ** 2 for i in (1, 2, 0)]
+    # receivers 2, 3, 1, added left to right
+    return np.log2(1.0 + P * g[0]) + np.log2(1.0 + P * g[1]) \
+        + np.log2(1.0 + P * g[2]) + 3 * np.asarray(Rb_bar)
 
 
-def tx_sum_upper_bound(H, P, Rb_bar) -> float:
+def tx_sum_upper_bound(H, P, Rb_bar):
     """Upper bound on twice the sum rate for transmitter-side cooperation:
-    sum over receivers of log2(1 + P * (sum_i |h_ki|)^2) plus K times the
-    average backhaul load."""
-    h = _square_gains(H)
-    if not P > 0:
-        raise ParameterError(f"P must be positive, got {P}")
-    K = h.shape[0]
+    sum over receivers of log2(1 + P * (sum_i |h_ki|)^2) plus 3 times the
+    average backhaul load.  P may be an array, with Rb_bar of the same
+    shape."""
+    h, P = _bound_args(H, P)
     row_mass = np.abs(h).sum(axis=1) ** 2    # sum_{i,j} |h_ki h_kj*|
-    total = float(np.sum(np.log2(1.0 + P * row_mass)))
-    return total + K * float(Rb_bar)
+    return np.log2(1.0 + P[..., None] * row_mass).sum(-1) + 3 * np.asarray(Rb_bar)
 
 
 def normalized_bound_slope(bound_fn, H, alpha, P_grid) -> float:
     """Slope of a sum-rate bound with backhaul load alpha*log2(P), fitted
-    over the top half of the grid and normalized by 2K log2(P); converges to
-    (1+alpha)/2."""
-    h = _square_gains(H)
-    K = h.shape[0]
+    over the top half of the grid and normalized by 6 log2(P), as the bound
+    is on twice the sum of three rates; converges to (1+alpha)/2."""
     P_grid = np.asarray(P_grid, dtype=float)
     if P_grid.size < 4:
         raise ParameterError("bound slope fit needs at least 4 grid points")
-    vals = [bound_fn(h, P, alpha * np.log2(P)) for P in P_grid]
-    return top_half_slope(P_grid, vals) / (2.0 * K)
+    vals = bound_fn(H, P_grid, alpha * np.log2(P_grid))
+    return top_half_slope(P_grid, vals) / 6.0
 
 
 # ============================================================
@@ -201,6 +201,23 @@ def lemma1_check(K, n, P_vec=None, trials=100, rng_seed=0) -> Lemma1Report:
 # ============================================================
 
 
+def decode_coefficients(gamma, h):
+    """The proportional gains of h and the coefficients c1, c2, c3 that the
+    decoders see after cancellation; raises ParameterError for gamma = 0 and
+    GenericityError when a gain or a coefficient vanishes."""
+    if gamma == 0:
+        raise ParameterError("gamma must be nonzero")
+    h = illustrating_gains(gamma, h)
+    if np.abs(h).min() == 0:
+        raise GenericityError("example needs all gains nonzero")
+    c1 = abs(h[0, 0] - h[0, 2] * h[1, 0] / h[1, 2])
+    c2 = abs(gamma * h[1, 1] - h[2, 1])
+    c3 = abs(gamma * h[1, 2] - h[2, 1] * h[0, 2] / h[0, 1])
+    if min(c1, c2, c3) <= 1e-12 * np.abs(h).max():
+        raise GenericityError("degenerate gains: a decode coefficient vanished")
+    return h, (c1, c2, c3)
+
+
 def illustrating_example(gamma, h, P_grid) -> RateReport:
     """Rate-level walkthrough of the three-message chain on the gains h
     forced to h31 = gamma*h21 and h33 = gamma*h23.
@@ -213,43 +230,25 @@ def illustrating_example(gamma, h, P_grid) -> RateReport:
     each message is priced at the log-cardinality of a unit-distortion
     quantizer, log2(1 + signal variance).
     """
-    if gamma == 0:
-        raise ParameterError("gamma must be nonzero")
-    P_grid = np.asarray(P_grid, dtype=float)
-    h = illustrating_gains(gamma, h)
-    if np.abs(h).min() == 0:
-        raise GenericityError("example needs all gains nonzero")
-
-    g = abs(gamma)
-    # decode coefficients after each cancellation step
-    c2 = abs(gamma * h[1, 1] - h[2, 1])
-    c1 = abs(h[0, 0] - h[0, 2] * h[1, 0] / h[1, 2])
-    c3 = abs(gamma * h[1, 2] - h[2, 1] * h[0, 2] / h[0, 1])
-    if min(c2, c1, c3) <= 1e-12 * np.abs(h).max():
-        raise GenericityError("degenerate gains: a decode coefficient vanished")
+    h, c = decode_coefficients(gamma, h)
+    P = np.asarray(P_grid, dtype=float)
     # noise at each decoder: own receiver noise + forwarded noise + one unit
     # of quantization noise
-    n2 = g ** 2 + 2.0
-    n1 = 2.0 + abs(h[0, 2] / h[1, 2]) ** 2
-    n3 = 2.0 + abs(h[2, 1] / h[0, 1]) ** 2
-
-    rates = np.zeros((P_grid.size, 3))
-    rb = np.zeros(P_grid.size)
-    for i, P in enumerate(P_grid):
-        rates[i, 0] = np.log2(1.0 + c1 ** 2 * P / n1)
-        rates[i, 1] = np.log2(1.0 + c2 ** 2 * P / n2)
-        rates[i, 2] = np.log2(1.0 + c3 ** 2 * P / n3)
-        v32 = (abs(h[2, 0]) ** 2 + abs(h[2, 1]) ** 2 + abs(h[2, 2]) ** 2) * P + 1.0
-        v21 = ((abs(h[0, 1]) ** 2
-                + abs(h[0, 2] * h[1, 0] / h[1, 2]) ** 2
-                + abs(h[0, 2]) ** 2) * P
-               + abs(h[0, 2] / h[1, 2]) ** 2)
-        v13 = ((abs(gamma * h[1, 0]) ** 2
-                + abs(h[2, 1]) ** 2
-                + abs(h[2, 1] * h[0, 2] / h[0, 1]) ** 2) * P
-               + abs(h[2, 1] / h[0, 1]) ** 2)
-        rb[i] = (np.log2(1.0 + v32) + np.log2(1.0 + v21) + np.log2(1.0 + v13)) / 3.0
-    return RateReport(P_grid=P_grid, rates=rates, rb_bar=rb)
+    noise = (2.0 + abs(h[0, 2] / h[1, 2]) ** 2, abs(gamma) ** 2 + 2.0,
+             2.0 + abs(h[2, 1] / h[0, 1]) ** 2)
+    rates = np.stack([np.log2(1.0 + c[k] ** 2 * P / noise[k])
+                      for k in range(3)], axis=1)
+    v32 = (abs(h[2, 0]) ** 2 + abs(h[2, 1]) ** 2 + abs(h[2, 2]) ** 2) * P + 1.0
+    v21 = ((abs(h[0, 1]) ** 2
+            + abs(h[0, 2] * h[1, 0] / h[1, 2]) ** 2
+            + abs(h[0, 2]) ** 2) * P
+           + abs(h[0, 2] / h[1, 2]) ** 2)
+    v13 = ((abs(gamma * h[1, 0]) ** 2
+            + abs(h[2, 1]) ** 2
+            + abs(h[2, 1] * h[0, 2] / h[0, 1]) ** 2) * P
+           + abs(h[2, 1] / h[0, 1]) ** 2)
+    rb = (np.log2(1.0 + v32) + np.log2(1.0 + v21) + np.log2(1.0 + v13)) / 3.0
+    return RateReport(P_grid=P, rates=rates, rb_bar=rb)
 
 
 # ============================================================
@@ -298,13 +297,9 @@ def centralized_report(h, P_grid) -> RateReport:
 
 
 def tdma_report(h, P_grid) -> RateReport:
-    """No-cooperation baseline: each user active 1/K of the time at K times
-    the power, zero backhaul."""
-    h = _square_gains(h)
-    K = h.shape[0]
-    P_grid = np.asarray(P_grid, dtype=float)
-    rates = np.zeros((P_grid.size, K))
-    for i, P in enumerate(P_grid):
-        for k in range(K):
-            rates[i, k] = np.log2(1.0 + K * P * abs(h[k, k]) ** 2) / K
+    """No-cooperation baseline: each user active a third of the time at
+    three times the power, zero backhaul."""
+    h, P_grid = _bound_args(h, P_grid)
+    g = [abs(h[k, k]) ** 2 for k in range(3)]
+    rates = np.log2(1.0 + (3 * P_grid[:, None]) * g) / 3
     return RateReport(P_grid=P_grid, rates=rates, rb_bar=np.zeros(P_grid.size))

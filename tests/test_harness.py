@@ -152,6 +152,17 @@ class TestConfig:
         ("gamma", {"scheme": "illustrating-example", "gamma": 0}),
         # used to write a header-only results.csv under a complete manifest
         ("alpha_grid", {"scheme": "bounds-only", "alpha_grid": []}),
+        # the example refuses a zero gain or a vanishing decode coefficient;
+        # both used to fail trial 0 at run time with exit 2
+        ("fixed_channel", {"scheme": "illustrating-example",
+                           "channel_mode": "fixed",
+                           "fixed_channel": _with_gain(1, 2, 0.0)}),
+        ("fixed_channel", {"scheme": "illustrating-example", "gamma": 1,
+                           "channel_mode": "fixed",
+                           "fixed_channel": [[[1, 0]] * 3] * 3}),
+        ("fixed_channel", {"scheme": "illustrating-example",
+                           "channel_mode": "fixed",
+                           "fixed_channel": _diagonal(1e-3)}),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, field, bad):
         raw = dict({"N": 1, "trials": 1, "output_dir": str(tmp_path / "o")},
@@ -165,8 +176,7 @@ class TestConfig:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "o" / "results.csv").exists()
 
-    @pytest.mark.parametrize("scheme", ["tdma", "centralized",
-                                        "illustrating-example", "bounds-only"])
+    @pytest.mark.parametrize("scheme", ["tdma", "centralized", "bounds-only"])
     def test_vanishing_gain_loads_for_schemes_without_carriers(self, scheme):
         cfg = config_from_dict({"scheme": scheme, "N": 1,
                                 "channel_mode": "fixed",

@@ -4,13 +4,104 @@ import numpy as np
 import pytest
 
 from conftest import load_slope, make_generic_channel, rate_slopes, trial_point
+from coopalign import harness
 from coopalign.errors import GenericityError, ParameterError
-from coopalign.lattice import random_gains
+from coopalign.harness import config_from_dict, run_trial
+from coopalign.lattice import illustrating_gains, random_gains
 from coopalign.tradeoff import (Lemma1Report, RateReport, centralized_report,
                                 illustrating_example, lemma1_check,
                                 normalized_bound_slope, optimal_tradeoff,
                                 rx_sum_upper_bound, tdma_report,
                                 top_half_slope, tx_sum_upper_bound)
+
+
+# The per-point forms of the bounds and reports, kept as references: one
+# power point at a time, with the arithmetic in the order the array forms
+# keep, so the bytes must agree.  2,000 draws: an array abs, an array ** 2
+# or a changed addition order moves the last bit on only 0.1-1 % of them.
+ORACLE_DRAWS = 2000
+
+
+def _draws(rng, count=ORACLE_DRAWS):
+    """Gains scaled by 10^+-2 per entry and sorted 4- to 8-point grids."""
+    for _ in range(count):
+        h = random_gains(rng) * 10.0 ** rng.uniform(-2, 2, size=(3, 3))
+        yield h, np.sort(10.0 ** rng.uniform(0.1, 12, size=rng.integers(4, 9)))
+
+
+def rx_bound_loop(h, P, Rb_bar):
+    K = h.shape[0]
+    total = 0.0
+    for l in range(2, K + 2):
+        i = (l - 1) % K          # receiver l, 0-based
+        j = (l - 2) % K          # transmitter l-1, 0-based
+        total += np.log2(1.0 + P * (abs(h[i, j]) ** 2 + abs(h[i, i]) ** 2))
+    return float(total + K * Rb_bar)
+
+
+def tx_bound_loop(h, P, Rb_bar):
+    K = h.shape[0]
+    row_mass = np.abs(h).sum(axis=1) ** 2
+    total = float(np.sum(np.log2(1.0 + P * row_mass)))
+    return total + K * float(Rb_bar)
+
+
+def bound_slope_loop(bound_loop, h, alpha, P_grid):
+    vals = [bound_loop(h, P, alpha * np.log2(P)) for P in P_grid]
+    return top_half_slope(P_grid, vals) / (2.0 * h.shape[0])
+
+
+def tdma_loop(h, P_grid):
+    K = h.shape[0]
+    rates = np.zeros((P_grid.size, K))
+    for i, P in enumerate(P_grid):
+        for k in range(K):
+            rates[i, k] = np.log2(1.0 + K * P * abs(h[k, k]) ** 2) / K
+    return rates
+
+
+def illustrating_loop(gamma, h, P_grid):
+    h = illustrating_gains(gamma, h)
+    g = abs(gamma)
+    c2 = abs(gamma * h[1, 1] - h[2, 1])
+    c1 = abs(h[0, 0] - h[0, 2] * h[1, 0] / h[1, 2])
+    c3 = abs(gamma * h[1, 2] - h[2, 1] * h[0, 2] / h[0, 1])
+    n2 = g ** 2 + 2.0
+    n1 = 2.0 + abs(h[0, 2] / h[1, 2]) ** 2
+    n3 = 2.0 + abs(h[2, 1] / h[0, 1]) ** 2
+    rates = np.zeros((P_grid.size, 3))
+    rb = np.zeros(P_grid.size)
+    for i, P in enumerate(P_grid):
+        rates[i, 0] = np.log2(1.0 + c1 ** 2 * P / n1)
+        rates[i, 1] = np.log2(1.0 + c2 ** 2 * P / n2)
+        rates[i, 2] = np.log2(1.0 + c3 ** 2 * P / n3)
+        v32 = (abs(h[2, 0]) ** 2 + abs(h[2, 1]) ** 2 + abs(h[2, 2]) ** 2) * P + 1.0
+        v21 = ((abs(h[0, 1]) ** 2
+                + abs(h[0, 2] * h[1, 0] / h[1, 2]) ** 2
+                + abs(h[0, 2]) ** 2) * P
+               + abs(h[0, 2] / h[1, 2]) ** 2)
+        v13 = ((abs(gamma * h[1, 0]) ** 2
+                + abs(h[2, 1]) ** 2
+                + abs(h[2, 1] * h[0, 2] / h[0, 1]) ** 2) * P
+               + abs(h[2, 1] / h[0, 1]) ** 2)
+        rb[i] = (np.log2(1.0 + v32) + np.log2(1.0 + v21) + np.log2(1.0 + v13)) / 3.0
+    return rates, rb
+
+
+def bounds_rows_loop(trial, h, alpha_grid, P_grid):
+    rows = []
+    for a in alpha_grid:
+        for P in P_grid:
+            l2 = np.log2(P)
+            for name, fn in (("rx-bound", rx_bound_loop),
+                             ("tx-bound", tx_bound_loop)):
+                bound = fn(h, P, a * l2)
+                rows.append({"trial": trial, "P": float(P),
+                             "scheme": "bounds-only", "alpha": float(a),
+                             "dof": float(bound / (6.0 * l2)),
+                             "load_bits": float(a * l2),
+                             "rate_bits": float(bound), "detail": name})
+    return rows
 
 
 class TestSlopes:
@@ -81,6 +172,12 @@ class TestRateReport:
             RateReport(P_grid=[1e4, 1e2, 1e6, 1e8], rates=np.zeros((4, 3)),
                        rb_bar=np.zeros(4))
 
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 4), (12,)])
+    def test_rates_are_one_column_per_user(self, shape):
+        with pytest.raises(ParameterError, match="4x3"):
+            RateReport(P_grid=[1e2, 1e4, 1e6, 1e8], rates=np.zeros(shape),
+                       rb_bar=np.zeros(4))
+
 
 class TestBounds:
     def test_rx_closed_form_all_ones(self):
@@ -114,6 +211,63 @@ class TestBounds:
         with pytest.raises(ParameterError):
             normalized_bound_slope(rx_sum_upper_bound, ch, 0.0,
                                    [1e2, 1e4, 1e6])
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("call", [
+        lambda h: rx_sum_upper_bound(h, 1e3, 0.0),
+        lambda h: tx_sum_upper_bound(h, np.logspace(2, 8, 7), np.zeros(7)),
+        lambda h: normalized_bound_slope(rx_sum_upper_bound, h, 0.5,
+                                         np.logspace(2, 8, 7)),
+        lambda h: normalized_bound_slope(tx_sum_upper_bound, h, 0.5,
+                                         np.logspace(2, 8, 7)),
+        lambda h: tdma_report(h, np.logspace(2, 8, 7)),
+    ], ids=["rx", "tx", "rx-slope", "tx-slope", "tdma"])
+    def test_gains_other_than_3x3_rejected(self, call, n):
+        h = np.ones((n, n), dtype=np.complex128) + np.eye(n)
+        with pytest.raises(ParameterError, match="3x3"):
+            call(h)
+
+    def test_array_power_validation(self):
+        with pytest.raises(ParameterError):
+            rx_sum_upper_bound(np.ones((3, 3)), np.array([1.0, 0.0]),
+                               np.zeros(2))
+
+    def test_bounds_match_per_point_loops(self, rng):
+        for h, P in _draws(rng):
+            alpha = rng.uniform(0.0, 2.0)
+            load = alpha * np.log2(P)
+            for fn, loop in ((rx_sum_upper_bound, rx_bound_loop),
+                             (tx_sum_upper_bound, tx_bound_loop)):
+                want = [loop(h, p, r) for p, r in zip(P, load)]
+                assert np.array_equal(fn(h, P, load), want)
+                assert normalized_bound_slope(fn, h, alpha, P) \
+                    == bound_slope_loop(loop, h, alpha, P)
+
+    def test_bounds_only_rows_match_per_point_loop(self, rng):
+        for _ in range(ORACLE_DRAWS):
+            P = np.unique(10.0 ** rng.uniform(0.01, 14, size=rng.integers(4, 9)))
+            if P.size < 4:
+                continue
+            alphas = rng.uniform(0.0, 3.0, size=rng.integers(1, 5))
+            cfg = config_from_dict({
+                "scheme": "bounds-only", "N": 1, "P_grid": P.tolist(),
+                "alpha_grid": alphas.tolist(),
+                "rng_seed": int(rng.integers(2 ** 63))})
+            rows, listing, _ = run_trial(cfg, 0)
+            h = np.array(listing).view(np.complex128)[..., 0]
+            assert rows == bounds_rows_loop(0, h, cfg.alpha_grid, cfg.P_grid)
+
+    def test_bounds_only_calls_each_bound_once_per_alpha(self, monkeypatch):
+        calls = []
+        for name in ("rx_sum_upper_bound", "tx_sum_upper_bound"):
+            fn = getattr(harness, name)
+            monkeypatch.setattr(harness, name, lambda *a, fn=fn, name=name:
+                                calls.append(name) or fn(*a))
+        cfg = config_from_dict({"scheme": "bounds-only", "N": 1,
+                                "alpha_grid": [0.0, 0.25, 0.5, 1.0]})
+        rows, _, _ = run_trial(cfg, 0)
+        assert len(rows) == 2 * 4 * len(cfg.P_grid)
+        assert calls == ["rx_sum_upper_bound", "tx_sum_upper_bound"] * 4
 
 
 class TestLemma1:
@@ -168,6 +322,14 @@ class TestIllustratingExample:
             illustrating_example(1.0, np.ones((3, 3), dtype=np.complex128),
                                  self.GRID)
 
+    def test_matches_per_point_loop(self, rng):
+        for h, P in _draws(rng):
+            gamma = complex(*rng.normal(size=2))
+            rep = illustrating_example(gamma, h, P)
+            rates, rb = illustrating_loop(gamma, h, P)
+            assert np.array_equal(rep.rates, rates)
+            assert np.array_equal(rep.rb_bar, rb)
+
 
 def _assert_scheme_point(scheme, N, value):
     """Trial 0 at eps = 0.01 ships 3 * 2^9 symbols, and every row, and the
@@ -218,6 +380,12 @@ class TestSchemeReports:
             rates, rb = loop(h, P)
             assert np.array_equal(rep.rates, rates)
             assert np.array_equal(rep.rb_bar, rb)
+
+    def test_tdma_report_matches_per_point_loop(self, rng):
+        for h, P in _draws(rng):
+            rep = tdma_report(h, P)
+            assert np.array_equal(rep.rates, tdma_loop(h, P))
+            assert not rep.rb_bar.any()
 
     def test_tdma_report_limits(self, rng):
         ch = make_generic_channel(rng, n=1)
