@@ -14,25 +14,24 @@ from .errors import (ConfigError, CoopAlignError, GenericityError,
                      MLBudgetError, ParameterError, ProtocolError,
                      SingularChannelError, SymbolRangeError)
 from .indices import AXIS, COORD_NAMES, window
-from .lattice import (SubstreamTable, channel_is_generic, exact_observations,
-                      illustrating_gains, monomial_table, random_gains,
-                      require_generic)
+from .lattice import (SubstreamTable, channel_inverse, channel_is_generic,
+                      exact_observations, illustrating_gains, monomial_table,
+                      random_gains, require_generic)
 from .rx_protocol import run_rx_protocol
 from .tradeoff import (centralized_report, illustrating_example, lemma1_check,
                        normalized_bound_slope, optimal_tradeoff,
                        rx_sum_upper_bound, tdma_report, tx_sum_upper_bound)
-from .tx_protocol import (channel_inverse, run_tx_backhaul,
-                          verify_diagonalization)
+from .tx_protocol import run_tx_backhaul, verify_diagonalization
 
 __all__ = [
     "__version__",
     "AXIS", "COORD_NAMES", "window",
     "BackhaulLedger", "BackhaulMessage",
-    "SubstreamTable", "channel_is_generic",
+    "SubstreamTable", "channel_inverse", "channel_is_generic",
     "exact_observations", "illustrating_gains", "monomial_table",
     "random_gains", "require_generic",
     "run_rx_protocol",
-    "channel_inverse", "run_tx_backhaul", "verify_diagonalization",
+    "run_tx_backhaul", "verify_diagonalization",
     "centralized_report", "illustrating_example", "lemma1_check",
     "normalized_bound_slope", "optimal_tradeoff", "rx_sum_upper_bound",
     "tdma_report", "tx_sum_upper_bound",

@@ -29,14 +29,14 @@ from .backhaul import payload_digest
 from .detection import ReducedSpec
 from .errors import (ConfigError, CoopAlignError, GenericityError,
                      ProtocolError, SingularChannelError)
-from .lattice import (GENERIC_TOL, SubstreamTable, illustrating_gains,
-                      q_limit, random_gains, require_generic)
+from .lattice import (GENERIC_TOL, SubstreamTable, channel_inverse,
+                      illustrating_gains, q_limit, random_gains,
+                      require_generic)
 from .rx_protocol import run_rx_protocol
 from .tradeoff import (_budget_report, centralized_report, decode_coefficients,
                        illustrating_example, rx_sum_upper_bound, tdma_report,
                        tx_sum_upper_bound)
-from .tx_protocol import (channel_inverse, run_tx_backhaul,
-                          verify_diagonalization)
+from .tx_protocol import run_tx_backhaul, verify_diagonalization
 
 SCHEMES = ("rx-coop", "tx-coop", "centralized", "tdma",
            "illustrating-example", "bounds-only")
@@ -247,21 +247,13 @@ def _channel_for(config: ExperimentConfig, rng) -> np.ndarray:
     return h
 
 
-def _channel_listing(h):
-    return [[[float(v.real), float(v.imag)] for v in row] for row in h]
-
-
 def _report_rows(config, trial, report, detail=""):
-    rows = []
-    for i, P in enumerate(report.P_grid):
-        l2 = np.log2(P)
-        rows.append({"trial": trial, "P": float(P), "scheme": config.scheme,
-                     "alpha": float(report.rb_bar[i] / l2),
-                     "dof": float(report.rates[i].mean() / l2),
-                     "load_bits": float(report.rb_bar[i]),
-                     "rate_bits": float(report.rates[i].mean()),
-                     "detail": detail})
-    return rows
+    return [{"trial": trial, "P": float(P), "scheme": config.scheme,
+             "alpha": float(rb / l2), "dof": float(r.mean() / l2),
+             "load_bits": float(rb), "rate_bits": float(r.mean()),
+             "detail": detail}
+            for P, l2, r, rb in zip(report.P_grid, map(np.log2, report.P_grid),
+                                    report.rates, report.rb_bar)]
 
 
 def run_trial(config: ExperimentConfig, trial: int):
@@ -279,10 +271,9 @@ def run_trial(config: ExperimentConfig, trial: int):
             and config.channel_mode == "random-generic":
         require_generic(ch, config.N)
 
-    trace = []
+    trace, P = [], np.asarray(config.P_grid)
     if scheme == "bounds-only":
         rows = []
-        P = np.asarray(config.P_grid)
         l2 = np.log2(P)
         for a in config.alpha_grid:
             load = a * l2
@@ -295,50 +286,45 @@ def run_trial(config: ExperimentConfig, trial: int):
                                  "dof": float(bound[i] / (6.0 * l2[i])),
                                  "load_bits": float(load[i]),
                                  "rate_bits": float(bound[i]), "detail": name})
-    elif scheme == "rx-coop":
+    elif scheme in ("rx-coop", "tx-coop"):
         streams = tuple(SubstreamTable.random(i + 1, config.N, config.q, rng)
                         for i in range(3))
-        res = run_rx_protocol(streams)
-        exact = all(np.array_equal(res.recovered[i], streams[i].values)
-                    for i in range(3))
-        report = _budget_report(res.ledger.total_symbols / 3.0, config.N,
-                                config.eps, np.asarray(config.P_grid),
-                                load_spans_cube=False)
-        rows = _report_rows(config, trial, report,
-                            "exact" if exact else "contaminated")
-        trace = [dict(r, trial=trial) for r in res.ledger.trace_records()]
-    elif scheme == "tx-coop":
-        streams = tuple(SubstreamTable.random(i + 1, config.N, config.q, rng)
-                        for i in range(3))
-        res = run_tx_backhaul(streams)
-        chk = verify_diagonalization(streams, res.built, ch, config.P_grid[-1])
-        report = _budget_report(res.ledger.total_symbols / 3.0, config.N,
-                                config.eps, np.asarray(config.P_grid),
-                                load_spans_cube=True)
-        rows = _report_rows(config, trial, report, "%.3e" % chk.residual)
-        trace = [dict(r, trial=trial) for r in res.ledger.trace_records()]
-        trace.append({"stage": "airtime", "source": 0, "destination": 0,
-                      "round": config.N + 2, "length": 3,
-                      "alphabet_halfwidth": 0, "trial": trial,
-                      "payload_digest": payload_digest(chk.x)})
-    else:
-        if scheme == "centralized":
-            report = centralized_report(ch, np.asarray(config.P_grid))
-        elif scheme == "tdma":
-            report = tdma_report(ch, np.asarray(config.P_grid))
-        elif scheme == "illustrating-example":
-            report = illustrating_example(config.gamma, ch,
-                                          np.asarray(config.P_grid))
+        tx = scheme == "tx-coop"
+        res = (run_tx_backhaul if tx else run_rx_protocol)(streams)
+        trace = res.ledger.trace_records()
+        if tx:
+            chk = verify_diagonalization(streams, res.built, ch, P[-1])
+            detail = "%.3e" % chk.residual
+            trace.append({"stage": "airtime", "source": 0, "destination": 0,
+                          "round": config.N + 2, "length": 3,
+                          "alphabet_halfwidth": 0,
+                          "payload_digest": payload_digest(chk.x)})
         else:
-            raise ConfigError(f"unhandled scheme {scheme!r}")
-        rows = _report_rows(config, trial, report)
+            exact = all(map(np.array_equal, res.recovered,
+                            [s.values for s in streams]))
+            detail = "exact" if exact else "contaminated"
+        # a tx load already ships one symbol per cube label
+        report = _budget_report(res.ledger.total_symbols / 3.0, config.N,
+                                config.eps, P, load_spans_cube=tx)
+        rows = _report_rows(config, trial, report, detail)
+        trace = [dict(r, trial=trial) for r in trace]
+    elif scheme == "centralized":
+        rows = _report_rows(config, trial, centralized_report(ch, P))
+    elif scheme == "tdma":
+        rows = _report_rows(config, trial, tdma_report(ch, P))
+    elif scheme == "illustrating-example":
+        rows = _report_rows(config, trial,
+                            illustrating_example(config.gamma, ch, P))
+    else:
+        raise ConfigError(f"unhandled scheme {scheme!r}")
 
     for r in rows:
         for c in ("alpha", "dof", "load_bits", "rate_bits"):
             if not math.isfinite(r[c]):
                 raise ConfigError(f"trial {trial}: {c} is {r[c]} at "
                                   f"P = {_fmt(r['P'])}")
-    return rows, _channel_listing(ch), trace
+    listing = [[[float(v.real), float(v.imag)] for v in row] for row in ch]
+    return rows, listing, trace
 
 
 # ============================================================

@@ -12,11 +12,13 @@ cube is int16 when the exchange's sums at that q and N fit it, else int64
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenericityError, ParameterError, SymbolRangeError
+from .errors import (GenericityError, ParameterError, SingularChannelError,
+                     SymbolRangeError)
 from .indices import AXIS, window
 
 # ============================================================
@@ -43,6 +45,47 @@ def illustrating_gains(gamma, h):
     h[2, 0] = gamma * h[1, 0]
     h[2, 2] = gamma * h[1, 2]
     return h
+
+
+DET_FLOOR = 1e-12             # smallest accepted |det h|
+INVERSE_TOL = 1e-9            # largest accepted max|h hinv - I|
+
+
+def gains_times(rows, v) -> list:
+    """rows @ v for 3-vectors, each row summed left to right, without BLAS."""
+    v0, v1, v2 = v
+    return [r0 * v0 + r1 * v1 + r2 * v2 for r0, r1, r2 in rows]
+
+
+def channel_inverse(h) -> np.ndarray:
+    """Inverse of the 3x3 gain matrix h without LAPACK: its adjugate over
+    det, which is row 0 of h times its cofactors.  Certified by a finite
+    |det| above DET_FLOOR and max|h hinv - I| <= INVERSE_TOL, which an
+    overflow fails, with no warning; raises SingularChannelError otherwise."""
+    if h.shape != (3, 3):
+        raise SingularChannelError(f"need a 3x3 gain matrix, got {h.shape}")
+    rows = h.tolist()
+    (a, b, c), (d, e, f), (g, k, m) = rows
+    # adj[i][j] is the cofactor of h[j, i], in Python scalars
+    adj = ((e * m - f * k, c * k - b * m, b * f - c * e),
+           (f * g - d * m, a * m - c * g, c * d - a * f),
+           (d * k - e * g, b * g - a * k, a * e - b * d))
+    det = a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+    # numpy's division (Smith's, times the reciprocal of its denominator,
+    # where CPython divides by it): elementwise, with no BLAS or SIMD variant
+    with np.errstate(all="ignore"):
+        hinv = np.array(adj) / det
+    res = [math.hypot(z.real - (i == j), z.imag)
+           for j, col in enumerate(hinv.T.tolist())
+           for i, z in enumerate(gains_times(rows, col))]
+    # max can skip a nan, which makes the sum nan
+    resid = math.nan if math.isnan(sum(res)) else max(res)
+    # not abs, which raises OverflowError when a finite |det| overflows
+    size = math.hypot(det.real, det.imag)
+    if not (DET_FLOOR < size < math.inf and resid <= INVERSE_TOL):
+        raise SingularChannelError(f"gain matrix not invertible: |det| = "
+                                   f"{size:.3g}, inverse residual {resid:.3g}")
+    return hinv
 
 
 # ============================================================

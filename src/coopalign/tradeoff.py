@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenericityError, ParameterError
-from .lattice import complex_awgn, illustrating_gains
-from .tx_protocol import channel_inverse
+from .lattice import channel_inverse, complex_awgn, illustrating_gains
 
 
 def top_half_slope(P_grid, values) -> float:

@@ -31,32 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backhaul import BackhaulLedger, NodeState, Step, run_round
-from .errors import SingularChannelError
-from .lattice import carrier_sums, stream_params
-
-
-DET_FLOOR = 1e-12             # smallest accepted |det h|
-INVERSE_TOL = 1e-9            # largest accepted max|h @ hinv - I|
-
-
-def channel_inverse(h) -> np.ndarray:
-    """Inverse of the 3x3 gain matrix h, certified by its determinant and by
-    the residual max|h @ hinv - I|; raises SingularChannelError otherwise."""
-    if h.shape != (3, 3):
-        raise SingularChannelError(f"need a 3x3 gain matrix, got {h.shape}")
-    det = np.linalg.det(h)
-    if abs(det) <= DET_FLOOR:
-        raise SingularChannelError(
-            f"gain matrix determinant {abs(det):.3g} below threshold")
-    try:
-        hinv = np.linalg.inv(h)
-    except np.linalg.LinAlgError as exc:
-        raise SingularChannelError(f"gain matrix not invertible: {exc}") from exc
-    resid = float(np.abs(h @ hinv - np.eye(3)).max())
-    if not np.isfinite(resid) or resid > INVERSE_TOL:
-        raise SingularChannelError(
-            f"gain matrix too close to singular: inverse residual {resid:.3g}")
-    return hinv
+from .lattice import (carrier_sums, channel_inverse, gains_times,
+                      stream_params)
 
 
 # terms: (sign, table, ((coordinate, shift), ...), slab offset); offset 0 is
@@ -146,18 +122,13 @@ def verify_diagonalization(all_streams, built, h, P) -> DiagonalizationCheck:
     """Check that inversion-precoded transmission of the built combination
     cubes at average power P hands each receiver only its own symbols.
 
-    Each noiseless receive sample is compared against the interference-free
+    Each noiseless receive sample h x, summed like the inverse by
+    lattice.gains_times, is compared against the interference-free
     prediction; the mismatch is reported relative to the peak predicted
     signal magnitude, so it measures how exactly the cross-user carriers
-    telescope away.
-
-    Both sets of carrier sums are streamed by lattice.carrier_sums, which
-    reproduces np.sum(carriers * values) bit for bit: the transmit samples
-    and the residual are written to trace.jsonl and results.csv, so they
-    keep numpy's summation order, not a cheaper one.  A transmit carrier
-    that is zero or not finite, or a sum that overflows, raises
-    GenericityError: it would silence or poison the samples the check
-    compares.
+    telescope away.  Both sets of carrier sums are lattice.carrier_sums,
+    with np.sum's bits: a transmit carrier that is zero or not finite, or a
+    sum that overflows, raises GenericityError.
     """
     hinv = channel_inverse(h)
     raw = carrier_sums(hinv, built)
@@ -169,6 +140,8 @@ def verify_diagonalization(all_streams, built, h, P) -> DiagonalizationCheck:
     # fall back to pre-cancellation mass when the predicted signal is zero
     denom = float(np.abs(predicted).max())
     if denom == 0.0:
-        denom = max(float((np.abs(h) @ np.abs(x)).max()), 1e-300)
-    residual = float((np.abs(h @ x - predicted) / denom).max())
+        denom = max(float(np.max(gains_times(np.abs(h).tolist(),
+                                             np.abs(x).tolist()))), 1e-300)
+    y = np.array(gains_times(h.tolist(), x.tolist()))
+    residual = float((np.abs(y - predicted) / denom).max())
     return DiagonalizationCheck(x=x, residual=residual)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -35,6 +36,10 @@ def _with_gain(i, j, g):
     gains = json.loads(json.dumps(FIXED_GAINS))
     gains[i - 1][j - 1] = [g, 0.0]
     return gains
+
+
+def _scaled(g):
+    return [[[g * re, g * im] for re, im in row] for row in FIXED_GAINS]
 
 
 def _cfg(**kw):
@@ -163,6 +168,13 @@ class TestConfig:
         ("fixed_channel", {"scheme": "illustrating-example",
                            "channel_mode": "fixed",
                            "fixed_channel": _diagonal(1e-3)}),
+        # gains of 1e200: the determinant overflows.  Both used to warn
+        # "overflow encountered in det", and then tx-coop failed at load and
+        # centralized passed it to fail trial 0 with "alpha is inf"
+        ("fixed_channel", {"scheme": "tx-coop", "channel_mode": "fixed",
+                           "fixed_channel": _scaled(1e200)}),
+        ("fixed_channel", {"scheme": "centralized", "channel_mode": "fixed",
+                           "fixed_channel": _scaled(1e200)}),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, field, bad):
         raw = dict({"N": 1, "trials": 1, "output_dir": str(tmp_path / "o")},
@@ -549,23 +561,25 @@ def test_backhaul_trace_golden(tmp_path, scheme, n):
 
 
 # sha256 of results.csv from _cfg(scheme=S, N=n), and of the tx airtime
-# trace record of the same run, recorded before the backhaul ledger stopped
-# keeping payloads
+# trace record of the same run.  rx-coop's were recorded before the backhaul
+# ledger stopped keeping payloads.  tx-coop's were recorded once the channel
+# inverse and the 3x3 products stopped calling LAPACK and BLAS, so that no
+# OpenBLAS kernel moves them; at N >= 3 the streamed carrier sums split into
+# leaves, so those were recorded with the carrier sums as one dense
+# np.sum(monomial_table(hinv, u) * c), with numpy 2.4.6
 GOLDEN_RESULTS_CSV = {
     ("rx-coop", 1): "3ee25ece95f4b46e70e975c6ca73464615cadbc262794bc71d4ad38fa65a5a7d",
     ("rx-coop", 2): "82adb37ff4d15dcd7f3b9a246bd101cd84486dbdaa928a3dd6d731d98b3708fe",
-    ("tx-coop", 1): "732cbd465b3313d6a905391dfc25928c89683cbac5485dbf4ea2428bfa3295a8",
-    ("tx-coop", 2): "6d672425cb4819f0f2142acbfbda3f4f7f9d4acbd0f259d61a48592003afc574",
-    # at N >= 3 the streamed carrier sums split into leaves: recorded while
-    # the carrier sums were one dense np.sum, with numpy 2.4.6
-    ("tx-coop", 3): "626d4263f9c237abe636c0eec92056956dbc2764f88602b8830da8bc03a3731b",
-    ("tx-coop", 4): "090147e3cf9467a507cbcebf0d6b1188bef4abc9f3c2fc3be79037e0cd246a9e",
+    ("tx-coop", 1): "86c7518ffbc4a134b89899868d1ba31a0e192c486160e1da2bd23d3ff5845ad3",
+    ("tx-coop", 2): "abc540823de0672a6d80c0795f71cdb5f91bb47c6e48316a8a0d92314472c7bf",
+    ("tx-coop", 3): "d02ead5329ca5f866ca7409c28d70d3f84f27016f7fcac3466052774babaf7b3",
+    ("tx-coop", 4): "ff2609b2fe36f6279576d496ca015436ae4f1f39285fd82433619fec9a315ac8",
 }
 GOLDEN_AIRTIME = {
-    1: "f3215d7440c249b86e1d8013eb4d077f2fdb7db2088371d6ef7240abc9c9ed67",
-    2: "c22b85693bdac01caea36b954773d9876f9290d01f972facfc9029d4e962325f",
-    3: "513be85945550fb0c095fc35d35e87f4d2bbe040865c7d5b5c0761808bb415a1",
-    4: "68e56e59cde9fbce88869793be5e5c700536894a16c6201a93ba529053de37c6",
+    1: "61d95391cac6023a7725fe69b511a4f733cfd5962d0c96886c20aa59f8fe9ec4",
+    2: "cb7711b6b8cb859d655c5b1083b4f024718d003f0304795700b13cd507494176",
+    3: "27b5b69002e6e4b69237aa89c562bd47453f528447e564a9e8889ee5e95e4d40",
+    4: "b1199806ff4e6dd413c2c55b9dc0ea7cd0dbc5a5225d79aca70b0bbc2d6f74d9",
 }
 
 
@@ -582,8 +596,60 @@ def test_protocol_results_golden(tmp_path, scheme, n):
         assert airtime == b""
 
 
+def _runs_on_openblas_x86():
+    """numpy's BLAS is OpenBLAS on an x86-64 CPU, which can run the
+    Prescott kernel."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return platform.machine().lower() in ("x86_64", "amd64") \
+        and "openblas" in str(blas.get("name", "")).lower()
+
+
+# the digests of each run's results.csv and trace.jsonl, in a fresh
+# interpreter, so that OPENBLAS_CORETYPE is read before numpy loads OpenBLAS
+_KERNEL_RUN = """
+import hashlib, sys
+from pathlib import Path
+from coopalign.harness import config_from_dict, run_experiment
+for scheme, n in [("tx-coop", 1), ("tx-coop", 2), ("tx-coop", 3),
+                  ("tx-coop", 4), ("centralized", 2)]:
+    out = Path(sys.argv[1]) / f"{scheme}-{n}"
+    run_experiment(config_from_dict({"scheme": scheme, "N": n, "trials": 2,
+                                     "rng_seed": 11,
+                                     "output_dir": str(out)}))
+    for name in ("results.csv", "trace.jsonl"):
+        if (out / name).exists():
+            digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            print(scheme, n, name, digest)
+"""
+
+
+@pytest.mark.skipif(not _runs_on_openblas_x86(),
+                    reason="needs numpy's OpenBLAS on x86-64")
+def test_outputs_do_not_depend_on_the_openblas_kernel(tmp_path):
+    # the tx-coop residual and airtime digest rest on the channel inverse:
+    # with it computed by LAPACK, the Prescott kernel wrote other bytes
+    env = dict(os.environ, PYTHONWARNINGS="error",
+               PYTHONPATH=str(Path(coopalign.__file__).parents[1]))
+    env.pop("OPENBLAS_CORETYPE", None)
+    outs = []
+    for kernel in (None, "Prescott"):
+        if kernel is not None:
+            env["OPENBLAS_CORETYPE"] = kernel
+        proc = subprocess.run(
+            [sys.executable, "-c", _KERNEL_RUN, str(tmp_path / str(kernel))],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0].count("\n") == 9
+    assert outs[0] == outs[1]
+
+
 # sha256 of (results.csv, trace.jsonl) for config {"scheme": S, "N": 2,
-# "trials": 2, "rng_seed": 11, "q": q}, recorded while every cube was int64;
+# "trials": 2, "rng_seed": 11, "q": q}, recorded while every cube was int64
+# (tx-coop's with the channel inverse that calls no LAPACK);
 # at N = 2 the largest q of an int16 cube is 1092, and the pins at 71582788
 # and 71582789 hold two q deep in the int64 range
 GOLDEN_CUBE_TYPES = {
@@ -595,14 +661,14 @@ GOLDEN_CUBE_TYPES = {
                             "e37353b08804ab6990cf307e1df742dc188fe911926f41e83773960a183d3f82"),
     ("rx-coop", 71582789): ("ebc0c5364dfbda1948a8a72f5eb1fd7db1340c6d6779b6c77e1b431526b42181",
                             "acc0f7851429b856babb6a9dc4afc1b3b47db9a44d34823bd79fbe5977b6bfbc"),
-    ("tx-coop", 1092): ("37a78bd06d90441017d9a993888aacef740f49bbd6e3594b89b8a80554f64ced",
-                        "366cdec8a307f6a3cabcdda2f5c8964a42706739163af732e29e9f39682da6e0"),
-    ("tx-coop", 1093): ("6b137ea18ccfbc6c76d3de867b995fa2dfac16d08c2a00889eb6325d643f415a",
-                        "8a33eabf9ad6e28d430725cac6ca7d25af849d54a54f05859720a014cca948cb"),
-    ("tx-coop", 71582788): ("afc3afd64e48dbe0b1279e4e69c28d495af576408f09fa29150a402f8ca421ab",
-                            "74eacc95874e279cce9bfb6f364ab6758811e43797bfbd7547674ab81ad5dd4d"),
-    ("tx-coop", 71582789): ("d7ae10395207aa8a94d6fcfc8e5ddaf33a45c77227a3352a3071b36386c1cd04",
-                            "b09f3a79d866c55da41b1a47f10aa30d6f1b6bc272364a9e671acc09368bb1b5"),
+    ("tx-coop", 1092): ("dd4eadc5b934c7b86e262cfc67fc261189b1917a630ac78008313168c7a4b065",
+                        "e0035fbc350e88953bc62139342be61fb133629106e0ebcf66fde27721b4ce0e"),
+    ("tx-coop", 1093): ("1161888856c2bd2b7ddc4ac64d91f4ea78177cd8c6423c1cd787440e13c1240c",
+                        "cb5647a563bdba9f1592b447f4b43c169b4c47714febfac23f0f9c475bdea876"),
+    ("tx-coop", 71582788): ("a10695124f1a01b70e1ef1c41306decbdf22159aaf41eb621dc4d13df317a2ca",
+                            "bd98c88c3bc533f7e1132df7430426aeeec8a09fbf569f5bb2c4ec101ec5427f"),
+    ("tx-coop", 71582789): ("3339615361d56ac2b5f1254e45b782cf6dc60ac9cb68be18de69a3c52bd3f922",
+                            "5742920da45491425957a39c9d9d12e274f966851b124ba91bb8b823b8ca84fc"),
 }
 
 

@@ -7,7 +7,7 @@ from conftest import load_slope, make_generic_channel, rate_slopes, trial_point
 from coopalign import harness
 from coopalign.errors import GenericityError, ParameterError
 from coopalign.harness import config_from_dict, run_trial
-from coopalign.lattice import illustrating_gains, random_gains
+from coopalign.lattice import channel_inverse, illustrating_gains, random_gains
 from coopalign.tradeoff import (Lemma1Report, RateReport, centralized_report,
                                 illustrating_example, lemma1_check,
                                 normalized_bound_slope, optimal_tradeoff,
@@ -360,9 +360,10 @@ class TestSchemeReports:
 
     def test_centralized_report_matches_per_point_loop(self, rng):
         # reference: one power point at a time, with the report's arithmetic
-        # in the same order, so the bytes must agree
+        # in the same order, so the bytes must agree; the inverse is not
+        # under test, so it comes from the same channel_inverse
         def loop(h, P_grid):
-            hinv = np.linalg.inv(h)
+            hinv = channel_inverse(h)
             noise_rows = 2.0 * np.sum(np.abs(hinv) ** 2, axis=1)
             row_pow = [np.sum(np.abs(h[l]) ** 2) for l in (1, 2)]
             rates = np.zeros((P_grid.size, 3))

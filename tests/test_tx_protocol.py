@@ -13,10 +13,11 @@ from coopalign.backhaul import BackhaulLedger
 from coopalign.errors import (GenericityError, ParameterError, ProtocolError,
                               SingularChannelError)
 from coopalign.indices import AXIS
-from coopalign.lattice import SubstreamTable, exact_observations, random_gains
-from coopalign.tx_protocol import (channel_inverse, expected_symbol_count,
-                                   run_tx_backhaul, transmitter_nodes,
-                                   tx_round, verify_diagonalization)
+from coopalign.lattice import (SubstreamTable, channel_inverse,
+                               exact_observations, random_gains)
+from coopalign.tx_protocol import (expected_symbol_count, run_tx_backhaul,
+                                   transmitter_nodes, tx_round,
+                                   verify_diagonalization)
 
 
 def _streams(rng, n, q=5):
@@ -161,6 +162,32 @@ class TestInverseChannel:
     def test_shape_rejected(self):
         with pytest.raises(SingularChannelError):
             channel_inverse(np.ones((2, 2), dtype=np.complex128))
+
+    def test_matches_lapack_inverse(self, rng):
+        # the adjugate over the determinant, to within rounding of the
+        # LU-based inverse, for complex and for real gains
+        for _ in range(50):
+            h = random_gains(rng) * 10.0 ** rng.uniform(-2, 2, size=(3, 3))
+            for g in (h, h.real.copy()):
+                hinv = channel_inverse(g)
+                assert hinv.dtype == g.dtype and hinv.flags.c_contiguous
+                want = np.linalg.inv(g)
+                assert np.abs(hinv - want).max() \
+                    <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("h", [
+        # gains of 1e200: the determinant overflows to inf
+        random_gains(np.random.default_rng(3)) * 1e200,
+        # a finite determinant whose magnitude overflows, on which abs()
+        # would raise OverflowError
+        np.diag([1.5e308 + 1.5e308j, 1, 1]),
+        np.diag([np.nan, 1, 1]).astype(np.complex128),
+    ], ids=["overflow", "finite-det-overflowing-magnitude", "nan"])
+    def test_non_finite_determinant_rejected(self, h):
+        # pyproject turns warnings into errors: none may be raised
+        with pytest.raises(SingularChannelError,
+                           match=r"not invertible: \|det\| = (inf|nan),"):
+            channel_inverse(h)
 
 
 class TestDiagonalization:
