@@ -66,7 +66,7 @@ def _load(args) -> ExperimentConfig:
     if args.scheme is not None:
         updates["scheme"] = args.scheme
     if updates:
-        cfg = dataclasses.replace(cfg, **updates).validate()
+        cfg = dataclasses.replace(cfg, **updates)
     return cfg
 
 

@@ -22,7 +22,8 @@ class ReducedSpec:
 
     Labels range over {1..n_red+1} on the active coordinates only and the
     integer combination per label lives in {-3*q_red..3*q_red}, so the
-    candidate count (2*3*q_red+1)^(n_red+1)^k stays enumerable.
+    candidate count (2*3*q_red+1)^(n_red+1)^k stays enumerable: a spec
+    whose count exceeds ml_budget raises MLBudgetError when it is made.
     """
 
     active_coords: tuple
@@ -43,6 +44,12 @@ class ReducedSpec:
         if self.n_red < 1 or self.q_red < 1:
             raise ParameterError("n_red and q_red must be >= 1")
         object.__setattr__(self, "active_coords", coords)
+        # with at least 7 symbols a table longer than ml_budget.bit_length()
+        # is over budget, so the count is computed only for short tables
+        m, budget = self.table_size, self.ml_budget
+        if m > budget.bit_length() or self.n_candidates > budget:
+            raise MLBudgetError(f"{self.alphabet_size}^{m} candidates exceed "
+                                f"budget {budget}")
 
     @property
     def table_size(self) -> int:
@@ -55,17 +62,6 @@ class ReducedSpec:
     @property
     def n_candidates(self) -> int:
         return self.alphabet_size ** self.table_size
-
-    def check_budget(self):
-        """Raise MLBudgetError if the candidate count exceeds ml_budget.
-
-        With at least 7 symbols a table longer than ml_budget.bit_length()
-        is over budget, so the count is computed only for short tables.
-        """
-        m, budget = self.table_size, self.ml_budget
-        if m > budget.bit_length() or self.n_candidates > budget:
-            raise MLBudgetError(f"{self.alphabet_size}^{m} candidates exceed "
-                                f"budget {budget}")
 
     def labels(self):
         """Active-coordinate tuples in canonical (lexicographic) order."""
@@ -91,7 +87,6 @@ def candidate_tables(spec: ReducedSpec) -> np.ndarray:
     significant digit, digits mapped to {-3q..3q} ascending: exactly the
     ordering np.argmin needs for deterministic lexicographic tie-breaks.
     """
-    spec.check_budget()
     m, A = spec.table_size, spec.alphabet_size
     digits = np.arange(-3 * spec.q_red, 3 * spec.q_red + 1, dtype=np.int64)
     out = np.empty((spec.n_candidates, m), dtype=np.int64)
@@ -102,32 +97,17 @@ def candidate_tables(spec: ReducedSpec) -> np.ndarray:
     return out
 
 
-def _candidate_set(spec: ReducedSpec, h):
-    """The candidate step, once per channel: every candidate table, its
-    unit-scale receive point `base` and the kernel's orders of `base`."""
-    cands = candidate_tables(spec)
-    base = cands @ reduced_carriers(spec, h)
-    return cands, base, _kernels.axis_orders(base)
-
-
-def reduced_power_scale(spec: ReducedSpec, h, P) -> float:
-    """Transmit scale meeting average power P for uniform random tables."""
-    var_sym = (spec.alphabet_size ** 2 - 1) / 12.0
-    energy = var_sym * np.sum(np.abs(reduced_carriers(spec, h)) ** 2)
-    return math.sqrt(P / energy)
-
-
 def reduced_error_sweep(spec: ReducedSpec, h, P_grid, trials, rng_seed,
                         noisy=True):
     """Monte Carlo detection-error rate per power level.
 
-    Builds the candidate set once for the sweep.  At each power level it
-    draws `trials` uniform tables, transmits them at the power-matched scale
-    gamma (with unit complex noise when `noisy`), detects each sample by
-    exhaustive nearest-point search over the candidates scaled by gamma,
-    and counts whole-table mismatches.  Streams are split per power level
-    from one root seed.  `trials` must be an int >= 1 and every P finite
-    and > 0.
+    Builds the carriers and the candidate set once for the sweep.  At each
+    power level it draws `trials` uniform tables, transmits them at the
+    power-matched scale gamma (with unit complex noise when `noisy`),
+    detects each sample by exhaustive nearest-point search over the
+    candidates scaled by gamma, and counts whole-table mismatches.  Streams
+    are split per power level from one root seed.  `trials` must be an int
+    >= 1 and every P finite and > 0.
     """
     if type(trials) is not int or trials < 1:
         raise ParameterError(f"trials must be an int >= 1, got {trials!r}")
@@ -136,13 +116,19 @@ def reduced_error_sweep(spec: ReducedSpec, h, P_grid, trials, rng_seed,
         if not (isinstance(P, numbers.Real) and math.isfinite(P) and P > 0):
             raise ParameterError(f"every P in P_grid must be finite and > 0, "
                                  f"got {P!r}")
-    cands, base, orders = _candidate_set(spec, h)
+    cands = candidate_tables(spec)
     carriers = reduced_carriers(spec, h)
+    # the unit-scale receive points, and the average energy of a uniform
+    # random table at unit scale
+    base = cands @ carriers
+    orders = _kernels.axis_orders(base)
+    energy = (spec.alphabet_size ** 2 - 1) / 12.0 \
+        * np.sum(np.abs(carriers) ** 2)
     rates = []
     for k, P in enumerate(P_grid):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=rng_seed, spawn_key=(k,)))
-        gamma = reduced_power_scale(spec, h, P)
+        gamma = math.sqrt(P / energy)
         tables = rng.integers(-3 * spec.q_red, 3 * spec.q_red + 1,
                               size=(trials, spec.table_size), dtype=np.int64)
         ys = gamma * (tables @ carriers)

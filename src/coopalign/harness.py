@@ -67,13 +67,14 @@ class ExperimentConfig:
     rng_seed: int = 0
     channel_mode: str = "random-generic"
     fixed_channel: tuple = None       # nested (re, im) pairs when fixed
-    gamma: complex = 1.5 + 0.5j       # used by the illustrating mode
+    gamma: complex = 1.5 + 0.5j       # used by illustrating-example
     q: int = 5                        # protocol symbol half-width
     alpha_grid: tuple = (0.0, 0.5, 1.0)
     reduced_spec: dict = None
     output_dir: str = "out"
 
-    def validate(self):
+    def __post_init__(self):
+        # every config, dataclasses.replace copies included, passes here
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if not (type(self.N) is int and self.N >= 1):
@@ -92,7 +93,7 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
         if not (type(self.rng_seed) is int and 0 <= self.rng_seed < 2 ** 64):
             raise ConfigError(f"rng_seed must be a 64-bit value, got {self.rng_seed!r}")
-        if self.channel_mode not in ("random-generic", "fixed", "illustrating"):
+        if self.channel_mode not in ("random-generic", "fixed"):
             raise ConfigError(f"unknown channel_mode {self.channel_mode!r}")
         if (self.fixed_channel is None) == (self.channel_mode == "fixed"):
             raise ConfigError("fixed_channel is required with channel_mode "
@@ -128,15 +129,12 @@ class ExperimentConfig:
             self.build_reduced_spec()
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
-        return self
 
     def build_reduced_spec(self) -> ReducedSpec:
         try:
             d = dict(self.reduced_spec)
             d["active_coords"] = tuple(tuple(c) for c in d["active_coords"])
-            spec = ReducedSpec(**d)
-            spec.check_budget()
-            return spec
+            return ReducedSpec(**d)
         except (KeyError, TypeError, ValueError, CoopAlignError) as exc:
             raise ConfigError(f"invalid reduced_spec: {exc}") from exc
 
@@ -212,12 +210,15 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         kw["gamma"] = complex(*parts)
     if "fixed_channel" in kw and kw["fixed_channel"] is not None:
         kw["fixed_channel"] = _tuplify(kw["fixed_channel"])
-    return ExperimentConfig(**kw).validate()
+    return ExperimentConfig(**kw)
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read and validate a JSON experiment config."""
-    text = Path(path).read_text()
+    """Read a JSON experiment config; the config checks itself when made."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -241,8 +242,7 @@ def _channel_for(config: ExperimentConfig, rng) -> np.ndarray:
         h = _fixed_gains(config.fixed_channel)
     else:
         h = random_gains(rng)
-    if config.channel_mode == "illustrating" \
-            or config.scheme == "illustrating-example":
+    if config.scheme == "illustrating-example":
         h = illustrating_gains(config.gamma, h)
     return h
 
@@ -312,11 +312,9 @@ def run_trial(config: ExperimentConfig, trial: int):
         rows = _report_rows(config, trial, centralized_report(ch, P))
     elif scheme == "tdma":
         rows = _report_rows(config, trial, tdma_report(ch, P))
-    elif scheme == "illustrating-example":
+    else:   # illustrating-example
         rows = _report_rows(config, trial,
                             illustrating_example(config.gamma, ch, P))
-    else:
-        raise ConfigError(f"unhandled scheme {scheme!r}")
 
     for r in rows:
         for c in ("alpha", "dof", "load_bits", "rate_bits"):
@@ -395,7 +393,6 @@ def run_experiment(config: ExperimentConfig, jobs: int = 1) -> RunManifest:
     still written, and the manifest stays "incomplete" and names the
     failed trial with its seed (and round and node for a ProtocolError).
     """
-    config.validate()
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(config=config.as_json_dict())

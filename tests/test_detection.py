@@ -20,21 +20,21 @@ class TestReduced:
         assert self.SPEC.n_candidates == 7 ** 4
 
     def test_budget_guard(self):
-        big = ReducedSpec(active_coords=((1, 1), (2, 2)), n_red=2, q_red=1)
+        # 7^9 candidates: no such spec can be made
         with pytest.raises(MLBudgetError):
-            candidate_tables(big)
+            ReducedSpec(active_coords=((1, 1), (2, 2)), n_red=2, q_red=1)
 
     def test_budget_check_matches_candidate_count(self):
         # the table-size shortcut never changes the verdict
         for n_red, q_red in ((1, 1), (2, 1), (1, 2), (3, 1)):
-            count = ReducedSpec(((1, 1), (2, 2)), n_red, q_red).n_candidates
+            count = (6 * q_red + 1) ** ((n_red + 1) ** 2)
             for budget in (0, 1, count - 1, count, count + 1, 10 ** 6):
-                spec = ReducedSpec(((1, 1), (2, 2)), n_red, q_red, budget)
                 if count > budget:
                     with pytest.raises(MLBudgetError):
-                        spec.check_budget()
+                        ReducedSpec(((1, 1), (2, 2)), n_red, q_red, budget)
                 else:
-                    spec.check_budget()
+                    spec = ReducedSpec(((1, 1), (2, 2)), n_red, q_red, budget)
+                    assert spec.n_candidates == count
 
     def test_candidate_enumeration_lexicographic(self):
         cands = candidate_tables(self.SPEC)
@@ -127,24 +127,32 @@ def test_sweep_rejects_bad_inputs_before_building_candidates(monkeypatch, kwargs
 
 
 def test_sweep_builds_candidates_once(monkeypatch):
-    # one candidate build per sweep, and one kernel call per power point
-    # over every candidate, which pipebench's traced pair count relies on
-    builds, calls = [], []
+    # one candidate build and one carrier table per sweep, and one kernel
+    # call per power point over every candidate, which pipebench's traced
+    # pair count relies on
+    builds, carrier_calls, calls = [], [], []
     tables, kernel = detection.candidate_tables, _kernels.nearest_point
+    carriers = detection.reduced_carriers
 
     def count_builds(spec):
         builds.append(spec)
         return tables(spec)
+
+    def count_carriers(spec, h):
+        carrier_calls.append(spec)
+        return carriers(spec, h)
 
     def count_calls(*args):
         calls.append(len(args[1]))
         return kernel(*args)
 
     monkeypatch.setattr(detection, "candidate_tables", count_builds)
+    monkeypatch.setattr(detection, "reduced_carriers", count_carriers)
     monkeypatch.setattr(_kernels, "nearest_point", count_calls)
     spec = ReducedSpec(active_coords=((1, 1), (2, 2)), n_red=1, q_red=2)
     P_grid = [1e2, 1e3, 1e4, 1e5]
     reduced_error_sweep(spec, random_gains(np.random.default_rng(1)), P_grid,
                         trials=20, rng_seed=1)
     assert len(builds) == 1
+    assert len(carrier_calls) == 1
     assert calls == [spec.n_candidates] * len(P_grid)

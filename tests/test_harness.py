@@ -151,9 +151,11 @@ class TestConfig:
         ("fixed_channel", {"scheme": "rx-coop",
                            "fixed_channel": _with_gain(1, 2, 1e-12)}),
         ("fixed_channel", {"scheme": "rx-coop", "fixed_channel": FIXED_GAINS}),
-        ("fixed_channel", {"scheme": "illustrating-example",
-                           "channel_mode": "illustrating",
-                           "fixed_channel": FIXED_GAINS}),
+        # the mode is gone: it skipped the genericity screen on carriers
+        # that collide by construction
+        ("channel_mode", {"scheme": "illustrating-example",
+                          "channel_mode": "illustrating",
+                          "fixed_channel": FIXED_GAINS}),
         ("gamma", {"scheme": "illustrating-example", "gamma": 0}),
         # used to write a header-only results.csv under a complete manifest
         ("alpha_grid", {"scheme": "bounds-only", "alpha_grid": []}),
@@ -175,6 +177,11 @@ class TestConfig:
                            "fixed_channel": _scaled(1e200)}),
         ("fixed_channel", {"scheme": "centralized", "channel_mode": "fixed",
                            "fixed_channel": _scaled(1e200)}),
+        # both used to exit 0 on channels whose carriers collide
+        ("channel_mode", {"scheme": "rx-coop",
+                          "channel_mode": "illustrating"}),
+        ("channel_mode", {"scheme": "tx-coop",
+                          "channel_mode": "illustrating"}),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, field, bad):
         raw = dict({"N": 1, "trials": 1, "output_dir": str(tmp_path / "o")},
@@ -187,6 +194,26 @@ class TestConfig:
         assert cli_main(["run", "--config", str(path)]) == 1
         assert field in capsys.readouterr().err
         assert not (tmp_path / "o" / "results.csv").exists()
+
+    def test_checked_when_made(self):
+        # a copy or a direct construction passes the load checks too; a
+        # copy with eps = 5 used to run to negative rates and DoF
+        with pytest.raises(ConfigError, match="eps"):
+            dataclasses.replace(_cfg(), eps=5.0)
+        with pytest.raises(ConfigError, match="scheme"):
+            ExperimentConfig(scheme="nope", N=1)
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_is_config_error(self, tmp_path, capsys, kind):
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b'{"scheme": "\xff", "N": 1}')
+        out = tmp_path / "o"
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 1
+        assert f"cannot read config {path}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("scheme", ["tdma", "centralized", "bounds-only"])
     def test_vanishing_gain_loads_for_schemes_without_carriers(self, scheme):
@@ -508,7 +535,6 @@ class TestRunExperiment:
 
     def test_illustrating_scheme_runs(self, tmp_path):
         cfg = _cfg(scheme="illustrating-example", trials=2,
-                   channel_mode="illustrating",
                    P_grid=(1e3, 1e4, 1e5, 1e6, 1e7),
                    output_dir=str(tmp_path / "run"))
         manifest = run_experiment(cfg)
