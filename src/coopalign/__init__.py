@@ -9,6 +9,10 @@ baseline schemes, all driven by a reproducible experiment harness.
 
 __version__ = "0.1.0"
 
+from . import _heap
+
+_heap.keep_freed_memory(_heap.libc_mallopt())
+
 from .backhaul import BackhaulLedger, BackhaulMessage
 from .errors import (ConfigError, CoopAlignError, GenericityError,
                      MLBudgetError, ParameterError, ProtocolError,

@@ -29,9 +29,9 @@ from .backhaul import payload_digest
 from .detection import ReducedSpec
 from .errors import (ConfigError, CoopAlignError, GenericityError,
                      ProtocolError, SingularChannelError)
-from .lattice import (GENERIC_TOL, SubstreamTable, channel_inverse,
-                      illustrating_gains, q_limit, random_gains,
-                      require_generic)
+from .lattice import (GENERIC_TOL, MAX_CARRIERS, SubstreamTable,
+                      channel_inverse, illustrating_gains, q_limit,
+                      random_gains, require_generic)
 from .rx_protocol import run_rx_protocol
 from .tradeoff import (_budget_report, centralized_report, decode_coefficients,
                        illustrating_example, rx_sum_upper_bound, tdma_report,
@@ -79,6 +79,13 @@ class ExperimentConfig:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if not (type(self.N) is int and self.N >= 1):
             raise ConfigError(f"N must be a positive integer, got {self.N!r}")
+        if self.scheme in ("rx-coop", "tx-coop") \
+                and (self.N + 1) ** 9 > MAX_CARRIERS:
+            n_max = round(MAX_CARRIERS ** (1 / 9)) - 1
+            raise ConfigError(
+                f"N = {self.N} is too large for {self.scheme}: its (N+1)^9 "
+                f"carriers exceed {MAX_CARRIERS}; the largest admitted N is "
+                f"{n_max}")
         if not (_is_finite(self.eps) and 0 < self.eps < 1):
             raise ConfigError(f"eps must be a number in (0, 1), got {self.eps!r}")
         P = np.asarray(self.P_grid, dtype=float)

@@ -168,6 +168,12 @@ def _outer_chain(out, powers):
     return out
 
 
+# the most carriers, (N+1)^9, that rx-coop and tx-coop run on: N = 5.  A
+# trial peaks at about 42 B per carrier (118 MiB RSS at N = 4, 435 MiB at
+# N = 5), so N = 6 would take about 1.6 GiB per trial and per pool worker.
+MAX_CARRIERS = 6 ** 9
+
+
 def monomial_table(h, upper) -> np.ndarray:
     """All carrier values on the cube {1..upper}^9 as a dense array."""
     p = _powers(h, upper)
@@ -320,10 +326,15 @@ def _stable_order(x):
     key |= np.arange(size)
     key.sort()
     high = key >> b
-    tie = np.flatnonzero(high[1:] == high[:-1])
+    tie = high[1:] == high[:-1]
     key &= low
-    if tie.size:
-        at = np.union1d(tie, tie + 1)
+    if tie.any():
+        # entries i and i + 1 of each tie, without np.union1d, whose first
+        # call in a process imports numpy.ma
+        at = np.zeros(size, dtype=bool)
+        at[1:] = tie
+        at[:-1] |= tie
+        at = np.flatnonzero(at)
         idx = key[at]
         key[at] = idx[np.lexsort((idx, x[idx]))]
     return key

@@ -20,7 +20,7 @@ from coopalign.errors import ConfigError, GenericityError, ProtocolError
 from coopalign.harness import (CSV_COLUMNS, ExperimentConfig, RunManifest,
                                config_from_dict, load_config, run_experiment,
                                run_trial)
-from coopalign.lattice import q_limit
+from coopalign.lattice import MAX_CARRIERS, q_limit
 
 
 FIXED_GAINS = [[[1.0, 0.2], [0.5, -0.1], [0.3, 0.4]],
@@ -182,6 +182,9 @@ class TestConfig:
                           "channel_mode": "illustrating"}),
         ("channel_mode", {"scheme": "tx-coop",
                           "channel_mode": "illustrating"}),
+        # (N+1)^9 = 7^9 carriers, about 1.6 GiB per trial
+        ("N", {"scheme": "rx-coop", "N": 6}),
+        ("N", {"scheme": "tx-coop", "N": 6}),
     ])
     def test_rejected_at_load(self, tmp_path, capsys, field, bad):
         raw = dict({"N": 1, "trials": 1, "output_dir": str(tmp_path / "o")},
@@ -202,6 +205,21 @@ class TestConfig:
             dataclasses.replace(_cfg(), eps=5.0)
         with pytest.raises(ConfigError, match="scheme"):
             ExperimentConfig(scheme="nope", N=1)
+
+    @pytest.mark.parametrize("scheme", ["rx-coop", "tx-coop"])
+    def test_lattice_too_large_to_hold_is_refused(self, scheme):
+        cfg = _cfg(scheme=scheme, N=5)
+        assert (cfg.N + 1) ** 9 == MAX_CARRIERS
+        with pytest.raises(ConfigError, match=r"^N = 6 is too large for "
+                           rf"{scheme}: .* the largest admitted N is 5$"):
+            dataclasses.replace(cfg, N=6)
+        with pytest.raises(ConfigError, match="N = 40 is too large"):
+            ExperimentConfig(scheme=scheme, N=40)
+
+    @pytest.mark.parametrize("scheme", ["centralized", "tdma",
+                                        "illustrating-example", "bounds-only"])
+    def test_schemes_without_a_lattice_take_any_n(self, scheme):
+        assert _cfg(scheme=scheme, N=40).N == 40
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     def test_unreadable_config_is_config_error(self, tmp_path, capsys, kind):

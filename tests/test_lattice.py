@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,6 +361,24 @@ class TestStableOrder:
             x = monomial_table(random_gains(rng), n + 1).ravel().real
             np.testing.assert_array_equal(lattice._stable_order(x),
                                           np.argsort(x, kind="stable"))
+
+    def test_tie_step_does_not_import_numpy_ma(self):
+        # np.union1d's first call in a process imports numpy.ma, about 18 ms
+        # on the channels whose carrier keys share their high bits
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from coopalign import lattice\n"
+            "x = np.random.default_rng(3).integers(0, 4, 64) / 2.0\n"
+            "got = lattice._stable_order(x)\n"
+            "assert (got == np.argsort(x, kind='stable')).all()\n"
+            "print('numpy.ma' in sys.modules)\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(lattice.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestObservations:
