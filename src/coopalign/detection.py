@@ -32,7 +32,11 @@ class ReducedSpec:
     ml_budget: int = 10 ** 6
 
     def __post_init__(self):
-        coords = tuple(tuple(c) for c in self.active_coords)
+        try:
+            coords = tuple(tuple(c) for c in self.active_coords)
+        except TypeError:
+            raise ParameterError("active_coords must be a sequence of coordinate "
+                                 f"pairs, got {self.active_coords!r}") from None
         if not coords or any(c not in COORD_NAMES for c in coords):
             raise ParameterError(f"bad active coordinate set: {self.active_coords}")
         if len(set(coords)) != len(coords):

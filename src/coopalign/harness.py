@@ -74,7 +74,12 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        # every config, dataclasses.replace copies included, passes here
+        # every config, dataclasses.replace copies included, passes here,
+        # and first takes the one form a config file gives each field
+        for name in ("P_grid", "alpha_grid"):
+            object.__setattr__(self, name, _numbers(name, getattr(self, name)))
+        object.__setattr__(self, "gamma", _gamma(self.gamma))
+        object.__setattr__(self, "fixed_channel", _tuplify(self.fixed_channel))
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if not (type(self.N) is int and self.N >= 1):
@@ -88,13 +93,12 @@ class ExperimentConfig:
                 f"{n_max}")
         if not (_is_finite(self.eps) and 0 < self.eps < 1):
             raise ConfigError(f"eps must be a number in (0, 1), got {self.eps!r}")
-        P = np.asarray(self.P_grid, dtype=float)
-        if P.size < 4:
-            raise ConfigError(f"P_grid needs at least 4 points, got {P.size}")
-        if not np.all(np.isfinite(P) & (P > 1)):
-            raise ConfigError(
-                f"P_grid values must be finite and > 1, got {self.P_grid}")
-        if not np.all(np.diff(P) > 0):
+        P = self.P_grid
+        if len(P) < 4:
+            raise ConfigError(f"P_grid needs at least 4 points, got {len(P)}")
+        if min(P) <= 1:
+            raise ConfigError(f"P_grid values must be finite and > 1, got {P}")
+        if any(a >= b for a, b in zip(P, P[1:])):
             raise ConfigError("P_grid must be strictly increasing")
         if not (type(self.trials) is int and self.trials >= 1):
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
@@ -126,44 +130,36 @@ class ExperimentConfig:
         if not (type(self.q) is int and 1 <= self.q <= q_max):
             raise ConfigError(f"q must be an integer in [1, {q_max}] at "
                               f"N = {self.N}, got {self.q!r}")
-        a = np.asarray(self.alpha_grid, dtype=float)
-        if a.size == 0:
+        if not self.alpha_grid:
             raise ConfigError("alpha_grid needs at least one value")
-        if not np.all(np.isfinite(a) & (a >= 0)):
+        if min(self.alpha_grid) < 0:
             raise ConfigError(
                 f"alpha_grid values must be finite and >= 0, got {self.alpha_grid}")
         if self.reduced_spec is not None:
-            self.build_reduced_spec()
+            # a copy, with the coordinate pairs as the spec holds them
+            coords = self.build_reduced_spec().active_coords
+            object.__setattr__(self, "reduced_spec",
+                               dict(self.reduced_spec, active_coords=coords))
         if not isinstance(self.output_dir, str):
             raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
 
     def build_reduced_spec(self) -> ReducedSpec:
         try:
-            d = dict(self.reduced_spec)
-            d["active_coords"] = tuple(tuple(c) for c in d["active_coords"])
-            return ReducedSpec(**d)
-        except (KeyError, TypeError, ValueError, CoopAlignError) as exc:
+            return ReducedSpec(**self.reduced_spec)
+        except (TypeError, CoopAlignError) as exc:
             raise ConfigError(f"invalid reduced_spec: {exc}") from exc
 
     def as_json_dict(self) -> dict:
-        d = asdict(self)
-        d["P_grid"] = list(self.P_grid)
-        d["alpha_grid"] = list(self.alpha_grid)
-        d["gamma"] = [self.gamma.real, self.gamma.imag]
-        if self.fixed_channel is not None:
-            d["fixed_channel"] = _listify(self.fixed_channel)
-        return d
-
-
-def _listify(x):
-    if isinstance(x, tuple):
-        return [_listify(v) for v in x]
-    return x
+        # json writes the tuples as lists
+        return dict(asdict(self), gamma=[self.gamma.real, self.gamma.imag])
 
 
 def _tuplify(x):
-    if isinstance(x, list):
-        return tuple(_tuplify(v) for v in x)
+    """Nested lists as nested tuples; an array, which JSON lacks, is refused."""
+    if isinstance(x, np.ndarray):
+        raise ConfigError("fixed_channel must be nested lists, not an array")
+    if isinstance(x, (list, tuple)):
+        return tuple(map(_tuplify, x))
     return x
 
 
@@ -172,7 +168,7 @@ def _fixed_gains(fixed_channel) -> np.ndarray:
     a = np.array(fixed_channel, dtype=object)
     if not (a.shape == (3, 3, 2) and all(map(_is_finite, a.flat))):
         raise ConfigError("fixed_channel must be 3x3 finite [re, im] pairs, "
-                          f"got {_listify(fixed_channel)!r}")
+                          f"got {fixed_channel!r}")
     return np.ascontiguousarray(a, dtype=float).view(np.complex128)[..., 0]
 
 
@@ -194,30 +190,24 @@ def _numbers(field_name, values) -> tuple:
     return tuple(float(v) for v in values)
 
 
+def _gamma(g) -> complex:
+    if isinstance(g, complex):
+        g = (g.real, g.imag)
+    parts = g if isinstance(g, (list, tuple)) else (g, 0)
+    if not (len(parts) == 2 and all(map(_is_finite, parts))):
+        raise ConfigError(f"gamma must be a number or an [re, im] pair, got {g!r}")
+    return complex(*parts)
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    if "scheme" not in raw:
-        raise ConfigError("missing required field: scheme")
-    if "N" not in raw:
-        raise ConfigError("missing required field: N")
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(raw) - known
+    """A config from a JSON object, which converts and checks its fields."""
+    for name in ("scheme", "N"):
+        if name not in raw:
+            raise ConfigError(f"missing required field: {name}")
+    unknown = set(raw) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    kw = dict(raw)
-    for name in ("P_grid", "alpha_grid"):
-        if name in kw:
-            kw[name] = _numbers(name, kw[name])
-    if "gamma" in kw:
-        g = kw["gamma"]
-        if isinstance(g, complex):
-            g = (g.real, g.imag)
-        parts = g if isinstance(g, (list, tuple)) else (g, 0)
-        if not (len(parts) == 2 and all(map(_is_finite, parts))):
-            raise ConfigError(f"gamma must be a number or an [re, im] pair, got {g!r}")
-        kw["gamma"] = complex(*parts)
-    if "fixed_channel" in kw and kw["fixed_channel"] is not None:
-        kw["fixed_channel"] = _tuplify(kw["fixed_channel"])
-    return ExperimentConfig(**kw)
+    return ExperimentConfig(**raw)
 
 
 def load_config(path) -> ExperimentConfig:

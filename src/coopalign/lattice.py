@@ -130,14 +130,17 @@ class SubstreamTable:
     def __post_init__(self):
         if self.owner not in (1, 2, 3):
             raise ParameterError(f"owner must be 1, 2 or 3, got {self.owner}")
+        # a float or bool q would be priced and traced at different widths
+        for name in ("n", "q"):
+            x = getattr(self, name)
+            if not (type(x) is int and x >= 1):
+                raise ParameterError(f"{name} must be a positive integer, got {x!r}")
         v = np.asarray(self.values)
         if v.dtype.kind not in "iu":
             raise ParameterError(f"symbols must be integers, got {v.dtype}")
         if v.shape != (self.n,) * 9:
             raise ParameterError(
                 f"values must have shape {(self.n,)*9}, got {v.shape}")
-        if self.q < 1:
-            raise ParameterError("symbol half-width q must be >= 1")
         # checked before the cast, which would wrap an entry far out of range
         if v.size and (v.max() > self.q or v.min() < -self.q):
             raise SymbolRangeError(

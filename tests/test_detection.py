@@ -24,6 +24,12 @@ class TestReduced:
         with pytest.raises(MLBudgetError):
             ReducedSpec(active_coords=((1, 1), (2, 2)), n_red=2, q_red=1)
 
+    @pytest.mark.parametrize("coords", [(1, 1), None])
+    def test_coordinates_must_be_pairs(self, coords):
+        # both used to raise a bare TypeError from tuple()
+        with pytest.raises(ParameterError, match="active_coords"):
+            ReducedSpec(active_coords=coords, n_red=1, q_red=1)
+
     def test_budget_check_matches_candidate_count(self):
         # the table-size shortcut never changes the verdict
         for n_red, q_red in ((1, 1), (2, 1), (1, 2), (3, 1)):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -17,9 +18,9 @@ import coopalign
 from conftest import save_config
 from coopalign.cli import main as cli_main
 from coopalign.errors import ConfigError, GenericityError, ProtocolError
-from coopalign.harness import (CSV_COLUMNS, ExperimentConfig, RunManifest,
-                               config_from_dict, load_config, run_experiment,
-                               run_trial)
+from coopalign.harness import (CSV_COLUMNS, SCHEMES, ExperimentConfig,
+                               RunManifest, config_from_dict, load_config,
+                               run_experiment, run_trial)
 from coopalign.lattice import MAX_CARRIERS, q_limit
 
 
@@ -197,6 +198,66 @@ class TestConfig:
         assert cli_main(["run", "--config", str(path)]) == 1
         assert field in capsys.readouterr().err
         assert not (tmp_path / "o" / "results.csv").exists()
+
+    @pytest.mark.parametrize("kw,raw", [
+        ({"gamma": [1.5, 0.5]}, {"gamma": [1.5, 0.5]}),
+        ({"gamma": "1.5"}, {"gamma": "1.5"}),
+        ({"gamma": True}, {"gamma": True}),
+        ({"alpha_grid": ("0", "1")}, {"alpha_grid": ["0", "1"]}),
+        ({"alpha_grid": [0, 1]}, {"alpha_grid": [0, 1]}),
+        ({"P_grid": ("100", "1000", "10000", "100000")},
+         {"P_grid": ["100", "1000", "10000", "100000"]}),
+        ({"P_grid": [100, 1000, 10000, 100000]},
+         {"P_grid": [100, 1000, 10000, 100000]}),
+        ({"channel_mode": "fixed", "fixed_channel": FIXED_GAINS},
+         {"channel_mode": "fixed", "fixed_channel": FIXED_GAINS}),
+        # a config file holds no arrays
+        ({"P_grid": np.array([1e2, 1e3, 1e4, 1e5])}, None),
+        ({"channel_mode": "fixed", "fixed_channel": np.array(FIXED_GAINS)},
+         None),
+    ], ids=["gamma-pair", "gamma-str", "gamma-bool", "alpha-str",
+            "alpha-int-list", "P-str", "P-int-list", "fixed-list",
+            "P-array", "fixed-array"])
+    def test_made_config_holds_the_file_form(self, kw, raw):
+        # each form used to be held as given, and the gamma pair, the
+        # strings and the fixed array then failed the run
+        def form(x):
+            if isinstance(x, (list, tuple)):
+                return type(x), tuple(map(form, x))
+            return type(x), x
+
+        base = {"scheme": "illustrating-example", "N": 1}
+        field = next(iter(kw.keys() - {"channel_mode"}))
+        want, refusal = None, f"^{field} must be"
+        if raw is not None:
+            try:
+                want = config_from_dict(dict(base, **raw))
+            except ConfigError as exc:
+                prefix = str(exc).split(", got ")[0]
+                refusal = f"^{re.escape(prefix)}, got "
+        for make in (lambda: ExperimentConfig(**base, **kw),
+                     lambda: dataclasses.replace(
+                         ExperimentConfig(**base), **kw)):
+            if want is None:
+                with pytest.raises(ConfigError, match=refusal):
+                    make()
+            else:
+                cfg = make()
+                assert form(getattr(cfg, field)) == form(getattr(want, field))
+                assert cfg == want
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("fixed", [False, True], ids=["random", "fixed"])
+    def test_as_json_dict_round_trip(self, scheme, fixed):
+        kw = {"channel_mode": "fixed", "fixed_channel": FIXED_GAINS} \
+            if fixed else {}
+        cfg = ExperimentConfig(
+            scheme=scheme, N=2, eps=0.02, P_grid=[1e2, 1e4, 1e6, 1e8],
+            gamma=2.0 - 1.0j, alpha_grid=[0, 0.25], reduced_spec={
+                "active_coords": ((1, 1), [2, 2]), "n_red": 1, "q_red": 1},
+            **kw)
+        back = config_from_dict(json.loads(json.dumps(cfg.as_json_dict())))
+        assert back == cfg
 
     def test_checked_when_made(self):
         # a copy or a direct construction passes the load checks too; a

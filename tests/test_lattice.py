@@ -59,6 +59,21 @@ class TestTables:
         else:
             SubstreamTable(owner=1, n=1, q=5, values=values)
 
+    @pytest.mark.parametrize("field,value", [
+        ("q", 1.5), ("q", True), ("q", np.int64(5)), ("q", 0), ("n", True),
+        ("n", 1.0), ("n", 0)],
+        ids=["q-float", "q-bool", "q-numpy-int", "q-zero", "n-bool", "n-float",
+             "n-zero"])
+    def test_substream_sizes_are_positive_integers(self, field, value):
+        # q = 1.5 used to be priced at log2(2q + 1) = 2 bits a symbol and
+        # traced with alphabet_halfwidth int(q) = 1; q = True ran as q = 1,
+        # and n = 0 raised ZeroDivisionError from the cube type's bound
+        kw = dict({"n": 1, "q": 5}, **{field: value})
+        values = np.zeros((int(kw["n"]),) * 9, dtype=np.int64)
+        with pytest.raises(ParameterError,
+                           match=f"{field} must be a positive integer"):
+            SubstreamTable(owner=1, values=values, **kw)
+
     @pytest.mark.parametrize("values", [
         np.full((1,) * 9, 0.7), np.full((1,) * 9, 2.0),
         np.ones((1,) * 9, dtype=bool)], ids=["0.7", "2.0", "bool"])
