@@ -20,15 +20,10 @@ import numpy as np
 from .detection import reduced_error_sweep
 from .errors import ConfigError, ParameterError
 from .harness import (ExperimentConfig, config_from_dict, load_config,
-                      run_experiment)
-from .lattice import SubstreamTable, random_gains
-from .rx_protocol import run_rx_protocol
-from .rx_protocol import expected_symbol_count as rx_count
+                      run_experiment, run_trial)
+from .lattice import random_gains
 from .tradeoff import (lemma1_check, normalized_bound_slope, optimal_tradeoff,
                        rx_sum_upper_bound, tx_sum_upper_bound)
-from .tx_protocol import run_tx_backhaul, verify_diagonalization
-from .tx_protocol import expected_symbol_count as tx_count
-
 
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="coopalign",
@@ -88,31 +83,30 @@ def _check(name: str, ok: bool) -> bool:
 
 def _cmd_verify(args) -> int:
     cfg = _load(args)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.rng_seed))
     results = []
 
-    for n in (1, 2):
-        streams = tuple(SubstreamTable.random(i + 1, n, 5, rng)
-                        for i in range(3))
-        res = run_rx_protocol(streams)
-        ok = all(np.array_equal(res.recovered[i], streams[i].values)
-                 for i in range(3))
-        ok &= len(res.ledger.messages) == 3 * n and \
-            res.ledger.total_symbols == rx_count(n)
-        results.append(_check(f"receiver protocol recovery (N={n})", ok))
-
-    ch = random_gains(rng)
-    streams = tuple(SubstreamTable.random(i + 1, 1, 5, rng) for i in range(3))
-    res = run_tx_backhaul(streams)
-    chk = verify_diagonalization(streams, res.built, ch, 1e6)
-    ok = chk.ok and res.ledger.total_symbols == tx_count(1)
-    results.append(_check("transmitter protocol diagonalization (N=1)", ok))
+    for scheme, n in (("rx-coop", 1), ("rx-coop", 2), ("tx-coop", 1)):
+        # trial 0, as `coopalign run` runs and writes it
+        rows, _, trace = run_trial(config_from_dict(
+            {"scheme": scheme, "N": n, "trials": 1,
+             "rng_seed": cfg.rng_seed}), 0)
+        tx = scheme == "tx-coop"
+        # rx rows read "exact", tx rows the diagonalization residual
+        ok = all(float(r["detail"]) <= 1e-9 if tx else r["detail"] == "exact"
+                 for r in rows)
+        # R = N (+1 for tx) rounds of three payloads of R^8 symbols
+        sizes = [r["length"] for r in trace if r["stage"] == "backhaul"]
+        ok &= len(sizes) == 3 * (n + tx) and sum(sizes) == 3 * (n + tx) ** 9
+        what = "transmitter protocol diagonalization" if tx \
+            else "receiver protocol recovery"
+        results.append(_check(f"{what} (N={n})", ok))
 
     ones = np.ones((3, 3))
     ok = abs(rx_sum_upper_bound(ones, 1.0, 0.0) - 3 * np.log2(3)) < 1e-12
     ok &= abs(tx_sum_upper_bound(ones, 1.0, 0.0) - 3 * np.log2(10)) < 1e-12
     results.append(_check("bound closed forms on the all-ones channel", ok))
 
+    ch = random_gains(np.random.default_rng(cfg.rng_seed))
     grid = np.logspace(6, 12, 8)
     ok = True
     for a in (0.0, 0.5, 1.0):
@@ -124,7 +118,7 @@ def _cmd_verify(args) -> int:
     results.append(_check("entropy bound sweep (50 instances)", rep.all_passed))
 
     if cfg.reduced_spec is not None:
-        rates = reduced_error_sweep(cfg.build_reduced_spec(), ch, [1e4],
+        rates = reduced_error_sweep(cfg.reduced_spec, ch, [1e4],
                                     trials=16, rng_seed=cfg.rng_seed,
                                     noisy=False)
         results.append(_check("reduced ML noiseless exactness",

@@ -13,7 +13,7 @@ import numpy as np
 from . import _kernels
 from .errors import MLBudgetError, ParameterError
 from .indices import COORD_NAMES
-from .lattice import complex_awgn
+from .lattice import complex_awgn, gain_matrix
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,9 @@ def reduced_error_sweep(spec: ReducedSpec, h, P_grid, trials, rng_seed,
     detects each sample by exhaustive nearest-point search over the
     candidates scaled by gamma, and counts whole-table mismatches.  Streams
     are split per power level from one root seed.  `trials` must be an int
-    >= 1 and every P finite and > 0.
+    >= 1, every P finite and > 0, and h 3x3.
     """
+    h = gain_matrix(h)
     if type(trials) is not int or trials < 1:
         raise ParameterError(f"trials must be an int >= 1, got {trials!r}")
     P_grid = list(P_grid)

@@ -38,10 +38,19 @@ def random_gains(rng):
     return complex_awgn(rng, (3, 3))
 
 
+def gain_matrix(h) -> np.ndarray:
+    """h as a 3x3 complex128 array, not a copy when it already is one;
+    raises ParameterError on any other shape."""
+    h = np.asarray(h, dtype=np.complex128)
+    if h.shape != (3, 3):
+        raise ParameterError(f"need a 3x3 gain matrix, got shape {h.shape}")
+    return h
+
+
 def illustrating_gains(gamma, h):
     """Copy of h in which receiver 3 sees a gamma-scaled copy of the
     direct/cross pair of receiver 2 (h31 = gamma*h21, h33 = gamma*h23)."""
-    h = h.copy()
+    h = gain_matrix(h).copy()
     h[2, 0] = gamma * h[1, 0]
     h[2, 2] = gamma * h[1, 2]
     return h
@@ -261,8 +270,9 @@ def channel_is_generic(h, n):
     Entry i is compared with i+1, i+2, ... while the real-part gap stays
     within a window taken from the (i, i+1) pair.  All i advance together,
     one offset k per pass, and an i leaves the pass set as soon as its
-    window closes.
+    window closes.  Gains other than 3x3 raise ParameterError.
     """
+    h = gain_matrix(h)
     if np.abs(h).min() <= GENERIC_TOL:
         return False
     with np.errstate(over="ignore", invalid="ignore"):

@@ -86,8 +86,3 @@ def run_rx_protocol(all_streams) -> RxProtocolResult:
         run_round(RX_STEPS, nodes, r, n - r, ledger, first=r == 0)
     recovered = tuple(nodes[i].tables["resolved"] for i in (1, 2, 3))
     return RxProtocolResult(recovered=recovered, ledger=ledger)
-
-
-def expected_symbol_count(n: int) -> int:
-    """Three payloads of n^8 entries per round, n rounds."""
-    return 3 * n ** 9

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GenericityError, ParameterError
-from .lattice import channel_inverse, complex_awgn, illustrating_gains
+from .lattice import (channel_inverse, complex_awgn, gain_matrix,
+                      illustrating_gains)
 
 
 def top_half_slope(P_grid, values) -> float:
@@ -71,9 +72,7 @@ def optimal_tradeoff(alpha) -> float:
 def _bound_args(H, P):
     """The 3x3 gains and the powers; raises ParameterError on any other
     gain shape or on a power that is not positive."""
-    h = np.asarray(H, dtype=np.complex128)
-    if h.shape != (3, 3):
-        raise ParameterError(f"need a 3x3 gain matrix, got shape {h.shape}")
+    h = gain_matrix(H)
     P = np.asarray(P, dtype=float)
     if not np.all(P > 0):
         raise ParameterError(f"P must be positive, got {P}")
@@ -278,10 +277,10 @@ def _budget_report(symbols_per_user, N, eps, P_grid, load_spans_cube):
 def centralized_report(h, P_grid) -> RateReport:
     """Rate-level hub model: receivers 2 and 3 forward unit-distortion
     quantized observations to receiver 1, which inverts the channel and
-    ships each decoded message back.  A channel that channel_inverse does
-    not certify, which includes any but a 3x3 one, raises
-    SingularChannelError."""
-    h = np.asarray(h, dtype=np.complex128)
+    ships each decoded message back.  Gains other than 3x3 raise
+    ParameterError, and a channel that channel_inverse does not certify
+    raises SingularChannelError."""
+    h = gain_matrix(h)
     P_grid = np.asarray(P_grid, dtype=float)
     hinv = channel_inverse(h)
     # after inversion: unit receiver noise plus unit quantization noise on

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backhaul import BackhaulLedger, NodeState, Step, run_round
-from .lattice import (carrier_sums, channel_inverse, gains_times,
+from .lattice import (carrier_sums, channel_inverse, gain_matrix, gains_times,
                       stream_params)
 
 
@@ -98,11 +98,6 @@ def run_tx_backhaul(all_streams) -> TxProtocolResult:
     return TxProtocolResult(built=built, ledger=ledger)
 
 
-def expected_symbol_count(n: int) -> int:
-    """Three payloads of (n+1)^8 entries per round, n+1 rounds."""
-    return 3 * (n + 1) ** 9
-
-
 # ============================================================
 # channel inversion transmit
 # ============================================================
@@ -128,8 +123,10 @@ def verify_diagonalization(all_streams, built, h, P) -> DiagonalizationCheck:
     signal magnitude, so it measures how exactly the cross-user carriers
     telescope away.  Both sets of carrier sums are lattice.carrier_sums,
     with np.sum's bits: a transmit carrier that is zero or not finite, or a
-    sum that overflows, raises GenericityError.
+    sum that overflows, raises GenericityError.  Gains other than 3x3 raise
+    ParameterError.
     """
+    h = gain_matrix(h)
     hinv = channel_inverse(h)
     raw = carrier_sums(hinv, built)
     # scale the realised samples to average power P

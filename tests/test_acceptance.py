@@ -18,13 +18,11 @@ from coopalign.harness import config_from_dict, run_experiment
 from coopalign.lattice import (SubstreamTable, exact_observations,
                                random_gains, require_generic)
 from coopalign.rx_protocol import run_rx_protocol
-from coopalign.rx_protocol import expected_symbol_count as rx_count
 from coopalign.tradeoff import (centralized_report, illustrating_example,
                                 lemma1_check, normalized_bound_slope,
                                 optimal_tradeoff, rx_sum_upper_bound,
                                 tdma_report, tx_sum_upper_bound)
 from coopalign.tx_protocol import run_tx_backhaul, verify_diagonalization
-from coopalign.tx_protocol import expected_symbol_count as tx_count
 
 CRITERIA = {
     "test_c01_rx_recovery":
@@ -72,7 +70,7 @@ def test_c01_rx_recovery():
             for i in range(3):
                 np.testing.assert_array_equal(res.recovered[i],
                                               streams[i].values)
-            assert res.ledger.total_symbols == rx_count(n) == 3 * n ** 9
+            assert res.ledger.total_symbols == 3 * n ** 9
     assert time.monotonic() - t0 < 60.0
 
 
@@ -88,7 +86,7 @@ def test_c02_tx_equality():
             want = exact_observations(streams)
             for i in range(3):
                 np.testing.assert_array_equal(res.built[i], want[i])
-            assert res.ledger.total_symbols <= tx_count(n)
+            assert res.ledger.total_symbols <= 3 * (n + 1) ** 9
             assert res.ledger.total_symbols == 3 * (n + 1) ** 9
             chk = verify_diagonalization(streams, res.built, ch, 1e8)
             assert chk.residual <= 1e-9

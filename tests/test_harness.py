@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 import coopalign
 from conftest import save_config
+from coopalign import cli
 from coopalign.cli import main as cli_main
+from coopalign.detection import ReducedSpec
 from coopalign.errors import ConfigError, GenericityError, ProtocolError
 from coopalign.harness import (CSV_COLUMNS, SCHEMES, ExperimentConfig,
                                RunManifest, config_from_dict, load_config,
@@ -338,7 +340,25 @@ class TestConfig:
                                "q_red": 1})
         cfg = _cfg(reduced_spec={"active_coords": [[1, 1]], "n_red": 1,
                                  "q_red": 1})
-        assert cfg.build_reduced_spec().table_size == 2
+        assert cfg.reduced_spec.table_size == 2
+
+    def test_reduced_spec_held_as_the_checked_spec(self):
+        raw = {"active_coords": [[1, 1]], "n_red": 1, "q_red": 1}
+        cfg = _cfg(reduced_spec=raw)
+        assert cfg.reduced_spec == ReducedSpec(((1, 1),), 1, 1)
+        assert cfg.build_reduced_spec() is cfg.reduced_spec
+        # the config used to hold a dict copy, which an item assignment
+        # changed after the check, manifest echo included
+        with pytest.raises(TypeError):
+            cfg.reduced_spec["n_red"] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.reduced_spec.n_red = 0
+        assert dataclasses.replace(cfg, N=2).reduced_spec is cfg.reduced_spec
+        assert cfg.as_json_dict()["reduced_spec"] == dict(
+            raw, active_coords=((1, 1),), ml_budget=10 ** 6)
+        for bad in ("ab", [["n_red", 1]], 5):
+            with pytest.raises(ConfigError, match="^invalid reduced_spec: "):
+                dataclasses.replace(cfg, reduced_spec=bad)
 
     def test_huge_reduced_spec_rejected_without_counting(self):
         # 7^(10^12) candidates: rejected on the table size alone
@@ -846,6 +866,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") >= 6
+
+    @pytest.mark.parametrize("fault", ["detail", "dropped", "length"])
+    def test_verify_checks_the_trials_run_writes(self, monkeypatch, capsys,
+                                                 fault):
+        # the protocol checks read run_trial's rows and backhaul records;
+        # they used to run the exchanges on streams of their own
+        def faulty(config, trial):
+            rows, listing, trace = run_trial(config, trial)
+            if fault == "detail":
+                rows[-1]["detail"] = "contaminated" \
+                    if config.scheme == "rx-coop" else "1.001e-09"
+            elif fault == "dropped":
+                trace = trace[1:]
+            else:
+                trace[0]["length"] += 1
+            return rows, listing, trace
+
+        monkeypatch.setattr(cli, "run_trial", faulty)
+        assert cli_main(["verify"]) == 2
+        out = capsys.readouterr().out
+        assert out.count("FAIL") == 3 and out.count("PASS") == 3
+        assert "FAIL  transmitter protocol diagonalization (N=1)" in out
 
     @staticmethod
     def _reduced_config(tmp_path, n_red):

@@ -1,7 +1,38 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
 import coopalign
+from coopalign import _kernels
+from coopalign.harness import ExperimentConfig
 
 
 def test_public_names_resolve():
     assert len(set(coopalign.__all__)) == len(coopalign.__all__)
     for name in coopalign.__all__:
         assert hasattr(coopalign, name), name
+
+
+def _pipebench_spans():
+    # spans.py imports only the standard library
+    path = Path(__file__).resolve().parents[1] / "pipebench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("pipebench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("target", [
+    "rx_protocol.run_rx_protocol", "tx_protocol.run_tx_backhaul",
+    "lattice.channel_is_generic", "lattice.monomial_table",
+    "detection.reduced_error_sweep", "_kernels.nearest_point"])
+def test_benchmark_finds_the_counted_layers(target):
+    # the benchmark's exact-count checks read these spans; a rename would
+    # otherwise show only in its smoke run
+    assert _pipebench_spans()._resolve(target) is not None
+
+
+def test_benchmark_reads_these_names():
+    assert callable(ExperimentConfig.build_reduced_spec)
+    assert hasattr(_kernels, "HAVE_NUMBA") and hasattr(_kernels, "USE_NUMBA")

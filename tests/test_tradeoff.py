@@ -5,14 +5,19 @@ import pytest
 
 from conftest import load_slope, make_generic_channel, rate_slopes, trial_point
 from coopalign import harness
+from coopalign.detection import ReducedSpec, reduced_error_sweep
 from coopalign.errors import GenericityError, ParameterError
 from coopalign.harness import config_from_dict, run_trial
-from coopalign.lattice import channel_inverse, illustrating_gains, random_gains
+from coopalign.lattice import (SubstreamTable, channel_inverse,
+                               channel_is_generic, exact_observations,
+                               illustrating_gains, random_gains)
 from coopalign.tradeoff import (Lemma1Report, RateReport, centralized_report,
-                                illustrating_example, lemma1_check,
+                                decode_coefficients, illustrating_example,
+                                lemma1_check,
                                 normalized_bound_slope, optimal_tradeoff,
                                 rx_sum_upper_bound, tdma_report,
                                 top_half_slope, tx_sum_upper_bound)
+from coopalign.tx_protocol import verify_diagonalization
 
 
 # The per-point forms of the bounds and reports, kept as references: one
@@ -49,6 +54,13 @@ def tx_bound_loop(h, P, Rb_bar):
 def bound_slope_loop(bound_loop, h, alpha, P_grid):
     vals = [bound_loop(h, P, alpha * np.log2(P)) for P in P_grid]
     return top_half_slope(P_grid, vals) / (2.0 * h.shape[0])
+
+
+def _diagonalize(h):
+    rng = np.random.default_rng(0)
+    streams = tuple(SubstreamTable.random(i, 1, 5, rng) for i in (1, 2, 3))
+    return verify_diagonalization(streams, exact_observations(streams), h,
+                                  1e6)
 
 
 def tdma_loop(h, P_grid):
@@ -221,11 +233,32 @@ class TestBounds:
         lambda h: normalized_bound_slope(tx_sum_upper_bound, h, 0.5,
                                          np.logspace(2, 8, 7)),
         lambda h: tdma_report(h, np.logspace(2, 8, 7)),
-    ], ids=["rx", "tx", "rx-slope", "tx-slope", "tdma"])
+        # these read the corner of a larger matrix, or indexed past a
+        # smaller one, or (the hub) raised SingularChannelError
+        lambda h: centralized_report(h, np.logspace(2, 8, 7)),
+        lambda h: illustrating_gains(1.5, h),
+        lambda h: decode_coefficients(1.5, h),
+        lambda h: illustrating_example(1.5, h, np.logspace(2, 8, 7)),
+        lambda h: channel_is_generic(h, 1),
+        lambda h: reduced_error_sweep(
+            ReducedSpec(((1, 1), (2, 2)), 1, 1), h, [1e4], 4, 0),
+        _diagonalize,
+    ], ids=["rx", "tx", "rx-slope", "tx-slope", "tdma", "centralized",
+            "example-gains", "decode", "example", "screen", "ml-sweep",
+            "diagonalization"])
     def test_gains_other_than_3x3_rejected(self, call, n):
         h = np.ones((n, n), dtype=np.complex128) + np.eye(n)
         with pytest.raises(ParameterError, match="3x3"):
             call(h)
+
+    def test_nested_lists_read_as_the_array(self, rng):
+        # the example used to raise TypeError on nested lists
+        h, P = random_gains(rng), np.logspace(2, 8, 7)
+        for report in (lambda g: illustrating_example(1.5, g, P),
+                       lambda g: centralized_report(g, P)):
+            a, b = report(h), report(h.tolist())
+            np.testing.assert_array_equal(a.rates, b.rates)
+            np.testing.assert_array_equal(a.rb_bar, b.rb_bar)
 
     def test_array_power_validation(self):
         with pytest.raises(ParameterError):
