@@ -29,14 +29,27 @@ from .indices import AXIS, window
 from .lattice import STEP_TERMS
 
 
+# entries of a narrower integer payload widened to int64 per sha256 update
+DIGEST_CHUNK = 1 << 15
+
+
 def payload_digest(a) -> str:
     """The first 16 hex digits of the sha256 of a C-contiguous array's
     bytes.  An integer array is hashed as its int64 bytes, whatever type
-    holds it: a narrower one is first copied to int64, while an int64 or
-    non-integer array is read through the buffer protocol without a copy."""
-    if a.dtype.kind == "i":
-        a = a.astype(np.int64, copy=False)
-    return hashlib.sha256(a).hexdigest()[:16]
+    holds it: a narrower one is widened DIGEST_CHUNK entries at a time into
+    one buffer of this call, while an int64 or non-integer array is read
+    through the buffer protocol without a copy."""
+    if a.dtype.kind != "i" or a.dtype == np.int64:
+        return hashlib.sha256(a).hexdigest()[:16]
+    flat = a.reshape(-1)
+    buf = np.empty(min(flat.size, DIGEST_CHUNK), dtype=np.int64)
+    digest = hashlib.sha256()
+    for lo in range(0, flat.size, DIGEST_CHUNK):
+        part = flat[lo:lo + DIGEST_CHUNK]
+        wide = buf[:part.size]
+        wide[...] = part
+        digest.update(wide)
+    return digest.hexdigest()[:16]
 
 
 @dataclass(frozen=True)

@@ -174,9 +174,23 @@ def _powers(h, upper):
     return [g ** exps for g in h.ravel()]
 
 
+COLUMN_MIN = 256
+
+
 def _outer_chain(out, powers):
+    """np.multiply.outer(out, p) for each p in turn, to the bit.  Once out
+    holds at least COLUMN_MIN entries, each column out * p[j] is one long
+    np.multiply with the operands in the same order; a shorter out keeps
+    the outer product, because a 1-entry array times a numpy scalar rounds
+    through another numpy loop."""
     for p in powers:
-        out = np.multiply.outer(out, p)
+        if out.size < COLUMN_MIN:
+            out = np.multiply.outer(out, p)
+            continue
+        nxt = np.empty(out.shape + p.shape, dtype=out.dtype)
+        for j, pj in enumerate(p):
+            np.multiply(out, pj, out=nxt[..., j])
+        out = nxt
     return out
 
 
@@ -270,9 +284,12 @@ def channel_is_generic(h, n):
     Entry i is compared with i+1, i+2, ... while the real-part gap stays
     within a window taken from the (i, i+1) pair.  All i advance together,
     one offset k per pass, and an i leaves the pass set as soon as its
-    window closes.  Gains other than 3x3 raise ParameterError.
+    window closes.  Gains other than 3x3, or a depth n that is not a
+    positive int, raise ParameterError.
     """
     h = gain_matrix(h)
+    if not (type(n) is int and n >= 1):
+        raise ParameterError(f"n must be a positive integer, got {n!r}")
     if np.abs(h).min() <= GENERIC_TOL:
         return False
     with np.errstate(over="ignore", invalid="ignore"):

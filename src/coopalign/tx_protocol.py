@@ -26,11 +26,15 @@ that cancellation.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .backhaul import BackhaulLedger, NodeState, Step, run_round
+from .errors import ParameterError
+from .indices import COORD_NAMES
 from .lattice import (carrier_sums, channel_inverse, gain_matrix, gains_times,
                       stream_params)
 
@@ -62,15 +66,29 @@ TX_STEPS = (
 )
 
 
+# the coordinates on which each transmitter's own symbols are zero-padded to
+# label N+1, which reads as zero either way: 6 of a round's 12 reads of them
+# shift none of these axes, and so copy contiguous runs of at least (N+1)^3
+# entries instead of runs of N
+OWN_PADDED = ((3, 1), (3, 2), (3, 3))
+
+
 def transmitter_nodes(all_streams):
-    """Fresh transmitter states holding each user's own symbols."""
+    """Fresh transmitter states holding each user's own symbols, zero-padded
+    on OWN_PADDED."""
     n, q = stream_params(all_streams)
     dtype = all_streams[0].values.dtype
-    return {m: NodeState(node=m, q=q, bound=3 * q, slab_coord=(2, 1),
-                         store="built",
-                         tables={"own": all_streams[m - 1].values,
-                                 "built": np.zeros((n + 1,) * 9, dtype=dtype)})
-            for m in (1, 2, 3)}
+    shape = tuple(n + (c in OWN_PADDED) for c in COORD_NAMES)
+    nodes = {}
+    for m in (1, 2, 3):
+        own = np.zeros(shape, dtype=dtype)
+        own[(slice(n),) * 9] = all_streams[m - 1].values
+        nodes[m] = NodeState(node=m, q=q, bound=3 * q, slab_coord=(2, 1),
+                             store="built",
+                             tables={"own": own,
+                                     "built": np.zeros((n + 1,) * 9,
+                                                       dtype=dtype)})
+    return nodes
 
 
 def tx_round(nodes, r, ledger):
@@ -123,10 +141,12 @@ def verify_diagonalization(all_streams, built, h, P) -> DiagonalizationCheck:
     signal magnitude, so it measures how exactly the cross-user carriers
     telescope away.  Both sets of carrier sums are lattice.carrier_sums,
     with np.sum's bits: a transmit carrier that is zero or not finite, or a
-    sum that overflows, raises GenericityError.  Gains other than 3x3 raise
-    ParameterError.
+    sum that overflows, raises GenericityError.  Gains other than 3x3, or a
+    P that is not a finite real > 0, raise ParameterError.
     """
     h = gain_matrix(h)
+    if not (isinstance(P, numbers.Real) and math.isfinite(P) and P > 0):
+        raise ParameterError(f"P must be finite and > 0, got {P!r}")
     hinv = channel_inverse(h)
     raw = carrier_sums(hinv, built)
     # scale the realised samples to average power P

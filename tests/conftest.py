@@ -4,6 +4,8 @@ The oracles here deliberately avoid the package's vectorised index
 machinery: observations are rebuilt with dictionary lookups over explicit
 label tuples, and monomials are evaluated in the complex log domain, so a
 bug in the window arithmetic cannot hide in both sides of a comparison.
+The dense carrier table, whose bits the package's carriers must match, is
+this module's own chain of np.multiply.outer calls.
 """
 
 import cmath
@@ -30,8 +32,8 @@ with warnings.catch_warnings():
         pass
 
 from coopalign.harness import config_from_dict, run_trial
-from coopalign.lattice import (GENERIC_TOL, SubstreamTable, monomial_table,
-                               random_gains, require_generic)
+from coopalign.lattice import (GENERIC_TOL, SubstreamTable, random_gains,
+                               require_generic)
 from coopalign.tradeoff import top_half_slope
 
 
@@ -75,10 +77,20 @@ def oracle_monomial(h, label):
     return cmath.exp(acc)
 
 
+def oracle_monomial_table(h, upper):
+    """Every carrier on {1..upper}^9: the nine gains' powers 1..upper, in
+    label order, multiplied out by one np.multiply.outer per gain."""
+    exps = np.arange(1, upper + 1)
+    out, *rest = [g ** exps for g in np.asarray(h).ravel()]
+    for p in rest:
+        out = np.multiply.outer(out, p)
+    return out
+
+
 def dense_cube_sum(h, u, t):
     """The carrier sum as one dense product: every carrier on {1..u}^9 times
     the cube t, added up by a single np.sum."""
-    return np.sum(monomial_table(h, u) * t)
+    return np.sum(oracle_monomial_table(h, u) * t)
 
 
 def oracle_channel_is_generic(h, n):
@@ -88,7 +100,7 @@ def oracle_channel_is_generic(h, n):
     h = np.asarray(h, dtype=np.complex128)
     if np.abs(h).min() <= GENERIC_TOL:
         return False
-    vals = monomial_table(h, n + 1).ravel()
+    vals = oracle_monomial_table(h, n + 1).ravel()
     order = np.argsort(vals.real, kind="stable")
     sv = vals[order]
     mags = np.abs(sv)

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from coopalign.backhaul import (BackhaulLedger, BackhaulMessage, NodeState,
-                                Step, payload_digest, run_round)
+from coopalign.backhaul import (DIGEST_CHUNK, BackhaulLedger,
+                                BackhaulMessage, NodeState, Step,
+                                payload_digest, run_round)
 from coopalign.errors import ParameterError, ProtocolError
 from coopalign.lattice import STEP_TERMS
 
@@ -58,6 +59,15 @@ def test_narrow_payload_digested_as_int64_bytes():
     want = hashlib.sha256(block.astype(np.int64).tobytes()).hexdigest()[:16]
     for t in (np.int16, np.int64):
         assert payload_digest(block.astype(t)) == want
+
+
+@pytest.mark.parametrize("size", [0, 3 * DIGEST_CHUNK + 5])
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32])
+def test_chunked_digest_is_the_int64_digest(size, dtype):
+    # an empty payload, and one of three whole chunks and a short fourth
+    block = np.random.default_rng(size).integers(-100, 101, size)
+    want = hashlib.sha256(block.tobytes()).hexdigest()[:16]
+    assert payload_digest(block.astype(dtype)) == want
 
 
 def test_step_rejects_too_many_terms():

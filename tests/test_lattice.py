@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import os
 import subprocess
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (dense_cube_sum, narrowest_cube_dtype,
                       oracle_channel_is_generic, oracle_monomial,
-                      oracle_observations)
+                      oracle_monomial_table, oracle_observations)
 from coopalign import lattice
 from coopalign.errors import GenericityError, ParameterError, SymbolRangeError
 from coopalign.lattice import (SubstreamTable, carrier_sums,
@@ -124,13 +125,33 @@ class TestMonomials:
             got = deep[tuple(c - 1 for c in lab)]
             assert abs(got - want) <= 1e-9 * abs(want)
 
+    @pytest.mark.parametrize("u", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["random", "real", "imaginary", "tiny",
+                                      "huge"])
+    def test_table_bytes_equal_outer_chain(self, u, kind):
+        # the column fill of the long products, and the outer products below
+        # it, give the bits of one np.multiply.outer per gain; the tiny gains'
+        # carriers underflow to zero, the huge ones' overflow
+        h = random_gains(np.random.default_rng(610 + u))
+        h = {"random": h, "real": h.real + 0j, "imaginary": 1j * h.imag,
+             "tiny": h * 1e-40, "huge": h * 1e40}[kind]
+        quiet = (np.errstate(over="ignore", invalid="ignore")
+                 if kind == "huge" else contextlib.nullcontext())
+        with quiet:
+            got = monomial_table(h, u)
+            want = oracle_monomial_table(h, u)
+        assert got.shape == want.shape == (u,) * 9
+        assert got.tobytes() == want.tobytes()
+
 
 class TestCarrierSums:
-    # (u, leaf): the default leaf; a cube of exactly one leaf; one element
-    # past a leaf, so the root splits once; small leaves, so the tree is
-    # deep and leaves start inside trailing-axis blocks
+    # (u, leaf): the default leaf; u = 1 with a 7-term leaf, whose tail is
+    # one gain, so the one carrier's prefix chains eight 1-entry powers; a
+    # cube of exactly one leaf; one element past a leaf, so the root splits
+    # once; small leaves, so the tree is deep and leaves start inside
+    # trailing-axis blocks
     @pytest.mark.parametrize("u,leaf", [
-        (1, None), (2, None), (3, None), (4, None), (5, None),
+        (1, None), (2, None), (3, None), (4, None), (5, None), (1, 7),
         (2, 2 ** 9), (3, 3 ** 9), (4, 4 ** 9), (4, 4 ** 9 - 1),
         (5, 5 ** 9 - 1), (2, 64), (3, 1000), (4, 4099), (5, 2 ** 12)])
     def test_bytes_equal_dense_sum(self, monkeypatch, rng, u, leaf):
@@ -187,6 +208,15 @@ class TestGenericity:
                    for _ in range(20))
         assert hits >= 18
 
+    @pytest.mark.parametrize("n", [0, -1, 1.5, True, "1", None])
+    def test_depth_must_be_a_positive_int(self, n):
+        # on the all-ones channel every carrier collides, yet depths 0 and
+        # -1 found no pair to compare and passed it
+        h = np.ones((3, 3), dtype=np.complex128)
+        for screen in (channel_is_generic, require_generic):
+            with pytest.raises(ParameterError, match="n must be a positive"):
+                screen(h, n)
+
     def test_duplicate_carrier_fails(self):
         h = np.ones((3, 3), dtype=np.complex128)
         assert not channel_is_generic(h, 1)
@@ -216,7 +246,7 @@ class TestGenericity:
             return np.array(values)
 
         monkeypatch.setattr(lattice, "monomial_table", table)
-        monkeypatch.setattr(conftest, "monomial_table", table)
+        monkeypatch.setattr(conftest, "oracle_monomial_table", table)
         h = np.ones((3, 3), dtype=np.complex128)
         assert channel_is_generic(h, 1) == verdict
         assert oracle_channel_is_generic(h, 1) == verdict
@@ -240,7 +270,7 @@ class TestGenericity:
             return values.copy()
 
         monkeypatch.setattr(lattice, "monomial_table", table)
-        monkeypatch.setattr(conftest, "monomial_table", table)
+        monkeypatch.setattr(conftest, "oracle_monomial_table", table)
         h = np.ones((3, 3), dtype=np.complex128)
         assert channel_is_generic(h, 1) is True
         assert oracle_channel_is_generic(h, 1) is True

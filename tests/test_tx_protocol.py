@@ -113,6 +113,20 @@ class TestExchange:
                 assert node.slabs == set(range(1, r + 1))
             assert len(ledger.messages) == 3 * r
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_own_symbols_padded_with_zeros(self, rng, n):
+        streams = _streams(rng, n)
+        nodes = transmitter_nodes(streams)
+        held = (slice(n),) * 9
+        for m, stream in zip((1, 2, 3), streams):
+            own = nodes[m].tables["own"]
+            assert own.shape == (n,) * 6 + (n + 1,) * 3
+            assert own.dtype == stream.values.dtype
+            np.testing.assert_array_equal(own[held], stream.values)
+            padded = np.ones(own.shape, dtype=bool)
+            padded[held] = False
+            assert not own[padded].any()
+
     def test_skipping_a_round_raises(self, rng):
         nodes = transmitter_nodes(_streams(rng, 1))
         with pytest.raises(ProtocolError) as err:
@@ -240,6 +254,17 @@ class TestDiagonalization:
         built = run_tx_backhaul(streams).built
         with pytest.raises(GenericityError, match="a carrier is zero"):
             verify_diagonalization(streams, built, h, 1e6)
+
+    @pytest.mark.parametrize("P", [0, -1.0, np.inf, -np.inf, np.nan, "1e6",
+                                   None])
+    def test_power_must_be_finite_and_positive(self, rng, P):
+        # P = 0 gave residual 0 on all-zero samples, -1 and inf a bare
+        # RuntimeWarning, nan a failed check without a word
+        streams = _streams(rng, 1)
+        h = make_generic_channel(rng, n=1)
+        built = run_tx_backhaul(streams).built
+        with pytest.raises(ParameterError, match="P must be finite and > 0"):
+            verify_diagonalization(streams, built, h, P)
 
     def test_bounded_memory_at_depth_4(self, rng):
         # the dense carrier table and each carrier product were 31 MB at
