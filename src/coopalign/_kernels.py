@@ -1,26 +1,41 @@
 """The nearest-point kernel behind exhaustive ML detection.
 
-`nearest_point` is an exact sorted-strip search in two steps.
+`nearest_point` is an exact sorted-strip search, split between work done
+once per sweep and work done once per power point.
 
-The candidate step, `axis_orders`, argsorts the candidates once by real part
-and once by imaginary part.  A sweep builds its candidates once as unit-scale
-points `base` and runs this step once, on `base`; at each power point it
-searches `points = gamma * base`.
+Once per sweep, `Candidates(base)` takes the unit-scale candidate points
+`base`, checks that there is at least one and that all are finite, and
+sorts them once by real part and once by imaginary part
+(`lattice._stable_order`, the genericity screen's sort).  In each of the two
+orders it lays out both parts as contiguous float64 copies.  That is 2 int64
+orders and 4 float64 copies, 48 B a candidate: about 1.4 MB at 28,561
+candidates.
 
-The observation step, `nearest_point`, runs once per power point.  Each
-observation takes d0, the smallest squared distance to its `_NEIGHBOURS`
-neighbours on each side in both orders.  It counts the candidates in each
-axis's strips (those within sqrt(d0) of the observation on that axis) with
-`searchsorted`, and compares squared distances only on the axis whose strips
-hold fewer pairs in total.  The strips are evaluated together, in blocks of
+Once per power point, `nearest_point(y, candidates, gamma)` searches
+`gamma * base`.  It scales the four sorted copies by `gamma` (4 more
+float64 copies, held for the call) and checks only the two ends of each
+sorted key for overflow: rounding is monotone, so the largest magnitudes of
+`gamma * part` sit at the ends.  Each observation takes d0, the smallest
+squared distance to its `_NEIGHBOURS` neighbours on each side in both
+orders, read from contiguous runs of the scaled copies.  It counts the
+candidates in each axis's strips (those within sqrt(d0) of the observation
+on that axis) with `searchsorted`, and compares squared distances only on
+the axis whose strips hold fewer pairs in total; a strip is a contiguous run
+of that axis's copies too.  The strips are evaluated together, in blocks of
 at most `_PAIRS` observation-candidate pairs (or one observation's strip, if
-larger), so a call needs O(max(_PAIRS, len(points))) memory whatever the
-number of observations.
+larger), so a call needs O(max(_PAIRS, len(candidates))) memory whatever
+the number of observations.
 
-Why it is exact, on either axis:
+Why the scaled copies are exact: `gamma * base` multiplies each complex
+point by the complex (gamma + 0j), so its real part is gamma * Re p minus
+(or, fused, plus) a zero product, with or without FMA.  Adding a zero is
+exact, so each part rounds once, to `gamma * part`; the two can differ only
+in the sign of a zero, which no squared distance or comparison sees.
+
+Why the search is exact, on either axis:
 - The picks are the argmin over every candidate's squared distance, ties to
-  the smallest original index; the tie-break reads original indices, so no
-  sort order changes a pick.
+  the smallest original index; the tie-break reads the original indices
+  (`order[p]`), so no sort order changes a pick.
 - `gamma > 0` and rounding is monotone, so each order of `base` is also a
   non-decreasing order of the same part of `gamma * base`.
 - fl(a + b) >= fl(b) for a, b >= 0, so a candidate with d <= d0 has both
@@ -32,9 +47,13 @@ Why it is exact, on either axis:
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from .errors import ParameterError
+from .lattice import _stable_order
 
 # no accelerated kernel exists; pipebench/run.py's environment() still reads
 # both names without a default, so they go when it stops reading them
@@ -55,55 +74,77 @@ def _sq_dist(yr, yi, pr, pi):
     return d
 
 
-def axis_orders(points):
-    """The candidate step: the argsorts of the candidates' real parts and of
-    their imaginary parts."""
-    points = np.asarray(points, dtype=np.complex128)
-    return np.argsort(points.real), np.argsort(points.imag)
+def _rows(x, w, s):
+    """The (len(s), w) array whose row i is x[s[i]:s[i] + w], for a
+    contiguous x: one gather of rows from a view of overlapping rows."""
+    return np.ndarray((len(x) - w + 1, w), x.dtype, x,
+                      strides=(x.itemsize, x.itemsize))[s]
 
 
-def nearest_point(y, points, orders):
-    """Index of the closest candidate for each observation.
+class Candidates:
+    """The candidate step: the points sorted once by each part.
 
-    `orders` is the candidate step's (real-part order, imaginary-part
-    order) of `points`, or of `base` when `points = gamma * base` with
-    `gamma > 0`.  Each order must be a permutation of the candidate indices
-    that sorts its part; the call checks its length and that it sorts.  Ties
+    `axes[a]` is (order, real parts, imaginary parts) with both parts laid
+    out in the order that sorts part a (0 real, 1 imaginary); `len()` is the
+    candidate count.
+    """
+
+    __slots__ = ("axes",)
+
+    def __init__(self, base):
+        base = np.asarray(base, dtype=np.complex128)
+        if not base.size:
+            raise ParameterError("nearest_point needs at least one candidate")
+        if not np.isfinite(base).all():
+            raise ParameterError("nearest_point needs finite candidates")
+        axes = []
+        for part in (base.real, base.imag):
+            order = _stable_order(part)
+            axes.append((order, base.real[order], base.imag[order]))
+        self.axes = tuple(axes)
+
+    def __len__(self):
+        return len(self.axes[0][0])
+
+
+def nearest_point(y, candidates, gamma):
+    """Index of the closest point of `gamma * base` for each observation.
+
+    `candidates` is `Candidates(base)` and `gamma` a finite real > 0.  Ties
     resolve to the smallest index, which is the lexicographically smallest
     candidate when candidates are enumerated in canonical order.  The picks
-    are those of an argmin over every candidate's squared distance.
+    are those of an argmin over every point's squared distance.
     """
+    if not (isinstance(gamma, numbers.Real) and not isinstance(gamma, bool)
+            and math.isfinite(gamma) and gamma > 0):
+        raise ParameterError(f"gamma must be a finite real > 0, got {gamma!r}")
     y = np.asarray(y, dtype=np.complex128)
-    points = np.asarray(points, dtype=np.complex128)
-    if not points.size:
-        raise ParameterError("nearest_point needs at least one candidate")
-    if not (np.isfinite(y).all() and np.isfinite(points).all()):
-        raise ParameterError("nearest_point needs finite observations and candidates")
-    if len(orders) != len(_AXES):
-        raise ParameterError("orders must be (real-part order, imaginary-part order)")
-    n = len(points)
+    if not np.isfinite(y).all():
+        raise ParameterError("nearest_point needs finite observations")
+    n = len(candidates)
     yr, yi = y.real, y.imag
-    pr, pi = points.real, points.imag
-    # (observation part, order, candidate part in that order) per axis
+    # per axis: (observation part, order, scaled real parts, scaled
+    # imaginary parts, the scaled part that order sorts); an overflow of
+    # gamma * part shows as an infinite end of that part's key
+    with np.errstate(over="ignore"):
+        scaled = [(order, gamma * re, gamma * im) for order, re, im in candidates.axes]
     axes = []
-    for name, part, obs, order in zip(_AXES, (pr, pi), (yr, yi), orders):
-        order = np.asarray(order)
-        if order.shape != (n,):
-            raise ParameterError(f"the {name}-part order has shape {order.shape}, "
-                                 f"not ({n},)")
-        key = part[order]
-        if (key[1:] < key[:-1]).any():
-            raise ParameterError(f"the {name}-part order does not sort the "
-                                 f"candidates' {name} parts")
-        axes.append((obs, order, key))
+    for a, (order, re, im) in enumerate(scaled):
+        key = (re, im)[a]
+        if not (math.isfinite(key[0]) and math.isfinite(key[-1])):
+            raise ParameterError(f"gamma * base must be finite: gamma {gamma!r} "
+                                 f"overflows the candidates' {_AXES[a]} parts")
+        axes.append(((yr, yi)[a], order, re, im, key))
 
     # the window of 2 * _NEIGHBOURS candidates around each observation,
     # shifted inwards at the ends of the order
     w = min(2 * _NEIGHBOURS, n)
-    near = np.concatenate(
-        [order[np.clip(np.searchsorted(key, obs) - _NEIGHBOURS, 0, n - w)[:, None]
-               + np.arange(w)] for obs, order, key in axes], axis=1)
-    d0 = _sq_dist(yr[:, None], yi[:, None], pr[near], pi[near]).min(axis=1)
+    d0 = None
+    for obs, _order, re, im, key in axes:
+        s = np.clip(np.searchsorted(key, obs) - _NEIGHBOURS, 0, n - w)
+        d = _sq_dist(yr[:, None], yi[:, None], _rows(re, w, s),
+                     _rows(im, w, s)).min(axis=1)
+        d0 = d if d0 is None else np.minimum(d0, d)
     # fl(a + b) >= fl(b) for a, b >= 0, so both fl((Re y - Re p)^2) and
     # fl((Im y - Im p)^2) are <= fl(d): a candidate with d <= d0 lies within
     # sqrt(d0) of y on each axis up to the rounding of the difference and
@@ -112,13 +153,13 @@ def nearest_point(y, points, orders):
     # candidate part is a float, so the bounds need no margin.
     r = np.sqrt(d0) * (1 + 1e-9) + 1e-150
     strips = []
-    for obs, order, key in axes:
+    for obs, order, re, im, key in axes:
         lo = np.searchsorted(key, obs - r, "left")
         size = np.searchsorted(key, obs + r, "right") - lo
-        strips.append((int(size.sum()), lo, size, order))
+        strips.append((int(size.sum()), lo, size, order, re, im))
     # the axis with fewer pairs, the real one on a tie; each strip holds the
     # candidate that set d0, so none is empty, as reduceat needs
-    _, lo, size, order = min(strips, key=lambda s: s[0])
+    _, lo, size, order, re, im = min(strips, key=lambda s: s[0])
     ends = np.cumsum(size)
 
     out = np.empty(len(y), dtype=np.int64)
@@ -129,10 +170,15 @@ def nearest_point(y, points, orders):
                                               "right"))
         m = size[start:stop]
         first = np.cumsum(m) - m
-        col = order[np.arange(first[-1] + m[-1]) + np.repeat(lo[start:stop] - first, m)]
+        # sorted positions: each observation's strip is one contiguous run
+        p = np.arange(first[-1] + m[-1]) + np.repeat(lo[start:stop] - first, m)
         d = _sq_dist(np.repeat(yr[start:stop], m), np.repeat(yi[start:stop], m),
-                     pr[col], pi[col])
-        best = np.repeat(np.minimum.reduceat(d, first), m)
-        out[start:stop] = np.minimum.reduceat(np.where(d == best, col, n), first)
+                     re[p], im[p])
+        # the pairs at their strip's minimum: each strip's are one run of
+        # `hit`, none empty, so the smallest original index of each run is
+        # the pick
+        hit = np.flatnonzero(d == np.repeat(np.minimum.reduceat(d, first), m))
+        out[start:stop] = np.minimum.reduceat(order[p[hit]],
+                                              np.searchsorted(hit, first))
         start = stop
     return out

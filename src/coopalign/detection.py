@@ -111,11 +111,16 @@ def reduced_error_sweep(spec: ReducedSpec, h, P_grid, trials, rng_seed,
     detects each sample by exhaustive nearest-point search over the
     candidates scaled by gamma, and counts whole-table mismatches.  Streams
     are split per power level from one root seed.  `trials` must be an int
-    >= 1, every P finite and > 0, and h 3x3.
+    >= 1, every P finite and > 0, `rng_seed` an int in [0, 2^64) (the
+    config's rule), `noisy` a bool, and h 3x3.
     """
     h = gain_matrix(h)
     if type(trials) is not int or trials < 1:
         raise ParameterError(f"trials must be an int >= 1, got {trials!r}")
+    if not (type(rng_seed) is int and 0 <= rng_seed < 2 ** 64):
+        raise ParameterError(f"rng_seed must be a 64-bit value, got {rng_seed!r}")
+    if type(noisy) is not bool:
+        raise ParameterError(f"noisy must be a bool, got {noisy!r}")
     P_grid = list(P_grid)
     for P in P_grid:
         if not (isinstance(P, numbers.Real) and math.isfinite(P) and P > 0):
@@ -123,10 +128,9 @@ def reduced_error_sweep(spec: ReducedSpec, h, P_grid, trials, rng_seed,
                                  f"got {P!r}")
     cands = candidate_tables(spec)
     carriers = reduced_carriers(spec, h)
-    # the unit-scale receive points, and the average energy of a uniform
-    # random table at unit scale
-    base = cands @ carriers
-    orders = _kernels.axis_orders(base)
+    # the unit-scale receive points, sorted once for every power point, and
+    # the average energy of a uniform random table at unit scale
+    points = _kernels.Candidates(cands @ carriers)
     energy = (spec.alphabet_size ** 2 - 1) / 12.0 \
         * np.sum(np.abs(carriers) ** 2)
     rates = []
@@ -139,7 +143,7 @@ def reduced_error_sweep(spec: ReducedSpec, h, P_grid, trials, rng_seed,
         ys = gamma * (tables @ carriers)
         if noisy:
             ys = ys + complex_awgn(rng, trials)
-        det = cands[_kernels.nearest_point(ys, gamma * base, orders)]
+        det = cands[_kernels.nearest_point(ys, points, gamma)]
         err = np.any(det != tables, axis=1)
         rates.append(float(np.mean(err)))
     return np.asarray(rates)

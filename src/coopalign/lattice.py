@@ -206,7 +206,12 @@ def monomial_table(h, upper) -> np.ndarray:
     return _outer_chain(p[0], p[1:])
 
 
-SUM_LEAF = 1 << 16            # most terms one np.sum call of carrier_sums adds
+# most terms one np.sum call of carrier_sums adds.  It must be at least 64:
+# np.sum adds a node of at most 64 complex terms (its pairwise block of 128
+# doubles) as one unrolled block, which a smaller leaf would split, so the
+# bits would differ (and below 7 a node can split at its own start and
+# recurse without end)
+SUM_LEAF = 1 << 16
 
 
 def carrier_sums(h, cubes) -> np.ndarray:

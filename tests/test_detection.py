@@ -93,8 +93,8 @@ def test_sweep_picks_digest(monkeypatch):
     picks = []
     kernel = _kernels.nearest_point
 
-    def record(y, points, orders):
-        picks.append(kernel(y, points, orders))
+    def record(y, candidates, gamma):
+        picks.append(kernel(y, candidates, gamma))
         return picks[-1]
 
     monkeypatch.setattr(_kernels, "nearest_point", record)
@@ -119,17 +119,31 @@ def test_sweep_picks_digest(monkeypatch):
     ({"trials": 2.5}, "trials"), ({"trials": True}, "trials"),
     ({"P_grid": [-1.0]}, "P_grid"), ({"P_grid": [1e2, 0.0]}, "P_grid"),
     ({"P_grid": [float("nan")]}, "P_grid"), ({"P_grid": [float("inf")]}, "P_grid"),
-    ({"P_grid": ["1e2"]}, "P_grid")])
+    ({"P_grid": ["1e2"]}, "P_grid"),
+    # the config's rule for a seed: a plain int in [0, 2^64)
+    ({"rng_seed": None}, "rng_seed"), ({"rng_seed": True}, "rng_seed"),
+    ({"rng_seed": -1}, "rng_seed"), ({"rng_seed": 2 ** 64}, "rng_seed"),
+    ({"rng_seed": 1.5}, "rng_seed"), ({"rng_seed": "3"}, "rng_seed"),
+    ({"rng_seed": np.int64(3)}, "rng_seed"),
+    ({"noisy": "no"}, "noisy"), ({"noisy": 0}, "noisy"), ({"noisy": None}, "noisy")])
 def test_sweep_rejects_bad_inputs_before_building_candidates(monkeypatch, kwargs,
                                                              name):
     def unreachable(spec):
         raise AssertionError("candidate set built for a rejected sweep")
 
     monkeypatch.setattr(detection, "candidate_tables", unreachable)
-    args = {"P_grid": [1e2], "trials": 10, **kwargs}
+    args = {"P_grid": [1e2], "trials": 10, "rng_seed": 1, "noisy": True, **kwargs}
     with pytest.raises(ParameterError, match=name):
         reduced_error_sweep(TestReduced.SPEC, random_gains(np.random.default_rng(0)),
-                            args["P_grid"], args["trials"], rng_seed=1)
+                            args["P_grid"], args["trials"], rng_seed=args["rng_seed"],
+                            noisy=args["noisy"])
+
+
+@pytest.mark.parametrize("rng_seed", [0, 2 ** 64 - 1])
+def test_sweep_takes_every_64_bit_seed(rng_seed):
+    rates = reduced_error_sweep(TestReduced.SPEC, random_gains(np.random.default_rng(0)),
+                                [1e2], 4, rng_seed=rng_seed)
+    assert rates.shape == (1,)
 
 
 def test_sweep_builds_candidates_once(monkeypatch):

@@ -9,8 +9,9 @@ from coopalign.errors import ParameterError
 
 
 def _search(y, points):
-    """The kernel with the candidate step run on the candidates themselves."""
-    return _kernels.nearest_point(y, points, _kernels.axis_orders(points))
+    """The kernel with the candidate step run on the candidates themselves,
+    searched at scale 1."""
+    return _kernels.nearest_point(y, _kernels.Candidates(points), 1.0)
 
 
 def _random_instance(rng, n_obs=700, n_pts=300):
@@ -84,13 +85,15 @@ def _unit_points(rng):
 
 @pytest.mark.parametrize("gamma", [1e-3, 1.0, 1e3])
 def test_orders_of_the_unscaled_points_serve_every_scale(rng, gamma):
-    # the sweep's path: orders from base, candidates gamma * base
+    # the sweep's path: the candidate step on base, searches at gamma; the
+    # brute force runs over the complex product gamma * base, so equal picks
+    # show that the kernel's scaled sorted copies hold the same parts
     base = _unit_points(rng)
-    orders = _kernels.axis_orders(base)
+    candidates = _kernels.Candidates(base)
     points = gamma * base
     y = points[rng.integers(len(points), size=300)] + \
         gamma * (rng.normal(size=300) + 1j * rng.normal(size=300))
-    np.testing.assert_array_equal(_kernels.nearest_point(y, points, orders),
+    np.testing.assert_array_equal(_kernels.nearest_point(y, candidates, gamma),
                                   brute_nearest_point(y, points))
 
 
@@ -130,36 +133,59 @@ def test_imaginary_axis_tie_goes_to_the_smallest_index(monkeypatch):
     far = 1j * np.arange(50.0, 150.0)
     points = np.array([far[0], 1j, -1j, 1j, *far[1:]])
     y = np.array([0j])
-    assert _kernels.axis_orders(points)[1][0] == 2
+    assert _kernels.Candidates(points).axes[1][0][0] == 2
     assert _search(y, points)[0] == 1
     assert brute_nearest_point(y, points)[0] == 1
     assert sum(seen) == 3
 
 
-def test_one_order_rejected(rng):
-    y, points = _random_instance(rng, n_obs=5, n_pts=40)
-    with pytest.raises(ParameterError, match="imaginary-part order"):
-        _kernels.nearest_point(y, points, _kernels.axis_orders(points)[:1])
+def test_candidate_count_is_the_length(rng):
+    # pipebench's traced pair count reads len() of the kernel's second
+    # argument as the number of candidates
+    _, points = _random_instance(rng, n_obs=1, n_pts=41)
+    assert len(_kernels.Candidates(points)) == 41
+    assert len(_kernels.Candidates(points[:1])) == 1
 
 
-@pytest.mark.parametrize("axis", [0, 1])
-@pytest.mark.parametrize("fault", ["short", "unsorted"])
-def test_bad_order_rejected(rng, axis, fault):
+def test_each_order_sorts_its_part(rng):
+    # with ties, so the stable order is the one np.argsort(kind="stable")
+    # gives; both parts are laid out in each order
+    points = np.round(rng.normal(size=300) * 3) + 1j * np.round(rng.normal(size=300) * 3)
+    points[::7] = -0.0 + 0.0j
+    for (order, re, im), part in zip(_kernels.Candidates(points).axes,
+                                     (points.real, points.imag)):
+        np.testing.assert_array_equal(order, np.argsort(part, kind="stable"))
+        assert order.dtype == np.int64
+        np.testing.assert_array_equal(re, points.real[order])
+        np.testing.assert_array_equal(im, points.imag[order])
+        assert re.flags.c_contiguous and im.flags.c_contiguous
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0, -1e-3, -2, float("nan"), float("inf"),
+                                   -float("inf"), True, False, 1 + 0j, "1.0", None])
+def test_bad_gamma_rejected(rng, gamma):
     y, points = _random_instance(rng, n_obs=5, n_pts=40)
-    orders = list(_kernels.axis_orders(points))
-    if fault == "short":
-        orders[axis] = orders[axis][:-1]
-    else:
-        orders[axis] = orders[axis][::-1]
-    name = ("real", "imaginary")[axis]
-    with pytest.raises(ParameterError, match=f"the {name}-part order"):
-        _kernels.nearest_point(y, points, orders)
+    with pytest.raises(ParameterError, match="gamma"):
+        _kernels.nearest_point(y, _kernels.Candidates(points), gamma)
+
+
+@pytest.mark.parametrize("extreme", [1e300, -1e300, 1e300j, -1e300j])
+def test_scaled_overflow_rejected(extreme):
+    # gamma * base overflows at the candidate of largest magnitude on one
+    # part, which is an end of that part's order; it sits mid-index here
+    points = np.array([0.5 + 0.5j, extreme, -0.25 + 1j, 0.75 - 0.5j])
+    candidates = _kernels.Candidates(points)
+    y = np.array([0.1 + 0.2j])
+    with pytest.raises(ParameterError, match="finite"):
+        _kernels.nearest_point(y, candidates, 1e10)
 
 
 @pytest.mark.parametrize("where", ["y", "points"])
 @pytest.mark.parametrize("value", [complex(np.nan, 0.0), complex(0.0, np.inf),
                                    complex(-np.inf, 1.0)])
 def test_non_finite_input_rejected(where, value):
+    # non-finite candidates are refused by the candidate step, non-finite
+    # observations by the search
     args = {"y": np.array([0.5 + 0.5j, 1.0 + 0.0j]),
             "points": np.array([0.0 + 0.0j, 1.0 + 1.0j, 2.0 + 0.0j])}
     args[where][1] = value
@@ -169,7 +195,7 @@ def test_non_finite_input_rejected(where, value):
 
 def test_no_candidates_rejected():
     with pytest.raises(ParameterError, match="candidate"):
-        _search(np.array([0.0j]), np.array([], dtype=np.complex128))
+        _kernels.Candidates(np.array([], dtype=np.complex128))
 
 
 _COORD = st.floats(-1e100, 1e100, allow_nan=False, allow_infinity=False)
@@ -214,11 +240,12 @@ def test_strip_matches_brute_force(inst):
 @settings(max_examples=200, deadline=None)
 @given(_strip_layout(), st.sampled_from([1e-3, 0.7, 1.0, 3e5]))
 def test_supplied_orders_match_brute_force(inst, gamma):
-    # orders of the unscaled candidates, search over the scaled ones
+    # the candidate step on the unscaled candidates, the search at gamma;
+    # the brute force runs over the complex product gamma * base
     y, base = inst
     points = gamma * base
     np.testing.assert_array_equal(
-        _kernels.nearest_point(y, points, _kernels.axis_orders(base)),
+        _kernels.nearest_point(y, _kernels.Candidates(base), gamma),
         brute_nearest_point(y, points))
 
 

@@ -163,6 +163,18 @@ class TestCarrierSums:
             want = np.array([dense_cube_sum(h, u, c) for c in cubes])
             assert carrier_sums(h, cubes).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("u", [2, 3])
+    def test_smallest_leaf_keeps_the_bits(self, monkeypatch, rng, u):
+        # np.sum adds a node of at most 64 complex terms as one unrolled
+        # block, so a leaf below 64 splits what np.sum does not; at 64 the
+        # 2^9- and 3^9-carrier cubes span 8 and 512 leaves
+        assert lattice.SUM_LEAF >= 64
+        monkeypatch.setattr(lattice, "SUM_LEAF", 64)
+        h = np.linalg.inv(random_gains(rng))
+        cubes = [rng.integers(-15, 16, (u,) * 9) for _ in range(3)]
+        want = np.array([dense_cube_sum(h, u, c) for c in cubes])
+        assert carrier_sums(h, cubes).tobytes() == want.tobytes()
+
     def test_zero_cubes_sum_to_positive_zero(self, monkeypatch, rng):
         # np.sum starts from +0.0, so a zero total is +0.0 in both parts
         monkeypatch.setattr(lattice, "SUM_LEAF", 64)
