@@ -206,67 +206,66 @@ def monomial_table(h, upper) -> np.ndarray:
     return _outer_chain(p[0], p[1:])
 
 
-# most terms one np.sum call of carrier_sums adds.  It must be at least 64:
-# np.sum adds a node of at most 64 complex terms (its pairwise block of 128
-# doubles) as one unrolled block, which a smaller leaf would split, so the
-# bits would differ (and below 7 a node can split at its own start and
-# recurse without end)
-SUM_LEAF = 1 << 16
-
-
 def carrier_sums(h, cubes) -> np.ndarray:
-    """np.sum(monomial_table(h, u) * c) for each cube c on {1..u}^9, bit for
-    bit, holding about one leaf of SUM_LEAF carriers at a time.
+    """For each cube c on {1..u}^9, the sum over labels s of
+    prod_k g_k^(s_k) c[s], the g_k being the nine gains of h in label order.
 
-    The sums must match np.sum's to the last bit, because the tx airtime
-    digest and residual that tx-coop writes are computed from them.  np.sum
-    of a contiguous complex array is one pairwise sum over the flat buffer:
-    n elements split at (n - n % 8) // 2 (numpy halves the count of doubles
-    and rounds it down to a multiple of 8) down to short unrolled leaves.
-    This walks the same tree, hands every node of at most SUM_LEAF elements
-    to np.sum, and adds the partial sums back up in tree order.  np.sum
-    starts from +0.0, which can only turn a -0.0 leaf into +0.0, and a zero
-    total is +0.0 either way.
+    The sum is nested, sum_s1 g_1^s1 sum_s2 g_2^s2 ... c[s], and contracted
+    leading axis first on planes of real and imaginary parts: each term is
+    one np.multiply by a real scalar and one in-place add, so no loop can
+    fuse or reorder, and the bits do not depend on numpy's SIMD level.  The
+    first two contractions run per label on the second axis, so no (u^8,)
+    plane is held.
 
-    A leaf's carriers come from the monomial_table chain with its leading
-    axes taken from a prefix table, so every product is formed by the same
-    ufunc loop at the same position as in the dense table.  A carrier that
-    is zero, or a carrier or sum that is not finite, raises GenericityError:
-    a zero carrier drops its term and a non-finite one poisons the sum.
+    The nesting forms no carrier, so a zero carrier is found from the
+    powers: GenericityError is raised when the product of the nine gains'
+    smallest power magnitudes, taken in label order, is 0 (a power is zero
+    or the product underflows), or when a sum is not finite (a carrier is
+    not finite, or a sum overflows).
     """
     u = cubes[0].shape[0]
-    # a block over the trailing axes is at most 1/16 of a leaf, so the
-    # blocks covering a leaf build few carriers it does not use
-    trailing = 1
-    while trailing < 8 and u ** (trailing + 1) <= SUM_LEAF // 16:
-        trailing += 1
-    flat = [c.reshape(-1) for c in cubes]
     with np.errstate(over="ignore", invalid="ignore"):
         p = _powers(h, u)
-        prefix = _outer_chain(p[0], p[1:9 - trailing]).ravel()
-        sums = _tree_sums(prefix, p[9 - trailing:], flat, 0, u ** 9)
-    # a non-finite carrier makes every sum non-finite, even times 0
+        if math.prod(float(np.hypot(g.real, g.imag).min()) for g in p) == 0:
+            raise GenericityError("a carrier is zero")
+        coef = [list(zip(g.real.tolist(), g.imag.tolist())) for g in p]
+        sums = np.array([_nested_sum(c.reshape(u, u, -1), coef)
+                         for c in cubes])
     if not np.isfinite(sums).all():
         raise GenericityError("a carrier or a carrier sum is not finite")
     return sums
 
 
-def _tree_sums(prefix, tail, flat, lo, hi):
-    """carrier_sums over flat[lo:hi]; a module-level function, because a
-    closure that calls itself is a reference cycle that keeps the cubes
-    alive until the cyclic collector runs."""
-    n = hi - lo
-    if n > SUM_LEAF:
-        mid = lo + (n - n % 8) // 2
-        return (_tree_sums(prefix, tail, flat, lo, mid)
-                + _tree_sums(prefix, tail, flat, mid, hi))
-    block = len(tail[0]) ** len(tail)
-    first = lo // block
-    c = _outer_chain(prefix[first:-(-hi // block)], tail).ravel()
-    c = c[lo - first * block:hi - first * block]
-    if not c.all():
-        raise GenericityError("a carrier is zero")
-    return np.array([np.sum(c * f[lo:hi]) for f in flat])
+def _nested_sum(c, coef):
+    """carrier_sums of one cube c, shaped (u, u, u^7), where coef[k][j] is
+    (real, imaginary) of gain k's power j + 1."""
+    tmp = np.empty(c.shape[2])
+    row = np.empty((2, c.shape[2]))
+    acc = np.zeros((2, c.shape[2]))
+    for j2, z2 in enumerate(coef[1]):
+        row.fill(0.0)
+        for j1, z1 in enumerate(coef[0]):
+            _add_product(row, c[j1, j2, None], z1, tmp)
+        _add_product(acc, row, z2, tmp)
+    for zs in coef[2:]:
+        acc = acc.reshape(2, len(zs), -1)
+        nxt = np.zeros((2, acc.shape[2]))
+        for j, z in enumerate(zs):
+            _add_product(nxt, acc[:, j], z, tmp[:acc.shape[2]])
+        acc = nxt
+    return complex(*acc[:, 0])
+
+
+def _add_product(acc, x, z, tmp):
+    """acc += z * x on planes (re, im), for z = (a, b) and x given as the
+    planes (re,) of a real row or (re, im): acc re += x re * a + x im * -b,
+    acc im += x re * b + x im * a, one rounded product and one add at a
+    time."""
+    a, b = z
+    for part, w in zip(x, ((a, b), (-b, a))):
+        for k in (0, 1):
+            np.multiply(part, w[k], out=tmp)
+            acc[k] += tmp
 
 
 GENERIC_TOL = 1e-9

@@ -126,10 +126,6 @@ class DiagonalizationCheck:
     x: np.ndarray                 # transmit samples
     residual: float               # max relative mismatch over receivers
 
-    @property
-    def ok(self):
-        return self.residual <= 1e-9
-
 
 def verify_diagonalization(all_streams, built, h, P) -> DiagonalizationCheck:
     """Check that inversion-precoded transmission of the built combination
@@ -139,10 +135,12 @@ def verify_diagonalization(all_streams, built, h, P) -> DiagonalizationCheck:
     lattice.gains_times, is compared against the interference-free
     prediction; the mismatch is reported relative to the peak predicted
     signal magnitude, so it measures how exactly the cross-user carriers
-    telescope away.  Both sets of carrier sums are lattice.carrier_sums,
-    with np.sum's bits: a transmit carrier that is zero or not finite, or a
-    sum that overflows, raises GenericityError.  Gains other than 3x3, or a
-    P that is not a finite real > 0, raise ParameterError.
+    telescope away.  Both sets of carrier sums are lattice.carrier_sums: a
+    transmit carrier that is zero or not finite, or a sum that overflows,
+    raises GenericityError.  Magnitudes come from the real and imaginary
+    parts (np.hypot, re * re + im * im), because numpy's complex abs moves
+    its last bit with the SIMD level.  Gains other than 3x3, or a P that is
+    not a finite real > 0, raise ParameterError.
     """
     h = gain_matrix(h)
     if not (isinstance(P, numbers.Real) and math.isfinite(P) and P > 0):
@@ -150,15 +148,16 @@ def verify_diagonalization(all_streams, built, h, P) -> DiagonalizationCheck:
     hinv = channel_inverse(h)
     raw = carrier_sums(hinv, built)
     # scale the realised samples to average power P
-    mean_pow = float(np.mean(np.abs(raw) ** 2))
+    mean_pow = float(np.mean(raw.real * raw.real + raw.imag * raw.imag))
     scale = float(np.sqrt(P / mean_pow)) if mean_pow > 0 else 1.0
     x = scale * raw
     predicted = scale * carrier_sums(hinv, [s.values for s in all_streams])
     # fall back to pre-cancellation mass when the predicted signal is zero
-    denom = float(np.abs(predicted).max())
+    denom = float(np.hypot(predicted.real, predicted.imag).max())
     if denom == 0.0:
-        denom = max(float(np.max(gains_times(np.abs(h).tolist(),
-                                             np.abs(x).tolist()))), 1e-300)
-    y = np.array(gains_times(h.tolist(), x.tolist()))
-    residual = float((np.abs(y - predicted) / denom).max())
+        denom = max(float(np.max(gains_times(
+            np.hypot(h.real, h.imag).tolist(),
+            np.hypot(x.real, x.imag).tolist()))), 1e-300)
+    d = np.array(gains_times(h.tolist(), x.tolist())) - predicted
+    residual = float((np.hypot(d.real, d.imag) / denom).max())
     return DiagonalizationCheck(x=x, residual=residual)

@@ -687,24 +687,24 @@ def test_backhaul_trace_golden(tmp_path, scheme, n):
 
 # sha256 of results.csv from _cfg(scheme=S, N=n), and of the tx airtime
 # trace record of the same run.  rx-coop's were recorded before the backhaul
-# ledger stopped keeping payloads.  tx-coop's were recorded once the channel
-# inverse and the 3x3 products stopped calling LAPACK and BLAS, so that no
-# OpenBLAS kernel moves them; at N >= 3 the streamed carrier sums split into
-# leaves, so those were recorded with the carrier sums as one dense
-# np.sum(monomial_table(hinv, u) * c), with numpy 2.4.6
+# ledger stopped keeping payloads.  tx-coop's were recorded with the carrier
+# sums as nested sums in planar real arithmetic and every magnitude taken
+# from the real and imaginary parts, with numpy 2.4.6, and read the same
+# with numpy's AVX2 and AVX-512 loops disabled; the channel inverse and the
+# 3x3 products call no LAPACK or BLAS, so no OpenBLAS kernel moves them
 GOLDEN_RESULTS_CSV = {
     ("rx-coop", 1): "3ee25ece95f4b46e70e975c6ca73464615cadbc262794bc71d4ad38fa65a5a7d",
     ("rx-coop", 2): "82adb37ff4d15dcd7f3b9a246bd101cd84486dbdaa928a3dd6d731d98b3708fe",
-    ("tx-coop", 1): "86c7518ffbc4a134b89899868d1ba31a0e192c486160e1da2bd23d3ff5845ad3",
-    ("tx-coop", 2): "abc540823de0672a6d80c0795f71cdb5f91bb47c6e48316a8a0d92314472c7bf",
-    ("tx-coop", 3): "d02ead5329ca5f866ca7409c28d70d3f84f27016f7fcac3466052774babaf7b3",
-    ("tx-coop", 4): "ff2609b2fe36f6279576d496ca015436ae4f1f39285fd82433619fec9a315ac8",
+    ("tx-coop", 1): "674047664a84f3b1648b060a72002d616fa63e9e6f7cc5229e94d47bffe29b80",
+    ("tx-coop", 2): "54e68817bd1e3c92d934bfd353d546a1703c2a25eaa34ed4af5fc744423b308c",
+    ("tx-coop", 3): "239c437ecd24bfdc938b6df9863804957066ac92d2dd0b99ee39c878383ecdaf",
+    ("tx-coop", 4): "dfdab58fee3c3619451f261245c00b39044accec5a4c27b9ccc948597504fdea",
 }
 GOLDEN_AIRTIME = {
-    1: "61d95391cac6023a7725fe69b511a4f733cfd5962d0c96886c20aa59f8fe9ec4",
-    2: "cb7711b6b8cb859d655c5b1083b4f024718d003f0304795700b13cd507494176",
-    3: "27b5b69002e6e4b69237aa89c562bd47453f528447e564a9e8889ee5e95e4d40",
-    4: "b1199806ff4e6dd413c2c55b9dc0ea7cd0dbc5a5225d79aca70b0bbc2d6f74d9",
+    1: "fab236a1a69c284f0ce38994460bab1abb15e1e273d68c1a0cad0b76fbcce21b",
+    2: "06a7740b23652040dfbeb0d77ba456a03e8d9d2dd9838d0e0d91695a8ad86a00",
+    3: "435be3684a52638a40a7141a2ccb498d62618c5aaa433bde57be36ed364edfb8",
+    4: "a759b932d46eff246e8b56025eeeea0fffcfbe652985c4589e1b677ea4006dc0",
 }
 
 
@@ -733,7 +733,8 @@ def _runs_on_openblas_x86():
 
 
 # the digests of each run's results.csv and trace.jsonl, in a fresh
-# interpreter, so that OPENBLAS_CORETYPE is read before numpy loads OpenBLAS
+# interpreter, so that OPENBLAS_CORETYPE and NPY_DISABLE_CPU_FEATURES are
+# read before numpy loads OpenBLAS and picks its loops
 _KERNEL_RUN = """
 import hashlib, sys
 from pathlib import Path
@@ -741,7 +742,7 @@ from coopalign.harness import config_from_dict, run_experiment
 for scheme, n in [("tx-coop", 1), ("tx-coop", 2), ("tx-coop", 3),
                   ("tx-coop", 4), ("centralized", 2)]:
     out = Path(sys.argv[1]) / f"{scheme}-{n}"
-    run_experiment(config_from_dict({"scheme": scheme, "N": n, "trials": 2,
+    run_experiment(config_from_dict({"scheme": scheme, "N": n, "trials": 3,
                                      "rng_seed": 11,
                                      "output_dir": str(out)}))
     for name in ("results.csv", "trace.jsonl"):
@@ -755,28 +756,36 @@ for scheme, n in [("tx-coop", 1), ("tx-coop", 2), ("tx-coop", 3),
                     reason="needs numpy's OpenBLAS on x86-64")
 def test_outputs_do_not_depend_on_the_openblas_kernel(tmp_path):
     # the tx-coop residual and airtime digest rest on the channel inverse:
-    # with it computed by LAPACK, the Prescott kernel wrote other bytes
+    # with it computed by LAPACK, the Prescott kernel wrote other bytes.
+    # They also rest on the carrier sums and magnitudes: with numpy's
+    # complex multiply and complex abs, its loops without AVX2 (every
+    # dispatch target the CPU has disabled; naming one it lacks makes numpy
+    # warn) wrote other bytes; the complex abs of the mean power alone moved
+    # the residual of trial 2 at N = 2
+    from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                               __cpu_features__)
+    simd = " ".join(f for f in __cpu_dispatch__ if __cpu_features__.get(f))
     env = dict(os.environ, PYTHONWARNINGS="error",
                PYTHONPATH=str(Path(coopalign.__file__).parents[1]))
     env.pop("OPENBLAS_CORETYPE", None)
     outs = []
-    for kernel in (None, "Prescott"):
-        if kernel is not None:
-            env["OPENBLAS_CORETYPE"] = kernel
+    for i, extra in enumerate([{}, {"OPENBLAS_CORETYPE": "Prescott"},
+                               {"NPY_DISABLE_CPU_FEATURES": simd}]):
         proc = subprocess.run(
-            [sys.executable, "-c", _KERNEL_RUN, str(tmp_path / str(kernel))],
-            capture_output=True, text=True, env=env, timeout=300)
+            [sys.executable, "-c", _KERNEL_RUN, str(tmp_path / str(i))],
+            capture_output=True, text=True, env=dict(env, **extra),
+            timeout=300)
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0].count("\n") == 9
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
 
 
 # sha256 of (results.csv, trace.jsonl) for config {"scheme": S, "N": 2,
-# "trials": 2, "rng_seed": 11, "q": q}, recorded while every cube was int64
-# (tx-coop's with the channel inverse that calls no LAPACK);
-# at N = 2 the largest q of an int16 cube is 1092, and the pins at 71582788
-# and 71582789 hold two q deep in the int64 range
+# "trials": 2, "rng_seed": 11, "q": q}; rx-coop's were recorded while every
+# cube was int64, tx-coop's as GOLDEN_RESULTS_CSV's are.  At N = 2 the
+# largest q of an int16 cube is 1092, and the pins at 71582788 and 71582789
+# hold two q deep in the int64 range
 GOLDEN_CUBE_TYPES = {
     ("rx-coop", 1092): ("ebc0c5364dfbda1948a8a72f5eb1fd7db1340c6d6779b6c77e1b431526b42181",
                         "1d84f3decca8f26af6d7c94cd9c513a347dfea7c3d96d820335d588ac590a94a"),
@@ -786,14 +795,14 @@ GOLDEN_CUBE_TYPES = {
                             "e37353b08804ab6990cf307e1df742dc188fe911926f41e83773960a183d3f82"),
     ("rx-coop", 71582789): ("ebc0c5364dfbda1948a8a72f5eb1fd7db1340c6d6779b6c77e1b431526b42181",
                             "acc0f7851429b856babb6a9dc4afc1b3b47db9a44d34823bd79fbe5977b6bfbc"),
-    ("tx-coop", 1092): ("dd4eadc5b934c7b86e262cfc67fc261189b1917a630ac78008313168c7a4b065",
-                        "e0035fbc350e88953bc62139342be61fb133629106e0ebcf66fde27721b4ce0e"),
-    ("tx-coop", 1093): ("1161888856c2bd2b7ddc4ac64d91f4ea78177cd8c6423c1cd787440e13c1240c",
-                        "cb5647a563bdba9f1592b447f4b43c169b4c47714febfac23f0f9c475bdea876"),
-    ("tx-coop", 71582788): ("a10695124f1a01b70e1ef1c41306decbdf22159aaf41eb621dc4d13df317a2ca",
-                            "bd98c88c3bc533f7e1132df7430426aeeec8a09fbf569f5bb2c4ec101ec5427f"),
-    ("tx-coop", 71582789): ("3339615361d56ac2b5f1254e45b782cf6dc60ac9cb68be18de69a3c52bd3f922",
-                            "5742920da45491425957a39c9d9d12e274f966851b124ba91bb8b823b8ca84fc"),
+    ("tx-coop", 1092): ("c8cbc1cc93a40e0b1760f2cb223e6535ed70a8ac584824145879dadf18b7a19b",
+                        "9ea28dd3eb0491eacd134ee83455f4c606358966e0cb339540777d2a02bd42a4"),
+    ("tx-coop", 1093): ("9bb234352088c047f9b74df7c6b3b0b36f6d24a1d05eb4ebd2329cf30f2e7266",
+                        "a62bc36a97e1c5114e8b447ce3cced29d8c0ee5cef0dae8af97c287ae2e63e4c"),
+    ("tx-coop", 71582788): ("89844eb0f8c66877a0302f82227648580c2404f6f7d00157200b49b011b5d7e4",
+                            "e6f4345c5114134c5c5a960d3820011a688262e0fd394ce1727f0172dfa1f155"),
+    ("tx-coop", 71582789): ("85fdc91d02a13d946a344d4cf5a413975dda19b535e5c4e74667be119334d0c0",
+                            "d95c47e1fb883302153bcc7130103461f4d3a43cbd939780eac23d328a33b25d"),
 }
 
 
