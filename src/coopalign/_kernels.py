@@ -14,7 +14,7 @@ candidates.
 Once per power point, `nearest_point(y, candidates, gamma)` searches
 `gamma * base`.  It scales the four sorted copies by `gamma` (4 more
 float64 copies, held for the call) and checks only the two ends of each
-sorted key for overflow: rounding is monotone, so the largest magnitudes of
+sorted key against 2^510: rounding is monotone, so the largest magnitudes of
 `gamma * part` sit at the ends.  Each observation takes d0, the smallest
 squared distance to its `_NEIGHBOURS` neighbours on each side in both
 orders, read from contiguous runs of the scaled copies.  It counts the
@@ -110,30 +110,28 @@ class Candidates:
 def nearest_point(y, candidates, gamma):
     """Index of the closest point of `gamma * base` for each observation.
 
-    `candidates` is `Candidates(base)` and `gamma` a finite real > 0.  Ties
-    resolve to the smallest index, which is the lexicographically smallest
-    candidate when candidates are enumerated in canonical order.  The picks
-    are those of an argmin over every point's squared distance.
+    `candidates` is `Candidates(base)`, `gamma` a finite real > 0, and every
+    part of `y` and `gamma * base` within +-2^510.  Ties resolve to the
+    smallest index, the lexicographically smallest candidate in canonical
+    order.  The picks are those of an argmin over every squared distance.
     """
     if not (isinstance(gamma, numbers.Real) and not isinstance(gamma, bool)
             and math.isfinite(gamma) and gamma > 0):
         raise ParameterError(f"gamma must be a finite real > 0, got {gamma!r}")
     y = np.asarray(y, dtype=np.complex128)
-    if not np.isfinite(y).all():
-        raise ParameterError("nearest_point needs finite observations")
     n = len(candidates)
     yr, yi = y.real, y.imag
-    # per axis: (observation part, order, scaled real parts, scaled
-    # imaginary parts, the scaled part that order sorts); an overflow of
-    # gamma * part shows as an infinite end of that part's key
+    # per axis: (observation part, order, scaled real and imaginary parts,
+    # the scaled part that order sorts); the largest |gamma * part| ends
+    # that key, and parts within +-2^510 keep squared distances below 2^1024
     with np.errstate(over="ignore"):
         scaled = [(order, gamma * re, gamma * im) for order, re, im in candidates.axes]
     axes = []
     for a, (order, re, im) in enumerate(scaled):
         key = (re, im)[a]
-        if not (math.isfinite(key[0]) and math.isfinite(key[-1])):
-            raise ParameterError(f"gamma * base must be finite: gamma {gamma!r} "
-                                 f"overflows the candidates' {_AXES[a]} parts")
+        if not np.abs((yr, yi)[a]).max(initial=max(-key[0], key[-1])) <= 2.0 ** 510:
+            raise ParameterError(f"observations and gamma * base must be finite within "
+                                 f"+-2^510 on the {_AXES[a]} axis (gamma {gamma!r})")
         axes.append(((yr, yi)[a], order, re, im, key))
 
     # the window of 2 * _NEIGHBOURS candidates around each observation,

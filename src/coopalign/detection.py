@@ -132,7 +132,7 @@ def reduced_error_sweep(spec: ReducedSpec, h, P_grid, trials, rng_seed,
     # the average energy of a uniform random table at unit scale
     points = _kernels.Candidates(cands @ carriers)
     energy = (spec.alphabet_size ** 2 - 1) / 12.0 \
-        * np.sum(np.abs(carriers) ** 2)
+        * np.sum(np.hypot(carriers.real, carriers.imag) ** 2)
     rates = []
     for k, P in enumerate(P_grid):
         rng = np.random.default_rng(

@@ -263,10 +263,10 @@ def run_trial(config: ExperimentConfig, trial: int):
     rng = np.random.default_rng(ss)
     scheme = config.scheme
     ch = _channel_for(config, rng)
-    # only the lattice schemes read carriers; the screen draws no randomness
+    # the lattice schemes read carriers, tx-coop those of h^-1; no rng draws
     if scheme in ("rx-coop", "tx-coop") \
             and config.channel_mode == "random-generic":
-        require_generic(ch, config.N)
+        require_generic(channel_inverse(ch) if scheme == "tx-coop" else ch, config.N)
 
     trace, P = [], np.asarray(config.P_grid)
     if scheme == "bounds-only":

@@ -282,14 +282,14 @@ def channel_is_generic(h, n):
     A channel with a non-finite carrier (a nan or inf gain, or a power that
     overflows) is not generic.
 
-    The carriers are taken in the stable order of their real parts: by real
-    part, and entries with equal real parts (-0.0 equal to +0.0) in table
-    order, exactly as np.argsort(kind="stable") orders them (_stable_order).
-    Entry i is compared with i+1, i+2, ... while the real-part gap stays
-    within a window taken from the (i, i+1) pair.  All i advance together,
-    one offset k per pass, and an i leaves the pass set as soon as its
-    window closes.  Gains other than 3x3, or a depth n that is not a
-    positive int, raise ParameterError.
+    Carriers c_s and c_t collide when |c_s - c_t| <= GENERIC_TOL *
+    max((|c_s| + |c_t|) / 2, 1e-300), as two that underflow to 0 do.  If c_j
+    sorts after c_i by real part and they collide, re_j - re_i <= |c_j - c_i|
+    <= GENERIC_TOL * (|c_i| + |c_j - c_i| / 2), a gap of at most GENERIC_TOL
+    * max(|c_i|, 1e-300) / (1 - GENERIC_TOL / 2).  So, in any order sorting
+    the real parts, entry i is compared with i+1, ... within that window;
+    all i advance together, one offset k per pass.  Gains other than 3x3,
+    or a depth n that is not a positive int, raise ParameterError.
     """
     h = gain_matrix(h)
     if not (type(n) is int and n >= 1):
@@ -308,8 +308,9 @@ def channel_is_generic(h, n):
     # a difference of finite carriers may overflow; as an infinite gap or
     # distance it correctly makes that pair not close
     with np.errstate(over="ignore"):
-        span = _pair_tol(half[:-1], half[1:])
-        i = np.flatnonzero(re[1:] - re[:-1] <= span)
+        # the bound above, with room for rounding
+        span = _pair_tol(half, half, GENERIC_TOL / (1 - GENERIC_TOL))
+        i = np.flatnonzero(re[1:] - re[:-1] <= span[:-1])
         k = 1
         while i.size:
             tol = _pair_tol(half[i], half[i + k])
@@ -321,16 +322,16 @@ def channel_is_generic(h, n):
     return True
 
 
-def _pair_tol(half_a, half_b):
-    """GENERIC_TOL * max(0.5 * (|a| + |b|), 1e-300) elementwise, given the
-    halved magnitudes |a| / 2 and |b| / 2.
+def _pair_tol(half_a, half_b, scale=GENERIC_TOL):
+    """scale * max(0.5 * (|a| + |b|), 1e-300) elementwise, given the halved
+    magnitudes |a| / 2 and |b| / 2.
 
     Adding halves, two finite magnitudes give a finite sum; that equals half
     the sum unless a half is subnormal.
     """
     tol = half_a + half_b
     np.maximum(tol, 1e-300, out=tol)
-    tol *= GENERIC_TOL
+    tol *= scale
     return tol
 
 

@@ -99,7 +99,7 @@ def tx_sum_upper_bound(H, P, Rb_bar):
     average backhaul load.  P may be an array, with Rb_bar of the same
     shape."""
     h, P = _bound_args(H, P)
-    row_mass = np.abs(h).sum(axis=1) ** 2    # sum_{i,j} |h_ki h_kj*|
+    row_mass = np.hypot(h.real, h.imag).sum(axis=1) ** 2    # sum_{i,j} |h_ki h_kj*|
     return np.log2(1.0 + P[..., None] * row_mass).sum(-1) + 3 * np.asarray(Rb_bar)
 
 
@@ -284,9 +284,10 @@ def centralized_report(h, P_grid) -> RateReport:
     P_grid = np.asarray(P_grid, dtype=float)
     hinv = channel_inverse(h)
     # after inversion: unit receiver noise plus unit quantization noise on
-    # the two forwarded observations
-    noise_rows = 2.0 * np.sum(np.abs(hinv) ** 2, axis=1)
-    row_pow = np.sum(np.abs(h[1:]) ** 2, axis=1)
+    # the two forwarded observations; |.| from the parts, here and in
+    # tx_sum_upper_bound: numpy's complex abs moves its last bit with SIMD
+    noise_rows = 2.0 * np.sum(np.hypot(hinv.real, hinv.imag) ** 2, axis=1)
+    row_pow = np.sum(np.hypot(h[1:].real, h[1:].imag) ** 2, axis=1)
     P = P_grid[:, None]
     rates = np.log2(1.0 + P / noise_rows)
     up = np.log2(1.0 + P * row_pow + 1.0)

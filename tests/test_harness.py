@@ -23,7 +23,8 @@ from coopalign.errors import ConfigError, GenericityError, ProtocolError
 from coopalign.harness import (CSV_COLUMNS, SCHEMES, ExperimentConfig,
                                RunManifest, config_from_dict, load_config,
                                run_experiment, run_trial)
-from coopalign.lattice import MAX_CARRIERS, q_limit
+from coopalign.lattice import (MAX_CARRIERS, channel_is_generic, q_limit,
+                               random_gains)
 
 
 FIXED_GAINS = [[[1.0, 0.2], [0.5, -0.1], [0.3, 0.4]],
@@ -858,6 +859,22 @@ def test_screen_runs_only_for_lattice_schemes(tmp_path, monkeypatch):
     for scheme in ("rx-coop", "tx-coop"):
         with pytest.raises(GenericityError):
             run_experiment(_cfg(scheme=scheme, output_dir=str(tmp_path / scheme)))
+
+
+def test_tx_coop_screens_the_inverse_channel(monkeypatch):
+    # h passes the screen, but its inverse g has g12 = g11, so the carriers
+    # of g, which tx-coop's carrier sums read, collide
+    import coopalign.harness as hmod
+
+    g = random_gains(np.random.default_rng(21))
+    g[0, 1] = g[0, 0]
+    h = np.linalg.inv(g)
+    assert channel_is_generic(h, 1)
+    monkeypatch.setattr(hmod, "random_gains", lambda rng: h.copy())
+    with pytest.raises(GenericityError):
+        run_trial(_cfg(scheme="tx-coop"), 0)
+    # rx-coop reads the carriers of h itself
+    assert run_trial(_cfg(scheme="rx-coop"), 0)[0][0]["detail"] == "exact"
 
 
 class TestCli:

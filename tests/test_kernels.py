@@ -193,6 +193,23 @@ def test_non_finite_input_rejected(where, value):
         _search(args["y"], args["points"])
 
 
+def test_parts_beyond_2_510_rejected():
+    # candidates 1e200, -1e200 and 0 with an observation at 1e199: every
+    # squared distance overflowed, and the argmin picked index 0
+    with pytest.raises(ParameterError, match=r"2\^510"):
+        _search(np.array([1e199 + 0j]), np.array([1e200, -1e200, 0j]))
+    past = np.nextafter(2.0 ** 510, np.inf)
+    for y, points in (([past], [0j, 1]), ([-past * 1j], [0j, 1]),
+                      ([0j], [0j, past]), ([0j], [-past * 1j, 1])):
+        with pytest.raises(ParameterError, match=r"2\^510"):
+            _search(np.array(y, dtype=complex), np.array(points, dtype=complex))
+    # at the bound a part difference is 2^511, and the squared distance
+    # 2^1022 + 2^1022 is finite
+    lim = 2.0 ** 510
+    assert _search(np.array([lim + lim * 1j]),
+                   np.array([-lim - lim * 1j, 0j])).tolist() == [1]
+
+
 def test_no_candidates_rejected():
     with pytest.raises(ParameterError, match="candidate"):
         _kernels.Candidates(np.array([], dtype=np.complex128))

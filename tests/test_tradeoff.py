@@ -46,7 +46,8 @@ def rx_bound_loop(h, P, Rb_bar):
 
 def tx_bound_loop(h, P, Rb_bar):
     K = h.shape[0]
-    row_mass = np.abs(h).sum(axis=1) ** 2
+    # magnitudes from the parts, as the bound takes them
+    row_mass = np.hypot(h.real, h.imag).sum(axis=1) ** 2
     total = float(np.sum(np.log2(1.0 + P * row_mass)))
     return total + K * float(Rb_bar)
 
@@ -397,8 +398,10 @@ class TestSchemeReports:
         # under test, so it comes from the same channel_inverse
         def loop(h, P_grid):
             hinv = channel_inverse(h)
-            noise_rows = 2.0 * np.sum(np.abs(hinv) ** 2, axis=1)
-            row_pow = [np.sum(np.abs(h[l]) ** 2) for l in (1, 2)]
+            noise_rows = 2.0 * np.sum(np.hypot(hinv.real, hinv.imag) ** 2,
+                                      axis=1)
+            row_pow = [np.sum(np.hypot(h[l].real, h[l].imag) ** 2)
+                       for l in (1, 2)]
             rates = np.zeros((P_grid.size, 3))
             rb = np.zeros(P_grid.size)
             for i, P in enumerate(P_grid):
