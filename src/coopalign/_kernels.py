@@ -6,10 +6,9 @@ once per sweep and work done once per power point.
 Once per sweep, `Candidates(base)` takes the unit-scale candidate points
 `base`, checks that there is at least one and that all are finite, and
 sorts them once by real part and once by imaginary part
-(`lattice._stable_order`, the genericity screen's sort).  In each of the two
-orders it lays out both parts as contiguous float64 copies.  That is 2 int64
-orders and 4 float64 copies, 48 B a candidate: about 1.4 MB at 28,561
-candidates.
+(`lattice._stable_order`).  In each of the two orders it lays out both
+parts as contiguous float64 copies.  That is 2 int64 orders and 4 float64
+copies, 48 B a candidate: about 1.4 MB at 28,561 candidates.
 
 Once per power point, `nearest_point(y, candidates, gamma)` searches
 `gamma * base`.  It scales the four sorted copies by `gamma` (4 more

@@ -195,8 +195,9 @@ def _outer_chain(out, powers):
 
 
 # the most carriers, (N+1)^9, that rx-coop and tx-coop run on: N = 5.  A
-# trial peaks at about 42 B per carrier (118 MiB RSS at N = 4, 435 MiB at
-# N = 5), so N = 6 would take about 1.6 GiB per trial and per pool worker.
+# random-channel trial peaks at 73 MiB RSS at N = 4 and 220 MiB at N = 5,
+# about 19 B more per carrier, most of it the screen's 16-B carrier table,
+# so N = 6 would take about 0.75 GiB per trial and per pool worker.
 MAX_CARRIERS = 6 ** 9
 
 
@@ -215,30 +216,49 @@ def carrier_sums(h, cubes) -> np.ndarray:
     one np.multiply by a real scalar and one in-place add, so no loop can
     fuse or reorder, and the bits do not depend on numpy's SIMD level.  The
     first two contractions run per label on the second axis, so no (u^8,)
-    plane is held.
+    plane is held.  Each cube's trailing all-zero slabs, on every axis, are
+    dropped first: their terms are products with an exact 0, which leave an
+    accumulator that starts at +0.0, and so is never -0.0, unchanged.
 
     The nesting forms no carrier, so a zero carrier is found from the
     powers: GenericityError is raised when the product of the nine gains'
     smallest power magnitudes, taken in label order, is 0 (a power is zero
-    or the product underflows), or when a sum is not finite (a carrier is
-    not finite, or a sum overflows).
+    or the product underflows), or when a power or a sum is not finite (a
+    carrier is not finite, or a sum overflows).
     """
     u = cubes[0].shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         p = _powers(h, u)
         if math.prod(float(np.hypot(g.real, g.imag).min()) for g in p) == 0:
             raise GenericityError("a carrier is zero")
+        # a power that meets only dropped slabs would have made a nan
+        if not all(np.isfinite(g).all() for g in p):
+            raise GenericityError("a carrier or a carrier sum is not finite")
         coef = [list(zip(g.real.tolist(), g.imag.tolist())) for g in p]
-        sums = np.array([_nested_sum(c.reshape(u, u, -1), coef)
+        sums = np.array([_nested_sum(_trim_zero_slabs(c), coef)
                          for c in cubes])
     if not np.isfinite(sums).all():
         raise GenericityError("a carrier or a carrier sum is not finite")
     return sums
 
 
+def _trim_zero_slabs(c):
+    """The leading box of c that drops its trailing all-zero slabs on every
+    axis, a view."""
+    for axis in range(c.ndim):
+        lead = (slice(None),) * axis
+        while c.size and not np.count_nonzero(c[lead + (-1,)]):
+            c = c[lead + (slice(-1),)]
+    return c
+
+
 def _nested_sum(c, coef):
-    """carrier_sums of one cube c, shaped (u, u, u^7), where coef[k][j] is
-    (real, imaginary) of gain k's power j + 1."""
+    """carrier_sums of one cube c on {1..u_1} x ... x {1..u_9}, where
+    coef[k][j] is (real, imaginary) of gain k's power j + 1."""
+    if not c.size:
+        return 0j
+    coef = [z[:m] for z, m in zip(coef, c.shape)]
+    c = c.reshape(c.shape[0], c.shape[1], -1)
     tmp = np.empty(c.shape[2])
     row = np.empty((2, c.shape[2]))
     acc = np.zeros((2, c.shape[2]))
@@ -269,6 +289,15 @@ def _add_product(acc, x, z, tmp):
 
 
 GENERIC_TOL = 1e-9
+# the close-pair search runs at GENERIC_TOL * (1 + SEARCH_SLACK)
+SEARCH_SLACK = 1e-2
+# a channel whose carriers may fall below this magnitude is refused
+CARRIER_FLOOR = 2.0 ** -900
+# one fixed phase that turns both half-sets, so that real, imaginary or
+# unit-modulus gains do not put their products on one real part
+_TURN = complex(math.cos(0.739), math.sin(0.739))
+# the gains, in label order, whose exponent differences make the first set
+_SPLIT = 4
 
 
 def channel_is_generic(h, n):
@@ -277,49 +306,124 @@ def channel_is_generic(h, n):
 
     An absolute tolerance would flag almost every random draw once high
     powers of sub-unit gains shrink below it, so closeness is measured
-    relative to the magnitudes involved.
+    relative to the magnitudes involved: carriers c_s and c_t collide when
+    |c_s - c_t| <= GENERIC_TOL * max((|c_s| + |c_t|) / 2, 1e-300).
 
-    A channel with a non-finite carrier (a nan or inf gain, or a power that
-    overflows) is not generic.
+    Refused before any search: a gain of magnitude at most GENERIC_TOL; a
+    carrier that is not finite (a nan or inf gain, or a power that
+    overflows); a bound prod_k min(1, |g_k|)^(n+1) on the smallest carrier
+    below CARRIER_FLOOR = 2^-900, which refuses carriers that underflow to 0
+    and so collide; and a turned product of half-powers (below) that is 0 or
+    not finite.  Past these every carrier lies in [2^-900, 2^1024), so the
+    rule's 1e-300 floor never binds.  The two half-sets' exponent spans add
+    up to the carriers' span, under 1,924 bits, so no product or partial
+    product that a collision rests on is subnormal: that would take 2,044.
 
-    Carriers c_s and c_t collide when |c_s - c_t| <= GENERIC_TOL *
-    max((|c_s| + |c_t|) / 2, 1e-300), as two that underflow to 0 do.  If c_j
-    sorts after c_i by real part and they collide, re_j - re_i <= |c_j - c_i|
-    <= GENERIC_TOL * (|c_i| + |c_j - c_i| / 2), a gap of at most GENERIC_TOL
-    * max(|c_i|, 1e-300) / (1 - GENERIC_TOL / 2).  So, in any order sorting
-    the real parts, entry i is compared with i+1, ... within that window;
-    all i advance together, one offset k per pass.  Gains other than 3x3,
-    or a depth n that is not a positive int, raise ParameterError.
+    The search.  For s - t = d, dividing the rule by |c_t| gives
+    |r - 1| <= GENERIC_TOL * (1 + |r|) / 2 with r = prod_k g_k^d_k, for d in
+    {-n..n}^9 minus 0, whatever s is.  Split the gains 4 + 5, so that
+    r = P(d_A) Q(d_B); with a = P(-d_A) = 1 / P(d_A) and b = Q(d_B), times
+    |a| the rule reads |b - a| <= GENERIC_TOL * (|a| + |b|) / 2.  So it is a
+    close-pair search between (2n+1)^4 values a and (2n+1)^5 values b
+    (2,401 and 16,807 at n = 3, against 262,144 carriers), the pair d = 0
+    excluded, at tol' = GENERIC_TOL * (1 + SEARCH_SLACK).  Both sets are
+    turned by the phase _TURN, which keeps every distance, and the b are
+    sorted by real part.  A close pair has |re b - re a| <= |b - a| <= tol'
+    |a| / (1 - tol' / 2), so each a takes the window of b within
+    tol' |a| / (1 - tol') of its real part, and one pass compares every a
+    with the k-th entry of its window, k = 0, 1, ...
+
+    Why the slack is safe: a power takes at most 3 rounded complex products
+    and, for a negative exponent, one quotient; a carrier adds 8 products
+    and a turned product 5, so each lies within 150 u of its value
+    (u = 2^-53, on normal floats).  A pair of carriers that collides as
+    computed thus gives a and b that meet the rule at GENERIC_TOL + 500 u,
+    about GENERIC_TOL + 5.6e-14, and GENERIC_TOL * SEARCH_SLACK = 1e-11
+    covers that, and the rounding of the window ends, more than 100 times:
+    every colliding d is found.
+
+    Every d found is confirmed on monomial_table(h, n + 1), built once for
+    each screen: the channel is refused only when some pair of carriers
+    (s, s - d) collides under the rule above (_collides).  So the verdict is
+    the rule on the carriers, and a d found only through the slack passes.
+    A pass's close pairs are confirmed before the next pass, and the screen
+    returns at the first collision, so no pass holds more than one pair per
+    a.  Gains other than 3x3, or a depth n that is not a positive int,
+    raise ParameterError.
     """
     h = gain_matrix(h)
     if not (type(n) is int and n >= 1):
         raise ParameterError(f"n must be a positive integer, got {n!r}")
-    if np.abs(h).min() <= GENERIC_TOL:
+    mags = np.abs(h).ravel()
+    if mags.min() <= GENERIC_TOL:
         return False
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = monomial_table(h, n + 1).ravel()
-    if not np.isfinite(vals).all():
+        table = monomial_table(h, n + 1)
+    if not np.isfinite(table).all():
         return False
-    sv = vals[_stable_order(vals.real)]
-    del vals
-    size, re = len(sv), sv.real
-    half = np.abs(sv)
-    half *= 0.5
-    # a difference of finite carriers may overflow; as an infinite gap or
-    # distance it correctly makes that pair not close
+    if math.prod(min(m, 1.0) ** (n + 1) for m in mags.tolist()) < CARRIER_FLOOR:
+        return False
+    gains = h.ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = (_turned_products(g, n) for g in (gains[:_SPLIT], gains[_SPLIT:]))
+    if not all(np.isfinite(x).all() and x.all() for x in (a, b)):
+        return False
+    order = np.argsort(b.real)
+    b = b[order]
+    re = b.real
+    tol = GENERIC_TOL * (1 + SEARCH_SLACK)
+    # a product near the float limit may overflow in a magnitude or a
+    # difference; as an infinite tolerance it only adds a pair to confirm
     with np.errstate(over="ignore"):
-        # the bound above, with room for rounding
-        span = _pair_tol(half, half, GENERIC_TOL / (1 - GENERIC_TOL))
-        i = np.flatnonzero(re[1:] - re[:-1] <= span[:-1])
-        k = 1
+        half_a = np.abs(a)
+        half_a *= 0.5
+        reach = half_a * (2 * tol / (1 - tol))
+        lo = np.searchsorted(re, a.real - reach)
+        hi = np.searchsorted(re, a.real + reach, "right")
+        i = np.flatnonzero(lo < hi)
+        k = 0
         while i.size:
-            tol = _pair_tol(half[i], half[i + k])
-            if np.any(np.abs(sv[i + k] - sv[i]) <= tol):
-                return False
-            i = i[i + k + 1 < size]
-            i = i[re[i + k + 1] - re[i] <= span[i]]
+            j = lo[i] + k
+            close = np.abs(b[j] - a[i]) <= _pair_tol(half_a[i],
+                                                    0.5 * np.abs(b[j]), tol)
+            for ia, ib in zip(i[close].tolist(), order[j[close]].tolist()):
+                d = _exponent_difference(ia, ib, n)
+                if any(d) and _collides(table, d):
+                    return False
             k += 1
+            i = i[lo[i] + k < hi[i]]
     return True
+
+
+def _turned_products(gains, n):
+    """_TURN * prod_k gains[k]^e_k for every e in {-n..n}^len(gains), with e
+    in C order."""
+    exps = np.arange(-n, n + 1)
+    out = np.array([_TURN])
+    for g in gains:
+        out = np.multiply.outer(out, g ** exps).ravel()
+    return out
+
+
+def _exponent_difference(ia, ib, n):
+    """The d = (d_A, d_B) of the pair (a, b) of channel_is_generic's search
+    at flat indices ia and ib: a = P(e) for e = -d_A, b = Q(d_B)."""
+    side = 2 * n + 1
+    e = np.unravel_index(ia, (side,) * _SPLIT)
+    f = np.unravel_index(ib, (side,) * (9 - _SPLIT))
+    return tuple(n - int(x) for x in e) + tuple(int(x) - n for x in f)
+
+
+def _collides(table, d):
+    """Whether some pair of entries table[s] and table[s - d], both in the
+    table, collides under channel_is_generic's rule; d holds one offset per
+    axis.  A difference that overflows is infinite, so not close."""
+    s = tuple(slice(max(k, 0), m + min(k, 0)) for k, m in zip(d, table.shape))
+    t = tuple(slice(max(-k, 0), m - max(k, 0)) for k, m in zip(d, table.shape))
+    x, y = table[s], table[t]
+    with np.errstate(over="ignore"):
+        tol = _pair_tol(0.5 * np.abs(x), 0.5 * np.abs(y))
+        return bool((np.abs(x - y) <= tol).any())
 
 
 def _pair_tol(half_a, half_b, scale=GENERIC_TOL):

@@ -33,8 +33,8 @@ with warnings.catch_warnings():
         pass
 
 from coopalign.harness import config_from_dict, run_trial
-from coopalign.lattice import (GENERIC_TOL, SubstreamTable, random_gains,
-                               require_generic)
+from coopalign.lattice import (CARRIER_FLOOR, GENERIC_TOL, SubstreamTable,
+                               random_gains, require_generic)
 from coopalign.tradeoff import top_half_slope
 
 
@@ -95,23 +95,25 @@ def dense_cube_sum(h, u, t):
 
 
 def oracle_channel_is_generic(h, n):
-    """The genericity screen's rule with no window.
+    """The genericity screen's rule with no search.
 
     After the screen's pre-checks (a gain at or below GENERIC_TOL, a
-    carrier that is not finite, or two carriers that underflow to zero,
-    which are equal), the channel is refused when some nonzero exponent
-    difference d in {-n..n}^9 gives r = prod h^d with
+    carrier that is not finite, or a bound prod_k min(1, |g_k|)^(n+1) on the
+    smallest carrier below CARRIER_FLOOR), the channel is refused when some
+    nonzero exponent difference d in {-n..n}^9 gives r = prod h^d with
     |r - 1| <= GENERIC_TOL * (1 + |r|) / 2: the rule
     |c_s - c_t| <= GENERIC_TOL * (|c_s| + |c_t|) / 2 divided by |c_t|, for
     s - t = d.  The cube of d holds 3^9 ratios at n = 1 and 5^9 at n = 2;
     the 7^9 of n = 3 would take 645 MB, so n > 2 raises ValueError.
     """
     h = np.asarray(h, dtype=np.complex128)
-    if np.abs(h).min() <= GENERIC_TOL:
+    mags = np.abs(h)
+    if mags.min() <= GENERIC_TOL:
         return False
     with np.errstate(over="ignore", invalid="ignore"):
         vals = oracle_monomial_table(h, n + 1)
-    if not np.isfinite(vals).all() or np.count_nonzero(vals == 0) > 1:
+    if not np.isfinite(vals).all() \
+            or np.prod(np.minimum(mags, 1.0) ** (n + 1)) < CARRIER_FLOOR:
         return False
     if n > 2:
         raise ValueError(f"the ratio oracle runs at n <= 2, got {n}")

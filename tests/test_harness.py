@@ -186,7 +186,7 @@ class TestConfig:
                           "channel_mode": "illustrating"}),
         ("channel_mode", {"scheme": "tx-coop",
                           "channel_mode": "illustrating"}),
-        # (N+1)^9 = 7^9 carriers, about 1.6 GiB per trial
+        # (N+1)^9 = 7^9 carriers, about 0.75 GiB per trial
         ("N", {"scheme": "rx-coop", "N": 6}),
         ("N", {"scheme": "tx-coop", "N": 6}),
     ])
@@ -769,15 +769,23 @@ def test_outputs_do_not_depend_on_the_openblas_kernel(tmp_path):
     env = dict(os.environ, PYTHONWARNINGS="error",
                PYTHONPATH=str(Path(coopalign.__file__).parents[1]))
     env.pop("OPENBLAS_CORETYPE", None)
+    # the three interpreters run together; each is then waited for
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", _KERNEL_RUN, str(tmp_path / str(i))],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=dict(env, **extra))
+        for i, extra in enumerate([{}, {"OPENBLAS_CORETYPE": "Prescott"},
+                                   {"NPY_DISABLE_CPU_FEATURES": simd}])]
     outs = []
-    for i, extra in enumerate([{}, {"OPENBLAS_CORETYPE": "Prescott"},
-                               {"NPY_DISABLE_CPU_FEATURES": simd}]):
-        proc = subprocess.run(
-            [sys.executable, "-c", _KERNEL_RUN, str(tmp_path / str(i))],
-            capture_output=True, text=True, env=dict(env, **extra),
-            timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        outs.append(proc.stdout)
+    try:
+        for proc in procs:
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+            outs.append(out)
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait()
     assert outs[0].count("\n") == 9
     assert outs[0] == outs[1] == outs[2]
 

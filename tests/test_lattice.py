@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +199,40 @@ class TestCarrierSums:
         with pytest.raises(GenericityError, match="sum is not finite"):
             carrier_sums(h, cubes)
 
+    @pytest.mark.parametrize("u", [2, 3, 4])
+    def test_dropped_zero_slabs_keep_the_bytes(self, rng, u):
+        # against the nested sum over the whole cube, on cubes whose
+        # trailing slabs are zero one or more deep on some axes, as tx-coop's
+        # built cubes are on the six coordinates of the other receivers
+        h = np.linalg.inv(random_gains(rng))
+        coef = [list(zip(g.real.tolist(), g.imag.tolist()))
+                for g in lattice._powers(h, u)]
+        cubes = []
+        for axes in (range(3, 9), range(6), rng.choice(9, 4, replace=False)):
+            c = rng.integers(-15, 16, (u,) * 9, dtype=np.int16)
+            for axis in axes:
+                zero = [slice(None)] * 9
+                zero[axis] = slice(u - int(rng.integers(1, u)), None)
+                c[tuple(zero)] = 0
+            cubes.append(c)
+        lone = np.zeros((u,) * 9, dtype=np.int64)
+        lone[(0,) * 9] = -7
+        cubes.append(lone)
+        got = carrier_sums(h, cubes)
+        want = np.array([lattice._nested_sum(c, coef) for c in cubes])
+        assert got.tobytes() == want.tobytes()
+        assert all(lattice._trim_zero_slabs(c).size < c.size for c in cubes)
+
+    def test_non_finite_power_on_zero_slabs_raises(self, rng):
+        # g_11^2 overflows and meets only the zero slab of axis 0; in the
+        # whole nested sum it made inf * 0 = nan
+        h = random_gains(rng)
+        h[0, 0] = 1e200
+        c = rng.integers(-15, 16, (2,) * 9)
+        c[1] = 0
+        with pytest.raises(GenericityError, match="not finite"):
+            carrier_sums(h, [c])
+
 
 class TestGenericity:
     def test_random_channels_pass(self, rng):
@@ -230,30 +265,26 @@ class TestGenericity:
             assert channel_is_generic(h, n) is want
 
     @pytest.mark.parametrize("values", [
-        # a and c collide, and b sorts between them; a window sized from
-        # the (a, b) pair, averaging in the small |b|, closes before c in
-        # the first table and reaches it in the second
+        # a and c collide; b, far from both and small, has a real part
+        # between theirs, so a tolerance that averaged in |b| would miss them
         (1 + 100j, 1 + 35e-9, 1 + 70e-9 + 100j),
         (1 + 100j, 1 + 20e-9, 1 + 40e-9 + (100 + 60e-9) * 1j),
-        # a and c collide; b shares a's real part, so the sort may put
-        # either first
+        # a and c collide; b shares a's real part
         (1 + 100j, 1 + 0j, 1.00000007 + 100j),
     ], ids=["between", "between-wider", "tie"])
-    def test_verdict_does_not_depend_on_order(self, monkeypatch, values):
-        import coopalign.lattice as lattice
-
-        a, _, c = values
+    def test_verdict_does_not_depend_on_order(self, values):
+        # the confirm step applies the rule to the pair itself: in every
+        # order of the three along an axis, the offsets between a and c
+        # collide, and a pair with b does not
+        a, b, c = values
         assert abs(c - a) <= GENERIC_TOL * (abs(a) + abs(c)) / 2
-        # a descending filler far from the three; only the order of equal
-        # real parts reaches the sort, so permuting the three covers every
-        # order that sorts the real parts
-        filler = list(np.arange(41.0, 9.0, -1.0))
-        h = np.ones((3, 3), dtype=np.complex128)
-        for perm in itertools.permutations(values):
-            table = np.array([*filler, *perm])
-            monkeypatch.setattr(lattice, "monomial_table",
-                                lambda h, upper: table.copy())
-            assert channel_is_generic(h, 1) is False
+        for perm in itertools.permutations(range(3)):
+            table = np.array([values[k] for k in perm])
+            gap = perm.index(2) - perm.index(0)
+            assert lattice._collides(table, (gap,)) is True
+            assert lattice._collides(table, (-gap,)) is True
+        for pair in ((a, b), (b, c)):
+            assert lattice._collides(np.array(pair), (1,)) is False
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_screen_builds_carriers_once(self, monkeypatch, n):
@@ -280,7 +311,8 @@ class TestGenericity:
     def test_carriers_that_underflow_to_zero_collide(self):
         # gains of magnitude 1e-8 pass the per-gain check, but at n = 4 the
         # carriers of exponent sum 41 and more underflow to 0, and two zero
-        # carriers are equal
+        # carriers are equal; the carrier floor refuses them before the
+        # search
         rng = np.random.default_rng(611)
         h = 1e-8 * np.exp(2j * np.pi * rng.uniform(size=(3, 3)))
         assert np.count_nonzero(monomial_table(h, 5) == 0) == 715
@@ -301,18 +333,45 @@ class TestGenericity:
         assert channel_is_generic(h, 1) is verdict
 
     @pytest.mark.parametrize("values", [
-        # adjacent real parts whose gap overflows
+        # a real part whose difference overflows
         (-1e308 + 0j, 1e308 + 0j),
-        # equal real parts, so the pair is compared; b - a overflows
+        # equal real parts; the imaginary difference overflows
         (1 + 1.5e308j, 1 - 1.5e308j),
     ])
-    def test_overflowing_difference_is_not_close(self, monkeypatch, values):
-        import coopalign.lattice as lattice
+    def test_overflowing_difference_is_not_close(self, values):
+        # as an infinite distance, with no overflow warning (the suite turns
+        # warnings into errors)
+        table = np.array(values)
+        for d in (1, -1):
+            assert lattice._collides(table, (d,)) is False
 
-        monkeypatch.setattr(lattice, "monomial_table",
-                            lambda h, upper: np.array(values))
-        h = np.ones((3, 3), dtype=np.complex128)
-        assert channel_is_generic(h, 1) is True
+    def test_collides_reads_every_pair_at_the_offset(self):
+        # against every pair (s, s - d) of a small table, on tables with one
+        # planted collision and on the same tables without it
+        def brute(tab, d):
+            for s in itertools.product(*map(range, tab.shape)):
+                t = tuple(x - y for x, y in zip(s, d))
+                if all(0 <= x < m for x, m in zip(t, tab.shape)) and \
+                        abs(tab[s] - tab[t]) <= \
+                        GENERIC_TOL * (abs(tab[s]) + abs(tab[t])) / 2:
+                    return True
+            return False
+
+        rng = np.random.default_rng(612)
+        for shape in ((4,), (3, 4), (2, 3, 3)):
+            offsets = list(itertools.product(*(range(1 - m, m)
+                                               for m in shape)))
+            for _ in range(4):
+                table = complex_awgn(rng, shape)
+                s, t = (np.unravel_index(k, shape)
+                        for k in rng.choice(table.size, 2, replace=False))
+                planted = table.copy()
+                planted[s] = planted[t] * (1 + 4e-10j)
+                for tab in (table, planted):
+                    for d in offsets:
+                        assert lattice._collides(tab, d) is brute(tab, d)
+                gap = tuple(int(x - y) for x, y in zip(s, t))
+                assert lattice._collides(planted, gap) is True
 
     def test_screen_matches_oracle_on_constructed_channels(self):
         h = random_gains(np.random.default_rng(607))
@@ -356,6 +415,83 @@ class TestGenericity:
             if n <= 2:
                 assert got == oracle_channel_is_generic(g, n)
             assert verdict is None or got == verdict
+
+
+class TestScreenSearch:
+    """The screen's close-pair search on structured channels; CI runs these
+    under a virtual-memory limit, so a search that builds every pair in its
+    windows at once fails there."""
+
+    @pytest.mark.parametrize("kind,n,verdict", [
+        ("imaginary", 3, True), ("all-ones", 4, False),
+        ("unit-modulus", 4, True), ("real", 3, True)])
+    def test_structured_channel_screened_within_a_second(self, kind, n,
+                                                         verdict):
+        # equal real parts once made the window quadratic: purely
+        # imaginary gains took 831 ms at n = 2 and did not finish at n = 3
+        h = random_gains(np.random.default_rng(607))
+        h = {"imaginary": 1j * h.imag, "all-ones": np.ones((3, 3)) + 0j,
+             "unit-modulus": np.exp(1j * np.angle(h)),
+             "real": h.real + 0j}[kind]
+        start = time.perf_counter()
+        assert channel_is_generic(h, n) is verdict
+        assert time.perf_counter() - start < 1.0
+
+    @staticmethod
+    def planted(at, ratio):
+        # the gain at flat label position `at` is gain 0 times ratio, so the
+        # exponent difference with +1 on gain 0 and -1 on `at` gives
+        # r = 1 / ratio
+        h = random_gains(np.random.default_rng(615)).ravel()
+        h[at] = h[0] * ratio
+        d = [0] * 9
+        d[0], d[at] = 1, -1
+        return h.reshape(3, 3), tuple(d)
+
+    # gain 0 is in the first half-set: pair it with one in each half
+    @pytest.mark.parametrize("at", [1, 4, 8])
+    def test_ratio_in_the_slack_is_found_and_passes(self, monkeypatch, at):
+        # GENERIC_TOL < |r - 1| <= GENERIC_TOL * (1 + SEARCH_SLACK): the
+        # search finds the pair, and the carriers do not collide
+        delta = GENERIC_TOL * (1 + lattice.SEARCH_SLACK / 2)
+        h, d = self.planted(at, 1 + delta)
+        found = []
+        collides = lattice._collides
+
+        def record(table, offset):
+            found.append(offset)
+            return collides(table, offset)
+
+        monkeypatch.setattr(lattice, "_collides", record)
+        assert channel_is_generic(h, 1) is True
+        assert oracle_channel_is_generic(h, 1) is True
+        assert d in found or tuple(-x for x in d) in found
+
+    @pytest.mark.parametrize("at", [1, 4, 8])
+    def test_ratio_within_tolerance_is_refused(self, at):
+        h, _ = self.planted(at, 1 + GENERIC_TOL / 2)
+        assert channel_is_generic(h, 1) is False
+        assert oracle_channel_is_generic(h, 1) is False
+
+    def test_carrier_floor(self):
+        # unit-modulus gains times 2^e at n = 4: the smallest carrier is
+        # 2^(45 e), refused below 2^-900 though no carrier underflows
+        h = np.exp(2j * np.pi * np.random.default_rng(613).uniform(
+            size=(3, 3)))
+        assert channel_is_generic(2.0 ** -19.9 * h, 4) is True
+        assert channel_is_generic(2.0 ** -20.1 * h, 4) is False
+
+    def test_half_products_beyond_float_range_refused(self):
+        # finite carriers (up to 2^1000) whose first half-set spans
+        # 4 (200 + 3 * 29) bits: g_11^4 / (g_12 g_13 g_21)^4 overflows at
+        # n = 4; at n = 3 the same gains are screened
+        h = np.exp(2j * np.pi * np.random.default_rng(614).uniform(
+            size=(3, 3)))
+        h[0, 0] *= 2.0 ** 200
+        h[0, 1:] *= 2.0 ** -29
+        h[1, 0] *= 2.0 ** -29
+        assert channel_is_generic(h, 3) is True
+        assert channel_is_generic(h, 4) is False
 
 
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
