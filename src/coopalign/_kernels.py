@@ -5,10 +5,11 @@ once per sweep and work done once per power point.
 
 Once per sweep, `Candidates(base)` takes the unit-scale candidate points
 `base`, checks that there is at least one and that all are finite, and
-sorts them once by real part and once by imaginary part
-(`lattice._stable_order`).  In each of the two orders it lays out both
-parts as contiguous float64 copies.  That is 2 int64 orders and 4 float64
-copies, 48 B a candidate: about 1.4 MB at 28,561 candidates.
+sorts them once by real part and once by imaginary part, each with the
+kernel's own packed-key sort (`_stable_order`).  In each of the two orders
+it lays out both parts as contiguous float64 copies.  That is 2 int64
+orders and 4 float64 copies, 48 B a candidate: about 1.4 MB at 28,561
+candidates.
 
 Once per power point, `nearest_point(y, candidates, gamma)` searches
 `gamma * base`.  It scales the four sorted copies by `gamma` (4 more
@@ -52,7 +53,6 @@ import numbers
 import numpy as np
 
 from .errors import ParameterError
-from .lattice import _stable_order
 
 # no accelerated kernel exists; pipebench/run.py's environment() still reads
 # both names without a default, so they go when it stops reading them
@@ -61,6 +61,16 @@ HAVE_NUMBA = USE_NUMBA = False
 _NEIGHBOURS = 32      # neighbours on each side, in each order, that set d0
 _PAIRS = 1 << 18      # observation-candidate pairs per evaluated block
 _AXES = ("real", "imaginary")
+
+
+def require_positive_real(value, name):
+    """Raise ParameterError unless value is a real number, not a bool,
+    finite and > 0: the rule for gamma here and for the powers that the
+    detection sweep and the diagonalization check take."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value) and value > 0):
+        raise ParameterError(f"{name} must be finite and > 0 (a real, not a "
+                             f"bool), got {value!r}")
 
 
 def _sq_dist(yr, yi, pr, pi):
@@ -78,6 +88,46 @@ def _rows(x, w, s):
     contiguous x: one gather of rows from a view of overlapping rows."""
     return np.ndarray((len(x) - w + 1, w), x.dtype, x,
                       strides=(x.itemsize, x.itemsize))[s]
+
+
+_SIGN_FLIP = np.int64(0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _stable_order(x):
+    """np.argsort(x, kind="stable") for a finite float64 array x, from one
+    in-place sort of int64 keys.
+
+    A key is the float's bits, mapped so that signed integer order is float
+    order, with its low b bits, as many as an index needs, replaced by the
+    entry's index.  -0.0 is first made +0.0, which float order treats as
+    equal to it.  Keys with different high bits are then in float order,
+    and keys of equal floats in index order.  Only floats that differ in
+    their low b bits alone can end up out of order; they share their high
+    bits with a sorted neighbour, and one lexsort by (value, index) over
+    all such entries puts them back: the high bits already order one run
+    of equal high bits against another.
+    """
+    size = len(x)
+    b = (size - 1).bit_length()
+    low = (1 << b) - 1
+    key = (x + 0.0).view(np.int64)
+    key ^= (key >> 63) & _SIGN_FLIP
+    key &= ~low
+    key |= np.arange(size)
+    key.sort()
+    high = key >> b
+    tie = high[1:] == high[:-1]
+    key &= low
+    if tie.any():
+        # entries i and i + 1 of each tie, without np.union1d, whose first
+        # call in a process imports numpy.ma
+        at = np.zeros(size, dtype=bool)
+        at[1:] = tie
+        at[:-1] |= tie
+        at = np.flatnonzero(at)
+        idx = key[at]
+        key[at] = idx[np.lexsort((idx, x[idx]))]
+    return key
 
 
 class Candidates:
@@ -114,9 +164,7 @@ def nearest_point(y, candidates, gamma):
     smallest index, the lexicographically smallest candidate in canonical
     order.  The picks are those of an argmin over every squared distance.
     """
-    if not (isinstance(gamma, numbers.Real) and not isinstance(gamma, bool)
-            and math.isfinite(gamma) and gamma > 0):
-        raise ParameterError(f"gamma must be a finite real > 0, got {gamma!r}")
+    require_positive_real(gamma, "gamma")
     y = np.asarray(y, dtype=np.complex128)
     n = len(candidates)
     yr, yi = y.real, y.imag

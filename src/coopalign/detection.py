@@ -4,7 +4,6 @@ small reduced instances of the lattice combinations."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import product
 
@@ -111,8 +110,8 @@ def reduced_error_sweep(spec: ReducedSpec, h, P_grid, trials, rng_seed,
     detects each sample by exhaustive nearest-point search over the
     candidates scaled by gamma, and counts whole-table mismatches.  Streams
     are split per power level from one root seed.  `trials` must be an int
-    >= 1, every P finite and > 0, `rng_seed` an int in [0, 2^64) (the
-    config's rule), `noisy` a bool, and h 3x3.
+    >= 1, every P a real (not a bool), finite and > 0, `rng_seed` an int in
+    [0, 2^64) (the config's rule), `noisy` a bool, and h 3x3.
     """
     h = gain_matrix(h)
     if type(trials) is not int or trials < 1:
@@ -123,9 +122,7 @@ def reduced_error_sweep(spec: ReducedSpec, h, P_grid, trials, rng_seed,
         raise ParameterError(f"noisy must be a bool, got {noisy!r}")
     P_grid = list(P_grid)
     for P in P_grid:
-        if not (isinstance(P, numbers.Real) and math.isfinite(P) and P > 0):
-            raise ParameterError(f"every P in P_grid must be finite and > 0, "
-                                 f"got {P!r}")
+        _kernels.require_positive_real(P, "every P in P_grid")
     cands = candidate_tables(spec)
     carriers = reduced_carriers(spec, h)
     # the unit-scale receive points, sorted once for every power point, and

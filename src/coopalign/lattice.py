@@ -174,26 +174,6 @@ def _powers(h, upper):
     return [g ** exps for g in h.ravel()]
 
 
-COLUMN_MIN = 256
-
-
-def _outer_chain(out, powers):
-    """np.multiply.outer(out, p) for each p in turn, to the bit.  Once out
-    holds at least COLUMN_MIN entries, each column out * p[j] is one long
-    np.multiply with the operands in the same order; a shorter out keeps
-    the outer product, because a 1-entry array times a numpy scalar rounds
-    through another numpy loop."""
-    for p in powers:
-        if out.size < COLUMN_MIN:
-            out = np.multiply.outer(out, p)
-            continue
-        nxt = np.empty(out.shape + p.shape, dtype=out.dtype)
-        for j, pj in enumerate(p):
-            np.multiply(out, pj, out=nxt[..., j])
-        out = nxt
-    return out
-
-
 # the most carriers, (N+1)^9, that rx-coop and tx-coop run on: N = 5.  A
 # random-channel trial peaks at 73 MiB RSS at N = 4 and 220 MiB at N = 5,
 # about 19 B more per carrier, most of it the screen's 16-B carrier table,
@@ -202,9 +182,22 @@ MAX_CARRIERS = 6 ** 9
 
 
 def monomial_table(h, upper) -> np.ndarray:
-    """All carrier values on the cube {1..upper}^9 as a dense array."""
-    p = _powers(h, upper)
-    return _outer_chain(p[0], p[1:])
+    """All carrier values on the cube {1..upper}^9 as a dense array.
+
+    Each gain's powers p extend the running product out by one axis, one
+    column at a time: column j is out times p[j], one np.multiply of the
+    (..., 1) view of out by the 1-entry array p[j:j + 1].  That operand
+    shape gives the bits of np.multiply.outer(out, p) at every size, with
+    and without numpy's AVX2 loops; a numpy scalar p[j], or a 1-entry out
+    times p[j:j + 1] written to a 1-D column, rounds through another loop.
+    """
+    out, *rest = _powers(h, upper)
+    for p in rest:
+        nxt = np.empty(out.shape + p.shape, dtype=out.dtype)
+        for j in range(len(p)):
+            np.multiply(out[..., None], p[j:j + 1], out=nxt[..., j:j + 1])
+        out = nxt
+    return out
 
 
 def carrier_sums(h, cubes) -> np.ndarray:
@@ -437,46 +430,6 @@ def _pair_tol(half_a, half_b, scale=GENERIC_TOL):
     np.maximum(tol, 1e-300, out=tol)
     tol *= scale
     return tol
-
-
-_SIGN_FLIP = np.int64(0x7FFF_FFFF_FFFF_FFFF)
-
-
-def _stable_order(x):
-    """np.argsort(x, kind="stable") for a finite float64 array x, from one
-    in-place sort of int64 keys.
-
-    A key is the float's bits, mapped so that signed integer order is float
-    order, with its low b bits, as many as an index needs, replaced by the
-    entry's index.  -0.0 is first made +0.0, which float order treats as
-    equal to it.  Keys with different high bits are then in float order,
-    and keys of equal floats in index order.  Only floats that differ in
-    their low b bits alone can end up out of order; they share their high
-    bits with a sorted neighbour, and one lexsort by (value, index) over
-    all such entries puts them back: the high bits already order one run
-    of equal high bits against another.
-    """
-    size = len(x)
-    b = (size - 1).bit_length()
-    low = (1 << b) - 1
-    key = (x + 0.0).view(np.int64)
-    key ^= (key >> 63) & _SIGN_FLIP
-    key &= ~low
-    key |= np.arange(size)
-    key.sort()
-    high = key >> b
-    tie = high[1:] == high[:-1]
-    key &= low
-    if tie.any():
-        # entries i and i + 1 of each tie, without np.union1d, whose first
-        # call in a process imports numpy.ma
-        at = np.zeros(size, dtype=bool)
-        at[1:] = tie
-        at[:-1] |= tie
-        at = np.flatnonzero(at)
-        idx = key[at]
-        key[at] = idx[np.lexsort((idx, x[idx]))]
-    return key
 
 
 def require_generic(h, n):

@@ -70,12 +70,14 @@ def optimal_tradeoff(alpha) -> float:
 
 
 def _bound_args(H, P):
-    """The 3x3 gains and the powers; raises ParameterError on any other
-    gain shape or on a power that is not positive."""
+    """The 3x3 gains and the powers as floats: the one intake of the two
+    bounds and of the tdma, centralized and illustrating-example reports.
+    Raises ParameterError on any other gain shape or on a power that is not
+    finite and > 0."""
     h = gain_matrix(H)
     P = np.asarray(P, dtype=float)
-    if not np.all(P > 0):
-        raise ParameterError(f"P must be positive, got {P}")
+    if not (np.isfinite(P).all() and (P > 0).all()):
+        raise ParameterError(f"P must be finite and > 0, got {P}")
     return h, P
 
 
@@ -146,9 +148,14 @@ def lemma1_check(K, n, P_vec=None, trials=100, rng_seed=0) -> Lemma1Report:
     and the covariance is estimated over an inner sample.  With empirical
     powers the inequality is a deterministic consequence of AM-GM and
     Cauchy-Schwarz, so any failure beyond the slack indicates a bug.
+    K, n and trials must be ints >= 1 and rng_seed an int in [0, 2^64) (the
+    config's rule); anything else raises ParameterError.
     """
-    if K < 1 or n < 1 or trials < 1:
-        raise ParameterError("K, n and trials must all be positive")
+    for name, v in (("K", K), ("n", n), ("trials", trials)):
+        if type(v) is not int or v < 1:
+            raise ParameterError(f"{name} must be an int >= 1, got {v!r}")
+    if not (type(rng_seed) is int and 0 <= rng_seed < 2 ** 64):
+        raise ParameterError(f"rng_seed must be a 64-bit value, got {rng_seed!r}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed))
     failures = 0
     max_ratio = -np.inf
@@ -228,8 +235,8 @@ def illustrating_example(gamma, h, P_grid) -> RateReport:
     each message is priced at the log-cardinality of a unit-distortion
     quantizer, log2(1 + signal variance).
     """
+    h, P = _bound_args(h, P_grid)
     h, c = decode_coefficients(gamma, h)
-    P = np.asarray(P_grid, dtype=float)
     # noise at each decoder: own receiver noise + forwarded noise + one unit
     # of quantization noise
     noise = (2.0 + abs(h[0, 2] / h[1, 2]) ** 2, abs(gamma) ** 2 + 2.0,
@@ -280,8 +287,7 @@ def centralized_report(h, P_grid) -> RateReport:
     ships each decoded message back.  Gains other than 3x3 raise
     ParameterError, and a channel that channel_inverse does not certify
     raises SingularChannelError."""
-    h = gain_matrix(h)
-    P_grid = np.asarray(P_grid, dtype=float)
+    h, P_grid = _bound_args(h, P_grid)
     hinv = channel_inverse(h)
     # after inversion: unit receiver noise plus unit quantization noise on
     # the two forwarded observations; |.| from the parts, here and in

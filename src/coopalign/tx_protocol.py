@@ -26,14 +26,12 @@ that cancellation.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import require_positive_real
 from .backhaul import BackhaulLedger, NodeState, Step, run_round
-from .errors import ParameterError
 from .indices import COORD_NAMES
 from .lattice import (carrier_sums, channel_inverse, gain_matrix, gains_times,
                       stream_params)
@@ -140,11 +138,10 @@ def verify_diagonalization(all_streams, built, h, P) -> DiagonalizationCheck:
     raises GenericityError.  Magnitudes come from the real and imaginary
     parts (np.hypot, re * re + im * im), because numpy's complex abs moves
     its last bit with the SIMD level.  Gains other than 3x3, or a P that is
-    not a finite real > 0, raise ParameterError.
+    not a real (not a bool), finite and > 0, raise ParameterError.
     """
     h = gain_matrix(h)
-    if not (isinstance(P, numbers.Real) and math.isfinite(P) and P > 0):
-        raise ParameterError(f"P must be finite and > 0, got {P!r}")
+    require_positive_real(P, "P")
     hinv = channel_inverse(h)
     raw = carrier_sums(hinv, built)
     # scale the realised samples to average power P

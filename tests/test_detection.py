@@ -139,6 +139,14 @@ def test_sweep_rejects_bad_inputs_before_building_candidates(monkeypatch, kwargs
                             noisy=args["noisy"])
 
 
+@pytest.mark.parametrize("P", [True, False])
+def test_sweep_refuses_a_bool_power(P):
+    # [True] gave rate [1.]: the same rule as nearest_point's gamma
+    with pytest.raises(ParameterError, match="not a bool"):
+        reduced_error_sweep(TestReduced.SPEC, random_gains(np.random.default_rng(0)),
+                            [P], 4, 0)
+
+
 @pytest.mark.parametrize("rng_seed", [0, 2 ** 64 - 1])
 def test_sweep_takes_every_64_bit_seed(rng_seed):
     rates = reduced_error_sweep(TestReduced.SPEC, random_gains(np.random.default_rng(0)),

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import brute_nearest_point, oracle_nearest_point
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coopalign import _kernels
 from coopalign.errors import ParameterError
+from coopalign.lattice import monomial_table, random_gains
 
 
 def _search(y, points):
@@ -299,3 +305,61 @@ def test_pick_is_smallest_index_among_exact_minima(inst):
         want.append(d.index(min(d)))
     assert list(_search(y, points)) == want
     assert list(brute_nearest_point(y, points)) == want
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                -1e-310, 1e308, -1e308, 1.0, -1.0]
+
+
+@st.composite
+def _sort_inputs(draw):
+    """Finite floats with repeats, signed zeros, subnormals, +-1e308 and
+    one-ulp neighbours, whose keys share all but their lowest bits."""
+    k = draw(st.integers(0, 7))
+    size = draw(st.sampled_from([1, 2, 1 << k, (1 << k) + 1])
+                | st.integers(1, 200))
+    base = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                         | st.sampled_from(_EDGE_FLOATS),
+                         min_size=1, max_size=8))
+    big = np.finfo(np.float64).max
+    pool = base + [np.nextafter(v, t) for v in base for t in (-big, big)]
+    return np.array(draw(st.lists(st.sampled_from(pool),
+                                  min_size=size, max_size=size)))
+
+
+class TestStableOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(_sort_inputs())
+    # +0.0 before -0.0 in index order
+    @example(np.array([0.0, -0.0, 0.0, -1.0]))
+    # 1.0 and its upper neighbour share their high bits, which the index
+    # bits would put in the wrong order
+    @example(np.array([np.nextafter(1.0, 2.0), 1.0, 1.0]))
+    def test_matches_stable_argsort(self, x):
+        got = _kernels._stable_order(x)
+        np.testing.assert_array_equal(got, np.argsort(x, kind="stable"))
+
+    def test_carriers_of_random_channels(self):
+        rng = np.random.default_rng(611)
+        for n in (1, 2, 3):
+            x = monomial_table(random_gains(rng), n + 1).ravel().real
+            np.testing.assert_array_equal(_kernels._stable_order(x),
+                                          np.argsort(x, kind="stable"))
+
+    def test_tie_step_does_not_import_numpy_ma(self):
+        # np.union1d's first call in a process imports numpy.ma, about 18 ms
+        # on the candidate parts whose keys share their high bits
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from coopalign import _kernels\n"
+            "x = np.random.default_rng(3).integers(0, 4, 64) / 2.0\n"
+            "got = _kernels._stable_order(x)\n"
+            "assert (got == np.argsort(x, kind='stable')).all()\n"
+            "print('numpy.ma' in sys.modules)\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(_kernels.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"

@@ -1,15 +1,9 @@
 import contextlib
 import itertools
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from conftest import (dense_cube_sum, narrowest_cube_dtype,
                       oracle_channel_is_generic, oracle_monomial,
@@ -128,14 +122,16 @@ class TestMonomials:
 
     @pytest.mark.parametrize("u", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("kind", ["random", "real", "imaginary", "tiny",
-                                      "huge"])
+                                      "huge", "inverse"])
     def test_table_bytes_equal_outer_chain(self, u, kind):
-        # the column fill of the long products, and the outer products below
-        # it, give the bits of one np.multiply.outer per gain; the tiny gains'
-        # carriers underflow to zero, the huge ones' overflow
+        # the one column loop, each column a (..., 1) by (1,) np.multiply,
+        # gives the bits of one np.multiply.outer per gain at every depth,
+        # u = 1 included; the tiny gains' carriers underflow to zero, the
+        # huge ones' overflow, and the inverse is the gains tx-coop screens
         h = random_gains(np.random.default_rng(610 + u))
         h = {"random": h, "real": h.real + 0j, "imaginary": 1j * h.imag,
-             "tiny": h * 1e-40, "huge": h * 1e40}[kind]
+             "tiny": h * 1e-40, "huge": h * 1e40,
+             "inverse": np.linalg.inv(h)}[kind]
         quiet = (np.errstate(over="ignore", invalid="ignore")
                  if kind == "huge" else contextlib.nullcontext())
         with quiet:
@@ -492,64 +488,6 @@ class TestScreenSearch:
         h[1, 0] *= 2.0 ** -29
         assert channel_is_generic(h, 3) is True
         assert channel_is_generic(h, 4) is False
-
-
-_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
-                -1e-310, 1e308, -1e308, 1.0, -1.0]
-
-
-@st.composite
-def _sort_inputs(draw):
-    """Finite floats with repeats, signed zeros, subnormals, +-1e308 and
-    one-ulp neighbours, whose keys share all but their lowest bits."""
-    k = draw(st.integers(0, 7))
-    size = draw(st.sampled_from([1, 2, 1 << k, (1 << k) + 1])
-                | st.integers(1, 200))
-    base = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False)
-                         | st.sampled_from(_EDGE_FLOATS),
-                         min_size=1, max_size=8))
-    big = np.finfo(np.float64).max
-    pool = base + [np.nextafter(v, t) for v in base for t in (-big, big)]
-    return np.array(draw(st.lists(st.sampled_from(pool),
-                                  min_size=size, max_size=size)))
-
-
-class TestStableOrder:
-    @settings(max_examples=200, deadline=None)
-    @given(_sort_inputs())
-    # +0.0 before -0.0 in index order
-    @example(np.array([0.0, -0.0, 0.0, -1.0]))
-    # 1.0 and its upper neighbour share their high bits, which the index
-    # bits would put in the wrong order
-    @example(np.array([np.nextafter(1.0, 2.0), 1.0, 1.0]))
-    def test_matches_stable_argsort(self, x):
-        got = lattice._stable_order(x)
-        np.testing.assert_array_equal(got, np.argsort(x, kind="stable"))
-
-    def test_carriers_of_random_channels(self):
-        rng = np.random.default_rng(611)
-        for n in (1, 2, 3):
-            x = monomial_table(random_gains(rng), n + 1).ravel().real
-            np.testing.assert_array_equal(lattice._stable_order(x),
-                                          np.argsort(x, kind="stable"))
-
-    def test_tie_step_does_not_import_numpy_ma(self):
-        # np.union1d's first call in a process imports numpy.ma, about 18 ms
-        # on the channels whose carrier keys share their high bits
-        code = (
-            "import sys\n"
-            "import numpy as np\n"
-            "from coopalign import lattice\n"
-            "x = np.random.default_rng(3).integers(0, 4, 64) / 2.0\n"
-            "got = lattice._stable_order(x)\n"
-            "assert (got == np.argsort(x, kind='stable')).all()\n"
-            "print('numpy.ma' in sys.modules)\n")
-        env = dict(os.environ,
-                   PYTHONPATH=str(Path(lattice.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
 
 
 class TestObservations:

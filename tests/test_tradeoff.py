@@ -192,6 +192,24 @@ class TestRateReport:
                        rb_bar=np.zeros(4))
 
 
+@pytest.mark.parametrize("P", [-1e3, np.inf, np.nan],
+                         ids=["negative", "inf", "nan"])
+@pytest.mark.parametrize("call", [
+    lambda h, P: rx_sum_upper_bound(h, P, 0.0),
+    lambda h, P: tx_sum_upper_bound(h, P, 0.0),
+    tdma_report,
+    centralized_report,
+    lambda h, P: illustrating_example(1.5, h, P),
+], ids=["rx-bound", "tx-bound", "tdma", "centralized", "illustrating"])
+def test_one_power_intake(call, P):
+    # negative P gave nan rates and a log2 warning from centralized and the
+    # example, and inf gave inf rates from every report; one bad point ends
+    # an otherwise good grid
+    h = random_gains(np.random.default_rng(5))
+    with pytest.raises(ParameterError, match="P must be finite and > 0"):
+        call(h, np.array([1e2, 1e3, 1e4, P]))
+
+
 class TestBounds:
     def test_rx_closed_form_all_ones(self):
         h = np.ones((3, 3))
@@ -326,6 +344,19 @@ class TestLemma1:
     def test_validation(self):
         with pytest.raises(ParameterError):
             lemma1_check(K=0, n=1)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"K": 1.5}, {"K": True}, {"n": 0}, {"n": 2.0}, {"trials": 0},
+        {"trials": "3"},
+        # the config's rule for a seed: a plain int in [0, 2^64)
+        {"rng_seed": -1}, {"rng_seed": 2 ** 64}, {"rng_seed": 1.5},
+        {"rng_seed": None}, {"rng_seed": np.int64(3)}])
+    def test_arguments_refused_with_parameter_error(self, kwargs):
+        # K = 1.5 raised a bare TypeError, rng_seed = -1 a bare ValueError,
+        # and rng_seed = None ran on fresh entropy
+        args = {"K": 2, "n": 2, "trials": 5, "rng_seed": 0, **kwargs}
+        with pytest.raises(ParameterError, match=next(iter(kwargs))):
+            lemma1_check(**args)
 
 
 class TestIllustratingExample:

@@ -265,6 +265,16 @@ class TestDiagonalization:
         with pytest.raises(ParameterError, match="P must be finite and > 0"):
             verify_diagonalization(streams, built, h, P)
 
+    @pytest.mark.parametrize("P", [True, np.True_], ids=["True", "np.True_"])
+    def test_bool_power_refused(self, rng, P):
+        # True passed the Real check and gave a residual; the rule is the
+        # one nearest_point applies to gamma
+        streams = _streams(rng, 1)
+        h = make_generic_channel(rng, n=1)
+        built = run_tx_backhaul(streams).built
+        with pytest.raises(ParameterError, match="not a bool"):
+            verify_diagonalization(streams, built, h, P)
+
     def test_bounded_memory_at_depth_4(self, rng):
         # the dense carrier table and each carrier product were 31 MB at
         # N = 4; the nested sums hold a few (5^7,) planes.  With the cyclic

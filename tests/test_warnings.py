@@ -7,9 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
-PROPERTY_TESTS = '''
+# one child session runs all three probes, as the interpreter and its numpy
+# and hypothesis imports are most of its time
+PROBE_TESTS = '''
+import warnings
+
 from hypothesis import given, settings, strategies as st
 
 
@@ -23,10 +29,6 @@ def test_fails(x):
 @given(st.integers())
 def test_passes(x):
     assert x == x
-'''
-
-WARNING_TEST = '''
-import warnings
 
 
 def test_warns():
@@ -34,11 +36,13 @@ def test_warns():
 '''
 
 
-def _pytest(tmp_path, source):
-    """Run pytest, with this suite's settings and conftest, on one test file
-    holding ``source``; returns its output."""
+@pytest.fixture(scope="module")
+def out(tmp_path_factory):
+    """The output of pytest, with this suite's settings and conftest, on one
+    test file holding the probes."""
+    tmp_path = tmp_path_factory.mktemp("probe")
     path = tmp_path / "test_probe.py"
-    path.write_text(source)
+    path.write_text(PROBE_TESTS)
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join((str(ROOT / "src"), str(ROOT / "tests"))))
     proc = subprocess.run(
@@ -49,12 +53,13 @@ def _pytest(tmp_path, source):
     return proc.stdout + proc.stderr
 
 
-def test_failing_property_test_leaves_the_session_running(tmp_path):
-    out = _pytest(tmp_path, PROPERTY_TESTS)
+def test_failing_property_test_leaves_the_session_running(out):
     assert "INTERNALERROR" not in out
-    assert "1 failed, 1 passed" in out, out
+    assert "2 failed, 1 passed" in out, out
+    assert "FAILED test_probe.py::test_fails" in out, out
+    assert "FAILED test_probe.py::test_passes" not in out, out
 
 
-def test_warning_still_fails_its_test(tmp_path):
-    out = _pytest(tmp_path, WARNING_TEST)
-    assert "1 failed" in out and "DeprecationWarning" in out, out
+def test_warning_still_fails_its_test(out):
+    assert "FAILED test_probe.py::test_warns" in out, out
+    assert "DeprecationWarning" in out, out
