@@ -47,12 +47,9 @@ Why the search is exact, on either axis:
 
 from __future__ import annotations
 
-import math
-import numbers
-
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_positive_real
 
 # no accelerated kernel exists; pipebench/run.py's environment() still reads
 # both names without a default, so they go when it stops reading them
@@ -61,16 +58,6 @@ HAVE_NUMBA = USE_NUMBA = False
 _NEIGHBOURS = 32      # neighbours on each side, in each order, that set d0
 _PAIRS = 1 << 18      # observation-candidate pairs per evaluated block
 _AXES = ("real", "imaginary")
-
-
-def require_positive_real(value, name):
-    """Raise ParameterError unless value is a real number, not a bool,
-    finite and > 0: the rule for gamma here and for the powers that the
-    detection sweep and the diagonalization check take."""
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value) and value > 0):
-        raise ParameterError(f"{name} must be finite and > 0 (a real, not a "
-                             f"bool), got {value!r}")
 
 
 def _sq_dist(yr, yi, pr, pi):

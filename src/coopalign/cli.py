@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .detection import reduced_error_sweep
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, require_count
 from .harness import (ExperimentConfig, config_from_dict, load_config,
                       run_experiment, run_trial)
 from .lattice import random_gains
@@ -66,8 +66,7 @@ def _load(args) -> ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    require_count(**{"--jobs": args.jobs})
     cfg = _load(args)
     manifest = run_experiment(cfg, jobs=args.jobs)
     print(f"wrote {Path(cfg.output_dir) / 'results.csv'} "

@@ -10,7 +10,8 @@ from itertools import product
 import numpy as np
 
 from . import _kernels
-from .errors import MLBudgetError, ParameterError
+from .errors import (MLBudgetError, ParameterError, require_count,
+                     require_positive_real, require_seed)
 from .indices import COORD_NAMES
 from .lattice import complex_awgn, gain_matrix
 
@@ -40,12 +41,7 @@ class ReducedSpec:
             raise ParameterError(f"bad active coordinate set: {self.active_coords}")
         if len(set(coords)) != len(coords):
             raise ParameterError("duplicate active coordinates")
-        for name in ("n_red", "q_red", "ml_budget"):
-            v = getattr(self, name)
-            if type(v) is not int:
-                raise ParameterError(f"{name} must be an integer, got {v!r}")
-        if self.n_red < 1 or self.q_red < 1:
-            raise ParameterError("n_red and q_red must be >= 1")
+        require_count(n_red=self.n_red, q_red=self.q_red, ml_budget=self.ml_budget)
         object.__setattr__(self, "active_coords", coords)
         # with at least 7 symbols a table longer than ml_budget.bit_length()
         # is over budget, so the count is computed only for short tables
@@ -109,20 +105,17 @@ def reduced_error_sweep(spec: ReducedSpec, h, P_grid, trials, rng_seed,
     power-matched scale gamma (with unit complex noise when `noisy`),
     detects each sample by exhaustive nearest-point search over the
     candidates scaled by gamma, and counts whole-table mismatches.  Streams
-    are split per power level from one root seed.  `trials` must be an int
-    >= 1, every P a real (not a bool), finite and > 0, `rng_seed` an int in
-    [0, 2^64) (the config's rule), `noisy` a bool, and h 3x3.
+    are split per power level from one root seed.  `trials` is a count,
+    `rng_seed` a seed, every P a positive real, `noisy` a bool and h 3x3.
     """
     h = gain_matrix(h)
-    if type(trials) is not int or trials < 1:
-        raise ParameterError(f"trials must be an int >= 1, got {trials!r}")
-    if not (type(rng_seed) is int and 0 <= rng_seed < 2 ** 64):
-        raise ParameterError(f"rng_seed must be a 64-bit value, got {rng_seed!r}")
+    require_count(trials=trials)
+    require_seed(rng_seed)
     if type(noisy) is not bool:
         raise ParameterError(f"noisy must be a bool, got {noisy!r}")
     P_grid = list(P_grid)
     for P in P_grid:
-        _kernels.require_positive_real(P, "every P in P_grid")
+        require_positive_real(P, "every P in P_grid")
     cands = candidate_tables(spec)
     carriers = reduced_carriers(spec, h)
     # the unit-scale receive points, sorted once for every power point, and

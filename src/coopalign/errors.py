@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types and the input rules that raise them."""
+
+import numbers
+import sys
+
+import numpy as np
 
 
 class CoopAlignError(Exception):
@@ -42,3 +47,54 @@ class ProtocolError(CoopAlignError):
 
 class ConfigError(CoopAlignError):
     """Experiment configuration failed validation."""
+
+
+def require_count(**counts):
+    for name, value in counts.items():
+        if not (type(value) is int and value >= 1):
+            raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+
+
+def require_seed(value):
+    if not (type(value) is int and 0 <= value < 2 ** 64):
+        raise ParameterError(f"rng_seed must be a 64-bit value, got {value!r}")
+
+
+def is_finite_real(x) -> bool:
+    """A real, not a bool, in float range; unlike math.isfinite, never overflows."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) \
+        and abs(x) <= sys.float_info.max
+
+
+def require_positive_real(value, name):
+    if not (is_finite_real(value) and value > 0):
+        raise ParameterError(f"{name} must be finite and > 0 (a real, not a "
+                             f"bool), got {value!r}")
+
+
+def require_gamma(gamma):
+    if not (isinstance(gamma, numbers.Complex) and not isinstance(gamma, bool)
+            and is_finite_real(gamma.real) and is_finite_real(gamma.imag)
+            and gamma != 0):
+        raise ParameterError(f"gamma must be a nonzero finite number, got {gamma!r}")
+
+
+def require_powers(values, name, zero=False) -> np.ndarray:
+    """values as floats, each finite and > 0 (>= 0 with zero), or ParameterError."""
+    try:
+        P = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        P = np.array(np.nan)
+    if not (np.isfinite(P).all() and (P >= 0 if zero else P > 0).all()):
+        raise ParameterError(f"{name} must be finite and >{'=' * zero} 0, "
+                             f"got {values!r}")
+    return P
+
+
+def require_power_grid(values, name="P_grid") -> np.ndarray:
+    P = require_powers(values, name)
+    if P.ndim != 1 or P.size < 4:
+        raise ParameterError(f"{name} needs at least 4 points, got shape {P.shape}")
+    if not (np.diff(P) > 0).all():
+        raise ParameterError(f"{name} must be strictly increasing, got {values!r}")
+    return P

@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -28,7 +27,9 @@ from . import __version__
 from .backhaul import payload_digest
 from .detection import ReducedSpec
 from .errors import (ConfigError, CoopAlignError, GenericityError,
-                     ProtocolError, SingularChannelError)
+                     ParameterError, ProtocolError, SingularChannelError,
+                     is_finite_real, require_count, require_gamma,
+                     require_power_grid, require_powers, require_seed)
 from .lattice import (GENERIC_TOL, MAX_CARRIERS, SubstreamTable,
                       channel_inverse, illustrating_gains, q_limit,
                       random_gains, require_generic)
@@ -45,10 +46,9 @@ CSV_COLUMNS = ("trial", "P", "scheme", "alpha", "dof", "load_bits",
                "rate_bits", "detail")
 
 
-def _is_finite(x) -> bool:
-    """An int or float, not a bool, that converts to a finite float."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) \
-        and abs(x) <= sys.float_info.max
+def _json_number(x) -> bool:
+    """A finite number of a type a config file holds: an int or a float."""
+    return isinstance(x, (int, float)) and is_finite_real(x)
 
 
 def _fmt(x) -> str:
@@ -82,8 +82,15 @@ class ExperimentConfig:
         object.__setattr__(self, "fixed_channel", _tuplify(self.fixed_channel))
         if self.scheme not in SCHEMES:
             raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if not (type(self.N) is int and self.N >= 1):
-            raise ConfigError(f"N must be a positive integer, got {self.N!r}")
+        try:
+            require_count(N=self.N, trials=self.trials, q=self.q)
+            require_seed(self.rng_seed)
+            require_gamma(self.gamma)
+            if require_power_grid(self.P_grid)[0] <= 1:
+                raise ConfigError(f"P_grid values must be > 1, got {self.P_grid}")
+            require_powers(self.alpha_grid, "alpha_grid", zero=True)
+        except ParameterError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.scheme in ("rx-coop", "tx-coop") \
                 and (self.N + 1) ** 9 > MAX_CARRIERS:
             n_max = round(MAX_CARRIERS ** (1 / 9)) - 1
@@ -91,27 +98,14 @@ class ExperimentConfig:
                 f"N = {self.N} is too large for {self.scheme}: its (N+1)^9 "
                 f"carriers exceed {MAX_CARRIERS}; the largest admitted N is "
                 f"{n_max}")
-        if not (_is_finite(self.eps) and 0 < self.eps < 1):
+        if not (_json_number(self.eps) and 0 < self.eps < 1):
             raise ConfigError(f"eps must be a number in (0, 1), got {self.eps!r}")
-        P = self.P_grid
-        if len(P) < 4:
-            raise ConfigError(f"P_grid needs at least 4 points, got {len(P)}")
-        if min(P) <= 1:
-            raise ConfigError(f"P_grid values must be finite and > 1, got {P}")
-        if any(a >= b for a, b in zip(P, P[1:])):
-            raise ConfigError("P_grid must be strictly increasing")
-        if not (type(self.trials) is int and self.trials >= 1):
-            raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
-        if not (type(self.rng_seed) is int and 0 <= self.rng_seed < 2 ** 64):
-            raise ConfigError(f"rng_seed must be a 64-bit value, got {self.rng_seed!r}")
         if self.channel_mode not in ("random-generic", "fixed"):
             raise ConfigError(f"unknown channel_mode {self.channel_mode!r}")
         if (self.fixed_channel is None) == (self.channel_mode == "fixed"):
             raise ConfigError("fixed_channel is required with channel_mode "
                               f"'fixed' and read only then, got channel_mode "
                               f"{self.channel_mode!r}")
-        if self.gamma == 0:
-            raise ConfigError("gamma must be nonzero")
         if self.fixed_channel is not None:
             h = _fixed_gains(self.fixed_channel)
             if self.scheme in ("rx-coop", "tx-coop"):
@@ -127,14 +121,11 @@ class ExperimentConfig:
                 _require_nonvanishing("inverse gain", hinv)
         # no exchange sum may wrap, even in the widest cube type
         q_max = q_limit(self.N, np.int64)
-        if not (type(self.q) is int and 1 <= self.q <= q_max):
+        if self.q > q_max:
             raise ConfigError(f"q must be an integer in [1, {q_max}] at "
                               f"N = {self.N}, got {self.q!r}")
         if not self.alpha_grid:
             raise ConfigError("alpha_grid needs at least one value")
-        if min(self.alpha_grid) < 0:
-            raise ConfigError(
-                f"alpha_grid values must be finite and >= 0, got {self.alpha_grid}")
         if not isinstance(self.reduced_spec, (ReducedSpec, type(None))):
             # ** refuses anything but a mapping
             try:
@@ -166,7 +157,7 @@ def _tuplify(x):
 def _fixed_gains(fixed_channel) -> np.ndarray:
     """3x3 complex gains from nested finite [re, im] pairs."""
     a = np.array(fixed_channel, dtype=object)
-    if not (a.shape == (3, 3, 2) and all(map(_is_finite, a.flat))):
+    if not (a.shape == (3, 3, 2) and all(map(_json_number, a.flat))):
         raise ConfigError("fixed_channel must be 3x3 finite [re, im] pairs, "
                           f"got {fixed_channel!r}")
     return np.ascontiguousarray(a, dtype=float).view(np.complex128)[..., 0]
@@ -184,7 +175,7 @@ def _require_nonvanishing(what, g):
 
 
 def _numbers(field_name, values) -> tuple:
-    if not (isinstance(values, (list, tuple)) and all(map(_is_finite, values))):
+    if not (isinstance(values, (list, tuple)) and all(map(_json_number, values))):
         raise ConfigError(
             f"{field_name} must be a list of finite numbers, got {values!r}")
     return tuple(float(v) for v in values)
@@ -194,7 +185,7 @@ def _gamma(g) -> complex:
     if isinstance(g, complex):
         g = (g.real, g.imag)
     parts = g if isinstance(g, (list, tuple)) else (g, 0)
-    if not (len(parts) == 2 and all(map(_is_finite, parts))):
+    if not (len(parts) == 2 and all(map(_json_number, parts))):
         raise ConfigError(f"gamma must be a number or an [re, im] pair, got {g!r}")
     return complex(*parts)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (GenericityError, ParameterError, SingularChannelError,
-                     SymbolRangeError)
+                     SymbolRangeError, require_count)
 from .indices import AXIS, window
 
 # ============================================================
@@ -140,10 +140,7 @@ class SubstreamTable:
         if self.owner not in (1, 2, 3):
             raise ParameterError(f"owner must be 1, 2 or 3, got {self.owner}")
         # a float or bool q would be priced and traced at different widths
-        for name in ("n", "q"):
-            x = getattr(self, name)
-            if not (type(x) is int and x >= 1):
-                raise ParameterError(f"{name} must be a positive integer, got {x!r}")
+        require_count(n=self.n, q=self.q)
         v = np.asarray(self.values)
         if v.dtype.kind not in "iu":
             raise ParameterError(f"symbols must be integers, got {v.dtype}")
@@ -341,12 +338,10 @@ def channel_is_generic(h, n):
     the rule on the carriers, and a d found only through the slack passes.
     A pass's close pairs are confirmed before the next pass, and the screen
     returns at the first collision, so no pass holds more than one pair per
-    a.  Gains other than 3x3, or a depth n that is not a positive int,
-    raise ParameterError.
+    a.  Gains other than 3x3, or a depth n that is not a count, raise ParameterError.
     """
     h = gain_matrix(h)
-    if not (type(n) is int and n >= 1):
-        raise ParameterError(f"n must be a positive integer, got {n!r}")
+    require_count(n=n)
     mags = np.abs(h).ravel()
     if mags.min() <= GENERIC_TOL:
         return False

@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GenericityError, ParameterError
+from .errors import (GenericityError, ParameterError, require_count,
+                     require_gamma, require_power_grid, require_powers,
+                     require_seed)
 from .lattice import (channel_inverse, complex_awgn, gain_matrix,
                       illustrating_gains)
 
@@ -45,12 +47,7 @@ class RateReport:
     rb_bar: np.ndarray            # shape (len(P_grid),)
 
     def __post_init__(self):
-        P = np.asarray(self.P_grid, dtype=float)
-        if P.size < 4:
-            raise ParameterError("power grid needs at least 4 points")
-        if not np.all(np.diff(P) > 0):
-            raise ParameterError("power grid must be strictly increasing")
-        self.P_grid = P
+        self.P_grid = P = require_power_grid(self.P_grid)
         self.rates = np.asarray(self.rates, dtype=float)
         if self.rates.shape != (P.size, 3):
             raise ParameterError(f"rates must be {P.size}x3, got {self.rates.shape}")
@@ -69,24 +66,12 @@ def optimal_tradeoff(alpha) -> float:
 # ============================================================
 
 
-def _bound_args(H, P):
-    """The 3x3 gains and the powers as floats: the one intake of the two
-    bounds and of the tdma, centralized and illustrating-example reports.
-    Raises ParameterError on any other gain shape or on a power that is not
-    finite and > 0."""
-    h = gain_matrix(H)
-    P = np.asarray(P, dtype=float)
-    if not (np.isfinite(P).all() and (P > 0).all()):
-        raise ParameterError(f"P must be finite and > 0, got {P}")
-    return h, P
-
-
 def rx_sum_upper_bound(H, P, Rb_bar):
     """Upper bound on twice the sum rate for receiver-side cooperation:
     sum over receivers l of log2(1 + P(|h_{l,l-1}|^2 + |h_{ll}|^2)), with
     transmitter 0 read as 3, plus 3 times the average backhaul load.  P may
     be an array, with Rb_bar of the same shape."""
-    h, P = _bound_args(H, P)
+    h, P = gain_matrix(H), require_powers(P, "P")
     # the gain powers come from the scalar abs and pow: np.abs of the
     # complex array, or an array ** 2 (a multiply), moves their last bit
     g = [abs(h[i, i - 1]) ** 2 + abs(h[i, i]) ** 2 for i in (1, 2, 0)]
@@ -100,7 +85,7 @@ def tx_sum_upper_bound(H, P, Rb_bar):
     sum over receivers of log2(1 + P * (sum_i |h_ki|)^2) plus 3 times the
     average backhaul load.  P may be an array, with Rb_bar of the same
     shape."""
-    h, P = _bound_args(H, P)
+    h, P = gain_matrix(H), require_powers(P, "P")
     row_mass = np.hypot(h.real, h.imag).sum(axis=1) ** 2    # sum_{i,j} |h_ki h_kj*|
     return np.log2(1.0 + P[..., None] * row_mass).sum(-1) + 3 * np.asarray(Rb_bar)
 
@@ -109,9 +94,7 @@ def normalized_bound_slope(bound_fn, H, alpha, P_grid) -> float:
     """Slope of a sum-rate bound with backhaul load alpha*log2(P), fitted
     over the top half of the grid and normalized by 6 log2(P), as the bound
     is on twice the sum of three rates; converges to (1+alpha)/2."""
-    P_grid = np.asarray(P_grid, dtype=float)
-    if P_grid.size < 4:
-        raise ParameterError("bound slope fit needs at least 4 grid points")
+    P_grid = require_power_grid(P_grid)
     vals = bound_fn(H, P_grid, alpha * np.log2(P_grid))
     return top_half_slope(P_grid, vals) / 6.0
 
@@ -148,23 +131,22 @@ def lemma1_check(K, n, P_vec=None, trials=100, rng_seed=0) -> Lemma1Report:
     and the covariance is estimated over an inner sample.  With empirical
     powers the inequality is a deterministic consequence of AM-GM and
     Cauchy-Schwarz, so any failure beyond the slack indicates a bug.
-    K, n and trials must be ints >= 1 and rng_seed an int in [0, 2^64) (the
-    config's rule); anything else raises ParameterError.
+    K, n and trials are counts, rng_seed a seed, and P_vec one power or K,
+    each finite and >= 0; anything else raises ParameterError.
     """
-    for name, v in (("K", K), ("n", n), ("trials", trials)):
-        if type(v) is not int or v < 1:
-            raise ParameterError(f"{name} must be an int >= 1, got {v!r}")
-    if not (type(rng_seed) is int and 0 <= rng_seed < 2 ** 64):
-        raise ParameterError(f"rng_seed must be a 64-bit value, got {rng_seed!r}")
+    require_count(K=K, n=n, trials=trials)
+    require_seed(rng_seed)
+    if P_vec is not None:
+        P_vec = require_powers(P_vec, "P_vec", zero=True)
+        if P_vec.ndim > 1 or P_vec.size not in (1, K):
+            raise ParameterError(f"P_vec must hold 1 or K = {K} powers, got {P_vec}")
+        P_vec = np.broadcast_to(P_vec, (K,))
     rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed))
     failures = 0
     max_ratio = -np.inf
     worst = {}
     for t in range(trials):
-        if P_vec is None:
-            powers = rng.uniform(0.1, 10.0, size=K)
-        else:
-            powers = np.broadcast_to(np.asarray(P_vec, dtype=float), (K,)).copy()
+        powers = rng.uniform(0.1, 10.0, size=K) if P_vec is None else P_vec
         shared = complex_awgn(rng, (n,))
         shared /= max(np.linalg.norm(shared), 1e-30)
         xs = []
@@ -208,10 +190,9 @@ def lemma1_check(K, n, P_vec=None, trials=100, rng_seed=0) -> Lemma1Report:
 
 def decode_coefficients(gamma, h):
     """The proportional gains of h and the coefficients c1, c2, c3 that the
-    decoders see after cancellation; raises ParameterError for gamma = 0 and
-    GenericityError when a gain or a coefficient vanishes."""
-    if gamma == 0:
-        raise ParameterError("gamma must be nonzero")
+    decoders see after cancellation; raises ParameterError for a bad gamma
+    and GenericityError when a gain or a coefficient vanishes."""
+    require_gamma(gamma)
     h = illustrating_gains(gamma, h)
     if np.abs(h).min() == 0:
         raise GenericityError("example needs all gains nonzero")
@@ -235,7 +216,7 @@ def illustrating_example(gamma, h, P_grid) -> RateReport:
     each message is priced at the log-cardinality of a unit-distortion
     quantizer, log2(1 + signal variance).
     """
-    h, P = _bound_args(h, P_grid)
+    h, P = gain_matrix(h), require_powers(P_grid, "P")
     h, c = decode_coefficients(gamma, h)
     # noise at each decoder: own receiver noise + forwarded noise + one unit
     # of quantization noise
@@ -270,7 +251,6 @@ def _budget_report(symbols_per_user, N, eps, P_grid, load_spans_cube):
     scheme converges to; a load that already ships one symbol per cube label
     (load_spans_cube) needs no rescaling.
     """
-    P_grid = np.asarray(P_grid, dtype=float)
     dims = (N + 1) ** 9
     u = (1.0 - eps) / (dims + 2.0 * eps)
     lift = dims / N ** 9
@@ -287,7 +267,7 @@ def centralized_report(h, P_grid) -> RateReport:
     ships each decoded message back.  Gains other than 3x3 raise
     ParameterError, and a channel that channel_inverse does not certify
     raises SingularChannelError."""
-    h, P_grid = _bound_args(h, P_grid)
+    h, P_grid = gain_matrix(h), require_powers(P_grid, "P")
     hinv = channel_inverse(h)
     # after inversion: unit receiver noise plus unit quantization noise on
     # the two forwarded observations; |.| from the parts, here and in
@@ -304,7 +284,7 @@ def centralized_report(h, P_grid) -> RateReport:
 def tdma_report(h, P_grid) -> RateReport:
     """No-cooperation baseline: each user active a third of the time at
     three times the power, zero backhaul."""
-    h, P_grid = _bound_args(h, P_grid)
+    h, P_grid = gain_matrix(h), require_powers(P_grid, "P")
     g = [abs(h[k, k]) ** 2 for k in range(3)]
     rates = np.log2(1.0 + (3 * P_grid[:, None]) * g) / 3
     return RateReport(P_grid=P_grid, rates=rates, rb_bar=np.zeros(P_grid.size))

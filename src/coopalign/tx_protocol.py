@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import require_positive_real
 from .backhaul import BackhaulLedger, NodeState, Step, run_round
+from .errors import require_positive_real
 from .indices import COORD_NAMES
 from .lattice import (carrier_sums, channel_inverse, gain_matrix, gains_times,
                       stream_params)
@@ -137,8 +137,7 @@ def verify_diagonalization(all_streams, built, h, P) -> DiagonalizationCheck:
     transmit carrier that is zero or not finite, or a sum that overflows,
     raises GenericityError.  Magnitudes come from the real and imaginary
     parts (np.hypot, re * re + im * im), because numpy's complex abs moves
-    its last bit with the SIMD level.  Gains other than 3x3, or a P that is
-    not a real (not a bool), finite and > 0, raise ParameterError.
+    its last bit with the SIMD level.  A bad gain shape or P raises ParameterError.
     """
     h = gain_matrix(h)
     require_positive_real(P, "P")

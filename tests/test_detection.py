@@ -35,7 +35,11 @@ class TestReduced:
         for n_red, q_red in ((1, 1), (2, 1), (1, 2), (3, 1)):
             count = (6 * q_red + 1) ** ((n_red + 1) ** 2)
             for budget in (0, 1, count - 1, count, count + 1, 10 ** 6):
-                if count > budget:
+                if budget == 0:
+                    # a budget is a count, refused by the one count rule
+                    with pytest.raises(ParameterError, match="ml_budget"):
+                        ReducedSpec(((1, 1), (2, 2)), n_red, q_red, budget)
+                elif count > budget:
                     with pytest.raises(MLBudgetError):
                         ReducedSpec(((1, 1), (2, 2)), n_red, q_red, budget)
                 else:
