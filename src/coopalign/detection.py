@@ -110,6 +110,11 @@ def reduced_error_sweep(spec: ReducedSpec, h, P_grid, trials, rng_seed,
     """
     h = gain_matrix(h)
     require_count(trials=trials)
+    # each power level's draw is one (trials, table_size) int64 array
+    most = np.iinfo(np.intp).max // (8 * spec.table_size)
+    if trials > most:
+        raise ParameterError(f"trials must be at most {most} for a "
+                             f"{spec.table_size}-label table, got {trials!r}")
     require_seed(rng_seed)
     if type(noisy) is not bool:
         raise ParameterError(f"noisy must be a bool, got {noisy!r}")

@@ -165,10 +165,18 @@ class SubstreamTable:
 # ============================================================
 
 
-def _powers(h, upper):
-    """The nine gains' powers 1..upper, in label order."""
-    exps = np.arange(1, upper + 1)
-    return [g ** exps for g in h.ravel()]
+def _powers(gains, exps):
+    """Each gain's powers g ** exps, the gains in label order."""
+    return [g ** exps for g in gains.ravel()]
+
+
+def _products(factors):
+    """f_1[i_1] * ... * f_m[i_m] at [i_1, ..., i_m] for the 1-D factors,
+    multiplied in that order; a transposed view, its memory order reversed."""
+    out, *rest = factors
+    for p in rest:
+        out = np.multiply(out, p.reshape((-1,) + (1,) * out.ndim))
+    return out.transpose()
 
 
 # the most carriers, (N+1)^9, that rx-coop and tx-coop run on: N = 5.  A
@@ -179,22 +187,13 @@ MAX_CARRIERS = 6 ** 9
 
 
 def monomial_table(h, upper) -> np.ndarray:
-    """All carrier values on the cube {1..upper}^9 as a dense array.
-
-    Each gain's powers p extend the running product out by one axis, one
-    column at a time: column j is out times p[j], one np.multiply of the
-    (..., 1) view of out by the 1-entry array p[j:j + 1].  That operand
-    shape gives the bits of np.multiply.outer(out, p) at every size, with
-    and without numpy's AVX2 loops; a numpy scalar p[j], or a 1-entry out
-    times p[j:j + 1] written to a 1-D column, rounds through another loop.
-    """
-    out, *rest = _powers(h, upper)
-    for p in rest:
-        nxt = np.empty(out.shape + p.shape, dtype=out.dtype)
-        for j in range(len(p)):
-            np.multiply(out[..., None], p[j:j + 1], out=nxt[..., j:j + 1])
-        out = nxt
-    return out
+    """All carrier values on the cube {1..upper}^9, label s at [s - 1]: a
+    transposed view whose memory runs along the last gain first.  Its bits
+    follow numpy's complex multiply loop on the running CPU (the X86_V2
+    loops round some carriers otherwise than the AVX2 ones); only the
+    screen's verdict leaves the package, and it could move only for a pair
+    of carriers within about 1e-15 relative of GENERIC_TOL."""
+    return _products(_powers(h, np.arange(1, upper + 1)))
 
 
 def carrier_sums(h, cubes) -> np.ndarray:
@@ -218,7 +217,7 @@ def carrier_sums(h, cubes) -> np.ndarray:
     """
     u = cubes[0].shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        p = _powers(h, u)
+        p = _powers(h, np.arange(1, u + 1))
         if math.prod(float(np.hypot(g.real, g.imag).min()) for g in p) == 0:
             raise GenericityError("a carrier is zero")
         # a power that meets only dropped slabs would have made a nan
@@ -386,11 +385,8 @@ def channel_is_generic(h, n):
 def _turned_products(gains, n):
     """_TURN * prod_k gains[k]^e_k for every e in {-n..n}^len(gains), with e
     in C order."""
-    exps = np.arange(-n, n + 1)
-    out = np.array([_TURN])
-    for g in gains:
-        out = np.multiply.outer(out, g ** exps).ravel()
-    return out
+    return _products([np.array([_TURN])]
+                     + _powers(gains, np.arange(-n, n + 1))).ravel()
 
 
 def _exponent_difference(ia, ib, n):

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (GenericityError, ParameterError, require_count,
-                     require_gamma, require_power_grid, require_powers,
-                     require_seed)
+from .errors import (GenericityError, ParameterError, is_finite_real,
+                     require_count, require_gamma, require_power_grid,
+                     require_powers, require_seed)
 from .lattice import (channel_inverse, complex_awgn, gain_matrix,
                       illustrating_gains)
 
@@ -56,8 +56,9 @@ class RateReport:
 
 def optimal_tradeoff(alpha) -> float:
     """Best per-user degrees of freedom at backhaul load slope alpha."""
-    if alpha < 0:
-        raise ParameterError(f"alpha must be nonnegative, got {alpha}")
+    if not (is_finite_real(alpha) and alpha >= 0):
+        raise ParameterError(f"alpha must be finite and >= 0 (a real, not a "
+                             f"bool), got {alpha!r}")
     return min(1.0, (1.0 + alpha) / 2.0)
 
 

@@ -19,8 +19,8 @@ from coopalign.lattice import SubstreamTable, channel_is_generic, random_gains
 from coopalign.tradeoff import (RateReport, centralized_report,
                                 decode_coefficients, illustrating_example,
                                 lemma1_check, normalized_bound_slope,
-                                rx_sum_upper_bound, tdma_report,
-                                tx_sum_upper_bound)
+                                optimal_tradeoff, rx_sum_upper_bound,
+                                tdma_report, tx_sum_upper_bound)
 from coopalign.tx_protocol import run_tx_backhaul, verify_diagonalization
 
 H = random_gains(np.random.default_rng(5))
@@ -76,12 +76,17 @@ CALLS = {
         lambda v: RateReport(v, np.zeros((4, 3)), np.zeros(4)),
     ("normalized_bound_slope", "P_grid"):
         lambda v: normalized_bound_slope(rx_sum_upper_bound, H, 0.5, v),
+    ("optimal_tradeoff", "alpha"): optimal_tradeoff,
 }
 
 COUNT = [True, 1.5, 0, -1, "3", np.int64(3)]
 SEED = [True, 1.5, -1, "3", np.int64(3), 2 ** 64]
 POSITIVE_REAL = [True, "3", 0, -1, 10 ** 400]
 GAMMA = [True, "3", 0, 10 ** 400]
+ALPHA = [True, math.nan, math.inf, -math.inf, 10 ** 400, "abc", -0.5]
+# SPEC's draw is (trials, 4) int64: 2^58 trials take 2^63 bytes, one past
+# the largest array numpy can hold
+TOO_MANY_TRIALS = [2 ** 58, 2 ** 62]
 GRIDS = [0, [1e8, 1e6, 1e4, 1e2], [1e2, 1e2, 1e4, 1e6], [1e2, 1e3, 1e4],
          [-1, 1e3, 1e4, 1e5], [1e2, 1e3, 1e4, 10 ** 400]]
 
@@ -103,6 +108,8 @@ ROWS = (
         ("reduced_error_sweep", "trials", "trials"),
         ("lemma1_check", "K", "K"), ("lemma1_check", "n", "n"),
         ("lemma1_check", "trials", "trials")], COUNT)
+    + _rows(ParameterError, [("reduced_error_sweep", "trials", "trials")],
+            TOO_MANY_TRIALS)
     + _rows(ConfigError, [("config", "rng_seed", "rng_seed")], SEED)
     + _rows(ParameterError, [("reduced_error_sweep", "rng_seed", "rng_seed"),
                              ("lemma1_check", "rng_seed", "rng_seed")], SEED)
@@ -112,6 +119,7 @@ ROWS = (
                              ("verify_diagonalization", "P", "P"),
                              ("nearest_point", "gamma", "gamma")],
             POSITIVE_REAL)
+    + _rows(ParameterError, [("optimal_tradeoff", "alpha", "alpha")], ALPHA)
     + _rows(ConfigError, [("config", "gamma", "gamma")], GAMMA)
     + _rows(ParameterError, [("decode_coefficients", "gamma", "gamma"),
                              ("illustrating_example", "gamma", "gamma")],

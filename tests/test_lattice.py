@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import itertools
 import time
 
@@ -105,6 +106,16 @@ class TestTables:
             np.testing.assert_array_equal(table.values, want)
 
 
+GAIN_KINDS = ["random", "real", "imaginary", "tiny", "huge", "inverse"]
+
+
+def _gains_of_kind(kind, rng):
+    h = random_gains(rng)
+    return {"random": h, "real": h.real + 0j, "imaginary": 1j * h.imag,
+            "tiny": h * 1e-40, "huge": h * 1e40,
+            "inverse": np.linalg.inv(h)}[kind]
+
+
 class TestMonomials:
     def test_monomial_table_agrees_pointwise(self, rng):
         h = random_gains(rng)
@@ -121,17 +132,14 @@ class TestMonomials:
             assert abs(got - want) <= 1e-9 * abs(want)
 
     @pytest.mark.parametrize("u", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("kind", ["random", "real", "imaginary", "tiny",
-                                      "huge", "inverse"])
+    @pytest.mark.parametrize("kind", GAIN_KINDS)
     def test_table_bytes_equal_outer_chain(self, u, kind):
-        # the one column loop, each column a (..., 1) by (1,) np.multiply,
-        # gives the bits of one np.multiply.outer per gain at every depth,
-        # u = 1 included; the tiny gains' carriers underflow to zero, the
-        # huge ones' overflow, and the inverse is the gains tx-coop screens
-        h = random_gains(np.random.default_rng(610 + u))
-        h = {"random": h, "real": h.real + 0j, "imaginary": 1j * h.imag,
-             "tiny": h * 1e-40, "huge": h * 1e40,
-             "inverse": np.linalg.inv(h)}[kind]
+        # each gain's powers stood on a new leading axis of the running
+        # product, then transposed, give the bits of one np.multiply.outer
+        # per gain at every depth, u = 1 included; the tiny gains' carriers
+        # underflow to zero, the huge ones' overflow, and the inverse is the
+        # gains tx-coop screens
+        h = _gains_of_kind(kind, np.random.default_rng(610 + u))
         quiet = (np.errstate(over="ignore", invalid="ignore")
                  if kind == "huge" else contextlib.nullcontext())
         with quiet:
@@ -139,6 +147,24 @@ class TestMonomials:
             want = oracle_monomial_table(h, u)
         assert got.shape == want.shape == (u,) * 9
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", GAIN_KINDS)
+    def test_turned_products_equal_outer_chain(self, n, kind):
+        # the screen's half-sets come from the same product routine as the
+        # table; the chain _TURN, then one np.multiply.outer per gain's
+        # powers -n..n, raveled in C order, has their bits on both halves
+        h = _gains_of_kind(kind, np.random.default_rng(620 + n))
+        exps = np.arange(-n, n + 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for gains in (h.ravel()[:lattice._SPLIT],
+                          h.ravel()[lattice._SPLIT:]):
+                got = lattice._turned_products(gains, n)
+                want = functools.reduce(
+                    np.multiply.outer,
+                    [np.array([lattice._TURN])] + [g ** exps for g in gains])
+                assert got.shape == (want.size,)
+                assert got.tobytes() == want.ravel().tobytes()
 
 
 class TestCarrierSums:
@@ -202,7 +228,7 @@ class TestCarrierSums:
         # built cubes are on the six coordinates of the other receivers
         h = np.linalg.inv(random_gains(rng))
         coef = [list(zip(g.real.tolist(), g.imag.tolist()))
-                for g in lattice._powers(h, u)]
+                for g in lattice._powers(h, np.arange(1, u + 1))]
         cubes = []
         for axes in (range(3, 9), range(6), rng.choice(9, 4, replace=False)):
             c = rng.integers(-15, 16, (u,) * 9, dtype=np.int16)
