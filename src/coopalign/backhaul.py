@@ -14,6 +14,11 @@ and reads ``table`` of its node at label u + shift on the named
 coordinates, with the slab coordinate pinned to the round's slab plus the
 offset.  Reads outside a table are zero.  The destination's result is the
 block it stores as its slab of the round.
+
+Where a node's tables and a step's block hold their labels is the node's
+Layout, planned once per lattice depth: it turns each term's coordinate
+shifts into shifts of the held table's axes, so every read is one
+``indices.window`` over the table as it is held.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,11 +146,37 @@ class Step:
             raise ParameterError(f"a step adds at most {STEP_TERMS} terms")
 
 
+class Layout(NamedTuple):
+    """Where a node holds its tables and a step's block.
+
+    Each table is held with its slab coordinate on axis ``slab_axis``; a
+    term reads it with ``indices.window``, that axis pinned and the others
+    shifted by ``reads[table, coordinate shifts]``, into the block held in
+    shape ``block``.  Viewed as (side,)*8 over the free coordinates in
+    canonical order, the block holds the payload's labels at ``labels``, and
+    a slab of the store table, so viewed, holds them at ``region``.
+    """
+
+    slab_axis: int
+    block: tuple
+    side: int
+    labels: tuple
+    region: tuple
+    reads: dict
+
+    def cut(self, block):
+        """The payload labels of ``block`` in canonical order, C-contiguous:
+        a view of the block when it holds nothing else."""
+        return np.ascontiguousarray(
+            block.reshape((self.side,) * 8)[self.labels])
+
+
 @dataclass(eq=False)
 class NodeState:
     """One node's working memory: read-only tables plus the ``store``
     table, which the exchange fills one slab per round along
-    ``slab_coord``.  Stored entries must lie within +-``bound``."""
+    ``slab_coord``, all held as ``layout`` says.  Stored entries must lie
+    within +-``bound``."""
 
     node: int
     q: int
@@ -152,20 +184,21 @@ class NodeState:
     slab_coord: tuple
     store: str
     tables: dict
+    layout: Layout
     slabs: set = field(default_factory=set)
 
     def add_term(self, out, term, slab, round_index):
         """Add one term, read around ``slab``, into the block ``out``."""
         sign, name, shifts, offset = term
         table = self.tables[name]
-        axis = AXIS[self.slab_coord]
+        axis = self.layout.slab_axis
         pinned = slab + offset
         if (name == self.store and 1 <= pinned <= table.shape[axis]
                 and pinned not in self.slabs):
             raise ProtocolError(f"slab {pinned} read before it was stored",
                                 round_index=round_index, node=self.node)
-        w = window(table.shape, out.shape[0],
-                   {AXIS[c]: d for c, d in shifts}, {axis: pinned})
+        w = window(table.shape, out.shape[0], self.layout.reads[name, shifts],
+                   {axis: pinned})
         if w is None:
             return
         src, dst = w
@@ -175,15 +208,16 @@ class NodeState:
             out[dst] -= table[src]
 
     def store_slab(self, slab, block, round_index):
+        """Store the canonical payload-shaped ``block`` as slab ``slab``."""
         if block.max() > self.bound or block.min() < -self.bound:
             raise ProtocolError(
                 "inconsistent combination: stored entry outside "
                 f"half-width {self.bound}", round_index=round_index,
                 node=self.node)
-        table = self.tables[self.store]
-        idx = [slice(None)] * table.ndim
-        idx[AXIS[self.slab_coord]] = slab - 1
-        table[tuple(idx)] = block
+        lay = self.layout
+        held = self.tables[self.store][(slice(None),) * lay.slab_axis
+                                       + (slab - 1,)]
+        held.reshape((lay.side,) * 8)[lay.region] = block
         self.slabs.add(slab)
 
 
@@ -210,22 +244,22 @@ def run_round(steps, nodes, round_index, slab, ledger, first=False):
     """
     for step in steps:
         src, dst = nodes[step.source], nodes[step.destination]
-        store = src.tables[src.store]
-        upper = store.shape[0]
-        block = np.zeros((upper,) * 8, dtype=store.dtype)
+        block = np.zeros(src.layout.block, dtype=src.tables[src.store].dtype)
         for term in step.send:
             src.add_term(block, term, slab, round_index)
+        payload = src.layout.cut(block)
         hw = step.halfwidth[0 if first else 1] * src.q
-        if block.max() > hw or block.min() < -hw:
+        if payload.max() > hw or payload.min() < -hw:
             raise ProtocolError(f"payload entry outside half-width {hw} on "
                                 f"link {step.source}->{step.destination}",
                                 round_index=round_index, node=step.source)
         ledger.add(BackhaulMessage(
-            step.source, step.destination, round_index, block.size, hw,
-            payload_digest(block)))
+            step.source, step.destination, round_index, payload.size, hw,
+            payload_digest(payload)))
         # only the digest is kept: the destination finishes the block in place
         for term in step.receive:
             dst.add_term(block, term, slab, round_index)
+        result = dst.layout.cut(block)
         if step.carry:
-            _back_substitute(block, step.carry, AXIS[dst.slab_coord])
-        dst.store_slab(slab, block, round_index)
+            _back_substitute(result, step.carry, AXIS[dst.slab_coord])
+        dst.store_slab(slab, result, round_index)

@@ -133,8 +133,15 @@ def reduced_error_sweep(spec: ReducedSpec, h, P_grid, trials, rng_seed,
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=rng_seed, spawn_key=(k,)))
         gamma = math.sqrt(P / energy)
-        tables = rng.integers(-3 * spec.q_red, 3 * spec.q_red + 1,
-                              size=(trials, spec.table_size), dtype=np.int64)
+        try:
+            tables = rng.integers(-3 * spec.q_red, 3 * spec.q_red + 1,
+                                  size=(trials, spec.table_size),
+                                  dtype=np.int64)
+        except MemoryError:
+            raise ParameterError(
+                f"trials = {trials!r} needs a draw of {trials} x "
+                f"{spec.table_size} int64 symbols, more than numpy could "
+                "allocate") from None
         ys = gamma * (tables @ carriers)
         if noisy:
             ys = ys + complex_awgn(rng, trials)

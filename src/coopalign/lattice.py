@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (GenericityError, ParameterError, SingularChannelError,
                      SymbolRangeError, require_count)
-from .indices import AXIS, window
 
 # ============================================================
 # channel
@@ -158,6 +157,17 @@ class SubstreamTable:
         # drawn as int64 whatever the cube type: the draws depend on it
         v = rng.integers(-q, q + 1, size=(n,) * 9, dtype=np.int64)
         return cls(owner=owner, n=n, q=q, values=v)
+
+
+def stream_params(streams) -> tuple:
+    """(n, q) of three users' tables given in user order that share one
+    lattice depth and one symbol half-width."""
+    a, b, c = streams
+    if (a.owner, b.owner, c.owner) != (1, 2, 3):
+        raise ParameterError("streams must be given in user order (1, 2, 3)")
+    if not (a.n == b.n == c.n and a.q == b.q == c.q):
+        raise ParameterError("streams must share lattice depth and half-width")
+    return a.n, a.q
 
 
 # ============================================================
@@ -316,8 +326,9 @@ def channel_is_generic(h, n):
     close-pair search between (2n+1)^4 values a and (2n+1)^5 values b
     (2,401 and 16,807 at n = 3, against 262,144 carriers), the pair d = 0
     excluded, at tol' = GENERIC_TOL * (1 + SEARCH_SLACK).  Both sets are
-    turned by the phase _TURN, which keeps every distance, and the b are
-    sorted by real part.  A close pair has |re b - re a| <= |b - a| <= tol'
+    turned by the phase _TURN, which keeps every distance, and both are
+    sorted by real part, the a only so that the window searches run in
+    order.  A close pair has |re b - re a| <= |b - a| <= tol'
     |a| / (1 - tol' / 2), so each a takes the window of b within
     tol' |a| / (1 - tol') of its real part, and one pass compares every a
     with the k-th entry of its window, k = 0, 1, ...
@@ -358,6 +369,10 @@ def channel_is_generic(h, n):
     order = np.argsort(b.real)
     b = b[order]
     re = b.real
+    # the a in order of real part too, so that both searches below walk re
+    # from left to right
+    by_a = np.argsort(a.real)
+    a = a[by_a]
     tol = GENERIC_TOL * (1 + SEARCH_SLACK)
     # a product near the float limit may overflow in a magnitude or a
     # difference; as an infinite tolerance it only adds a pair to confirm
@@ -373,7 +388,8 @@ def channel_is_generic(h, n):
             j = lo[i] + k
             close = np.abs(b[j] - a[i]) <= _pair_tol(half_a[i],
                                                     0.5 * np.abs(b[j]), tol)
-            for ia, ib in zip(i[close].tolist(), order[j[close]].tolist()):
+            for ia, ib in zip(by_a[i[close]].tolist(),
+                              order[j[close]].tolist()):
                 d = _exponent_difference(ia, ib, n)
                 if any(d) and _collides(table, d):
                     return False
@@ -426,39 +442,3 @@ def _pair_tol(half_a, half_b, scale=GENERIC_TOL):
 def require_generic(h, n):
     if not channel_is_generic(h, n):
         raise GenericityError("channel gains failed the generic-position check")
-
-
-# ============================================================
-# exact receive-side combinations
-# ============================================================
-
-
-def stream_params(streams) -> tuple:
-    """(n, q) of three users' tables given in user order that share one
-    lattice depth and one symbol half-width."""
-    a, b, c = streams
-    if (a.owner, b.owner, c.owner) != (1, 2, 3):
-        raise ParameterError("streams must be given in user order (1, 2, 3)")
-    if not (a.n == b.n == c.n and a.q == b.q == c.q):
-        raise ParameterError("streams must share lattice depth and half-width")
-    return a.n, a.q
-
-
-def exact_observations(streams) -> tuple:
-    """Noiseless integer receive combinations for all three receivers: three
-    cubes of shape (n+1,)*9 in receiver order, of the streams' integer type.
-
-    For receiver i the label s picks up user 1's symbol at s with coordinate
-    (i,1) decremented, user 2's at (i,2) decremented and user 3's at (i,3)
-    decremented; out-of-range labels contribute zero.  Realised as one zero
-    block plus three in-place adds, stream j read at shift -1 on (i,j).
-    """
-    n, _ = stream_params(streams)
-    out = []
-    for i in (1, 2, 3):
-        acc = np.zeros((n + 1,) * 9, dtype=streams[0].values.dtype)
-        for j, stream in enumerate(streams, 1):
-            src, dst = window((n,) * 9, n + 1, {AXIS[(i, j)]: -1}, {})
-            acc[dst] += stream.values[src]
-        out.append(acc)
-    return tuple(out)

@@ -26,13 +26,14 @@ that cancellation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .backhaul import BackhaulLedger, NodeState, Step, run_round
+from .backhaul import BackhaulLedger, Layout, NodeState, Step, run_round
 from .errors import require_positive_real
-from .indices import COORD_NAMES
+from .indices import AXIS, COORD_NAMES
 from .lattice import (carrier_sums, channel_inverse, gain_matrix, gains_times,
                       stream_params)
 
@@ -71,6 +72,18 @@ TX_STEPS = (
 OWN_PADDED = ((3, 1), (3, 2), (3, 3))
 
 
+@functools.lru_cache(maxsize=None)
+def transmitter_layout(n):
+    """The transmitters' layout at depth n: tables in canonical axis order,
+    one table axis per coordinate, and the (N+1)^8 block as the payload."""
+    whole = (slice(None),) * 8
+    return Layout(slab_axis=AXIS[(2, 1)], block=(n + 1,) * 8, side=n + 1,
+                  labels=whole, region=whole,
+                  reads={(name, shifts): {AXIS[c]: d for c, d in shifts}
+                         for step in TX_STEPS
+                         for _, name, shifts, _ in step.send + step.receive})
+
+
 def transmitter_nodes(all_streams):
     """Fresh transmitter states holding each user's own symbols, zero-padded
     on OWN_PADDED."""
@@ -85,7 +98,8 @@ def transmitter_nodes(all_streams):
                              store="built",
                              tables={"own": own,
                                      "built": np.zeros((n + 1,) * 9,
-                                                       dtype=dtype)})
+                                                       dtype=dtype)},
+                             layout=transmitter_layout(n))
     return nodes
 
 

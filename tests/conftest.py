@@ -5,7 +5,8 @@ machinery: observations are rebuilt with dictionary lookups over explicit
 label tuples, and monomials are evaluated in the complex log domain, so a
 bug in the window arithmetic cannot hide in both sides of a comparison.
 The dense carrier table, whose bits the package's carriers must match, is
-this module's own chain of np.multiply.outer calls.
+this module's own chain of np.multiply.outer calls, and exact_observations,
+the combination cubes tx-coop must build, is one window read per stream.
 """
 
 import cmath
@@ -32,9 +33,11 @@ with warnings.catch_warnings():
     except ImportError:
         pass
 
+from coopalign import rx_protocol
 from coopalign.harness import config_from_dict, run_trial
+from coopalign.indices import AXIS, window
 from coopalign.lattice import (CARRIER_FLOOR, GENERIC_TOL, SubstreamTable,
-                               random_gains, require_generic)
+                               random_gains, require_generic, stream_params)
 from coopalign.tradeoff import top_half_slope
 
 
@@ -67,6 +70,38 @@ def oracle_observations(streams):
             table[tuple(x - 1 for x in u)] = acc
         out.append(table)
     return tuple(out)
+
+
+def exact_observations(streams) -> tuple:
+    """Noiseless integer receive combinations for all three receivers: three
+    cubes of shape (n+1,)*9 in receiver order, of the streams' integer type.
+
+    For receiver i the label s picks up user 1's symbol at s with coordinate
+    (i,1) decremented, user 2's at (i,2) decremented and user 3's at (i,3)
+    decremented; out-of-range labels contribute zero.  Realised as one zero
+    block plus three in-place adds, stream j read at shift -1 on (i,j).
+    """
+    n, _ = stream_params(streams)
+    out = []
+    for i in (1, 2, 3):
+        acc = np.zeros((n + 1,) * 9, dtype=streams[0].values.dtype)
+        for j, stream in enumerate(streams, 1):
+            src, dst = window((n,) * 9, n + 1, {AXIS[(i, j)]: -1}, {})
+            acc[dst] += stream.values[src]
+        out.append(acc)
+    return tuple(out)
+
+
+def rx_index(node, table, label):
+    """Where receiver ``node`` (a NodeState) holds ``label``, nine 1-based
+    coordinates in canonical order (ints or arrays), in its ``table``: the
+    row (3,1) - 1 and, in the row, the free coordinates in rx_protocol.FREE
+    order, coordinate c at c - 1 + its pad."""
+    pads = rx_protocol.PADS[node.node, table]
+    free = tuple(label[AXIS[c]] - 1 + p
+                 for c, p in zip(rx_protocol.FREE, pads))
+    return (label[AXIS[(3, 1)]] - 1,
+            np.ravel_multi_index(free, (node.layout.side,) * 8))
 
 
 def oracle_monomial(h, label):

@@ -10,13 +10,13 @@ import time
 
 import numpy as np
 
-from conftest import load_slope, make_generic_channel, rate_slopes, trial_point
+from conftest import (exact_observations, load_slope, make_generic_channel,
+                      rate_slopes, rx_index, trial_point)
 from coopalign import rx_protocol
 from coopalign.detection import ReducedSpec, reduced_error_sweep
 from coopalign.errors import ProtocolError
 from coopalign.harness import config_from_dict, run_experiment
-from coopalign.lattice import (SubstreamTable, exact_observations,
-                               random_gains, require_generic)
+from coopalign.lattice import SubstreamTable, random_gains, require_generic
 from coopalign.rx_protocol import run_rx_protocol
 from coopalign.tradeoff import (centralized_report, illustrating_example,
                                 lemma1_check, normalized_bound_slope,
@@ -185,18 +185,21 @@ def test_c09_error_confinement(monkeypatch):
              for _ in range(4)]
     clean = [run_rx_protocol(streams) for streams in slots]
 
+    build = rx_protocol.receiver_nodes
+
     def corrupted(streams):
         # one step on receiver 1's entry at label (1,2) = 2, which its
         # 1->2 payload reads
-        tables = exact_observations(streams)
-        tables[0][0, 1, 0, 0, 0, 0, 0, 0, 0] += 1
-        return tables
+        nodes = build(streams)
+        label = (1, 2, 1, 1, 1, 1, 1, 1, 1)
+        nodes[1].tables["obs"][rx_index(nodes[1], "obs", label)] += 1
+        return nodes
 
     dirty = []
     for t, streams in enumerate(slots):
         with monkeypatch.context() as m:
             if t == 2:
-                m.setattr(rx_protocol, "exact_observations", corrupted)
+                m.setattr(rx_protocol, "receiver_nodes", corrupted)
             try:
                 dirty.append(run_rx_protocol(streams))
             except ProtocolError:

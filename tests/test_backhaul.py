@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from coopalign.backhaul import (DIGEST_CHUNK, BackhaulLedger,
-                                BackhaulMessage, NodeState, Step,
+                                BackhaulMessage, Layout, NodeState, Step,
                                 payload_digest, run_round)
 from coopalign.errors import ParameterError, ProtocolError
+from coopalign.indices import AXIS
 from coopalign.lattice import STEP_TERMS
 
 
@@ -20,10 +21,14 @@ def _msg(src, dst, length, hw, rnd=0):
 def _one_link(value, halfwidth=1):
     """Node 1 sends its one-entry table (alphabet +-halfwidth*q, q = 5) to
     node 2, which stores it within +-q; returns the nodes and the ledger."""
+    whole = (slice(None),) * 8
+    layout = Layout(slab_axis=AXIS[(3, 1)], block=(1,) * 8, side=1,
+                    labels=whole, region=whole, reads={("own", ()): {}})
     nodes = {i: NodeState(node=i, q=5, bound=5, slab_coord=(3, 1),
                           store="kept",
                           tables={"own": np.full((1,) * 9, value, np.int64),
-                                  "kept": np.zeros((1,) * 9, np.int64)})
+                                  "kept": np.zeros((1,) * 9, np.int64)},
+                          layout=layout)
              for i in (1, 2)}
     step = Step(1, 2, send=((+1, "own", (), 0),), receive=(),
                 halfwidth=(halfwidth, halfwidth))

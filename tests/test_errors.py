@@ -85,8 +85,10 @@ POSITIVE_REAL = [True, "3", 0, -1, 10 ** 400]
 GAMMA = [True, "3", 0, 10 ** 400]
 ALPHA = [True, math.nan, math.inf, -math.inf, 10 ** 400, "abc", -0.5]
 # SPEC's draw is (trials, 4) int64: 2^58 trials take 2^63 bytes, one past
-# the largest array numpy can hold
+# the largest array numpy can hold; 2^58 - 1 take 8 EiB less 32 B, an
+# allocation that fails before any memory is touched
 TOO_MANY_TRIALS = [2 ** 58, 2 ** 62]
+UNALLOCATABLE_TRIALS = [2 ** 58 - 1]
 GRIDS = [0, [1e8, 1e6, 1e4, 1e2], [1e2, 1e2, 1e4, 1e6], [1e2, 1e3, 1e4],
          [-1, 1e3, 1e4, 1e5], [1e2, 1e3, 1e4, 10 ** 400]]
 
@@ -109,7 +111,7 @@ ROWS = (
         ("lemma1_check", "K", "K"), ("lemma1_check", "n", "n"),
         ("lemma1_check", "trials", "trials")], COUNT)
     + _rows(ParameterError, [("reduced_error_sweep", "trials", "trials")],
-            TOO_MANY_TRIALS)
+            TOO_MANY_TRIALS + UNALLOCATABLE_TRIALS)
     + _rows(ConfigError, [("config", "rng_seed", "rng_seed")], SEED)
     + _rows(ParameterError, [("reduced_error_sweep", "rng_seed", "rng_seed"),
                              ("lemma1_check", "rng_seed", "rng_seed")], SEED)

@@ -665,11 +665,13 @@ class TestRunExperiment:
 
 
 # sha256 of the deterministic backhaul trace, recorded before the rx and tx
-# protocols moved onto the shared exchange engine; tx leaves out its float
+# protocols moved onto the shared exchange engine (rx-coop at N = 3: before
+# the receivers held their tables slab-major); tx leaves out its float
 # airtime record
 GOLDEN_TRACE = {
     ("rx-coop", 1): "cfac58ee216162f1b0ba8fcf4458381cd7bfa3850498c6373cd33f5099d43fa1",
     ("rx-coop", 2): "bc86763455bbf30bcfef384c41ef508642d9eb623d49a7b6f4140bb7b09b15bd",
+    ("rx-coop", 3): "9bc71790a07ba62ece812bbe2d83d7e75104703a69383881245697e677d0e936",
     ("tx-coop", 1): "43ceb03effb6db3bc8da1bfe0fc9bc3e61ae1d921dc3d650b0cd68ce4db251ba",
     ("tx-coop", 2): "ecaecfe9bda023e1e35ec5de4fd67164af1f0810e5d90a7b3603e2901e78bc6e",
 }

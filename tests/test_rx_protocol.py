@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import stream_sets
+from conftest import exact_observations, rx_index, stream_sets
 from coopalign.backhaul import BackhaulLedger, run_round
-from coopalign.errors import ProtocolError
+from coopalign.errors import ParameterError, ProtocolError
 from coopalign.indices import AXIS
-from coopalign.lattice import SubstreamTable, exact_observations
+from coopalign.lattice import SubstreamTable
 from coopalign import rx_protocol
-from coopalign.rx_protocol import RX_STEPS, receiver_nodes, run_rx_protocol
+from coopalign.rx_protocol import (FREE, PADS, RX_STEPS, receiver_nodes,
+                                   resolved_symbols, run_rx_protocol)
 
 
 def _streams(rng, n, q=5):
@@ -18,7 +19,7 @@ def _streams(rng, n, q=5):
 
 
 def _fresh_nodes(streams):
-    return receiver_nodes(exact_observations(streams), streams[0].q)
+    return receiver_nodes(streams)
 
 
 def _digest(values):
@@ -26,11 +27,17 @@ def _digest(values):
         np.asarray(values, dtype=np.int64).tobytes()).hexdigest()[:16]
 
 
-def _corrupted_tables(streams, delta):
-    # one entry of receiver 1's combination table on slab (3,1) = 2
-    tables = exact_observations(streams)
-    tables[0][0, 1, 0, 0, 0, 0, 1, 0, 0] += delta
-    return tables
+def _corrupt(nodes, receiver, label, delta):
+    # one entry of a receiver's combination table, found by its label
+    node = nodes[receiver]
+    node.tables["obs"][rx_index(node, "obs", label)] += delta
+    return nodes
+
+
+def _corrupted_nodes(streams, delta):
+    # receiver 1's combination at (1,2) = 2 on slab (3,1) = 2
+    return _corrupt(receiver_nodes(streams), 1, (1, 2, 1, 1, 1, 1, 2, 1, 1),
+                    delta)
 
 
 def _rx_round(nodes, r, n):
@@ -38,11 +45,18 @@ def _rx_round(nodes, r, n):
 
 
 def _interference_sums(node, slab, n):
-    # receiver i's combinations minus its own symbols shifted on (i,i)
+    # receiver i's combinations minus its own symbols shifted on (i,i), at
+    # the labels {1..n}^8 a payload carries on slab ``slab``; the resolved
+    # table holds slabs 1..n and reads as zero above them
     i = node.node
-    out = np.zeros((n + 1,) * 8, dtype=np.int64)
-    node.add_term(out, (+1, "obs", (), 0), slab, None)
-    node.add_term(out, (-1, "resolved", (((i, i), -1),), 0), slab, None)
+    label = [None] * 9
+    for c, u in zip(FREE, np.indices((n,) * 8).reshape(8, -1) + 1):
+        label[AXIS[c]] = u
+    label[AXIS[(3, 1)]] = np.full(n ** 8, slab)
+    out = node.tables["obs"][rx_index(node, "obs", label)].astype(np.int64)
+    if slab <= n:
+        label[AXIS[(i, i)]] = label[AXIS[(i, i)]] - 1
+        out -= node.tables["resolved"][rx_index(node, "resolved", label)]
     return out
 
 
@@ -130,7 +144,7 @@ class TestStateMachine:
         _rx_round(nodes, 0, 2)
         for i in (1, 2, 3):
             own = streams[i - 1].values
-            got = nodes[i].tables["resolved"]
+            got = resolved_symbols(nodes[i])
             np.testing.assert_array_equal(
                 got[:, :, :, :, :, :, 1], own[:, :, :, :, :, :, 1])
             assert not got[:, :, :, :, :, :, 0].any()
@@ -166,7 +180,7 @@ class TestStateMachine:
     ])
     def test_strict_mode_flags_inconsistent_subtraction(self, rng, delta,
                                                         where, text):
-        nodes = receiver_nodes(_corrupted_tables(_streams(rng, 2), delta), 5)
+        nodes = _corrupted_nodes(_streams(rng, 2), delta)
         with pytest.raises(ProtocolError, match=text) as err:
             for r in range(2):
                 _rx_round(nodes, r, 2)
@@ -183,14 +197,53 @@ def test_corrupted_read_is_observed(rng, monkeypatch, receiver, coord,
     # coord = 2 (all other coordinates 1), so a one-step error there must
     # either trip a range check or come out in some recovered stream
     streams = _streams(rng, 1)
-    tables = exact_observations(streams)
-    label = [0] * 9
-    label[AXIS[coord]] = 1
-    tables[receiver - 1][tuple(label)] += delta
-    monkeypatch.setattr(rx_protocol, "exact_observations", lambda s: tables)
+    label = [1] * 9
+    label[AXIS[coord]] = 2
+    build = rx_protocol.receiver_nodes
+    monkeypatch.setattr(rx_protocol, "receiver_nodes",
+                        lambda s: _corrupt(build(s), receiver, label, delta))
     try:
         res = run_rx_protocol(streams)
     except ProtocolError:
         return
     assert any(not np.array_equal(res.recovered[i], streams[i].values)
                for i in range(3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_layout_holds_the_combinations(rng, n):
+    # every label a receiver's layout holds, label 0 of a low-end axis and
+    # N+1 of a high-end one included, reads as exact_observations with zero
+    # outside {1..n+1}^9; the resolved table starts empty
+    streams = _streams(rng, n)
+    nodes = receiver_nodes(streams)
+    for i, want in zip((1, 2, 3), exact_observations(streams)):
+        ext = np.zeros((n + 2,) * 9, dtype=want.dtype)
+        ext[(slice(1, None),) * 9] = want
+        ext = np.moveaxis(ext, AXIS[(3, 1)], 0)
+        held = nodes[i].tables["obs"].reshape((n + 1,) * 9)
+        at = (slice(1, None),) + tuple(slice(1 - p, n + 2 - p)
+                                       for p in PADS[i, "obs"])
+        np.testing.assert_array_equal(held, ext[at])
+        assert held.dtype == want.dtype
+        assert not nodes[i].tables["resolved"].any()
+
+
+def test_layout_drops_only_labels_no_term_reads():
+    # a table holds labels 1 - pad .. n + 1 - pad on each free coordinate;
+    # a term reads labels 1 + d .. n + d there, so its shift d lies in
+    # {-pad, 1 - pad}: no (receiver, table, coordinate) is read at both -1
+    # and +1, and label n + 1 of a low-end axis is never read
+    seen = set()
+    for at, (_, name, shifts, _) in rx_protocol._node_terms(RX_STEPS):
+        pads = dict(zip(FREE, PADS[at, name]))
+        for c, d in shifts:
+            assert -pads[c] <= d <= 1 - pads[c], (at, name, c, d)
+            seen.add((at, name, c, d))
+    assert not {(at, name, c) for at, name, c, d in seen if d < 0} \
+        & {(at, name, c) for at, name, c, d in seen if d > 0}
+
+
+def test_plan_refuses_a_read_two_layers_away():
+    with pytest.raises(ParameterError):
+        rx_protocol._flat([0, 1, 2], 4)

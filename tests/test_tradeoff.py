@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import load_slope, make_generic_channel, rate_slopes, trial_point
+from conftest import (exact_observations, load_slope, make_generic_channel,
+                      rate_slopes, trial_point)
 from coopalign import harness
 from coopalign.detection import ReducedSpec, reduced_error_sweep
 from coopalign.errors import GenericityError, ParameterError
 from coopalign.harness import config_from_dict, run_trial
 from coopalign.lattice import (SubstreamTable, channel_inverse,
-                               channel_is_generic, exact_observations,
-                               illustrating_gains, random_gains)
+                               channel_is_generic, illustrating_gains,
+                               random_gains)
 from coopalign.tradeoff import (Lemma1Report, RateReport, centralized_report,
                                 decode_coefficients, illustrating_example,
                                 lemma1_check,

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import (make_generic_channel, narrowest_cube_dtype,
-                      oracle_monomial, oracle_observations, stream_sets)
+from conftest import (exact_observations, make_generic_channel,
+                      narrowest_cube_dtype, oracle_monomial,
+                      oracle_observations, stream_sets)
 from coopalign.backhaul import BackhaulLedger
 from coopalign.errors import (GenericityError, ParameterError, ProtocolError,
                               SingularChannelError)
 from coopalign.indices import AXIS
-from coopalign.lattice import (SubstreamTable, channel_inverse,
-                               exact_observations, random_gains)
+from coopalign.lattice import SubstreamTable, channel_inverse, random_gains
 from coopalign.tx_protocol import (run_tx_backhaul, transmitter_nodes,
                                    tx_round, verify_diagonalization)
 
