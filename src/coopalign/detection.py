@@ -1,5 +1,7 @@
 """Receiver-side detection: an exhaustive nearest-point ML detector for
-small reduced instances of the lattice combinations."""
+small reduced instances of the lattice combinations.  Its candidates are a
+digit grid, one digit in {-3q..3q} per carrier, first label most significant:
+their points are built on it with no BLAS, and picks are scored by index."""
 
 from __future__ import annotations
 
@@ -70,82 +72,74 @@ class ReducedSpec:
 
 def reduced_carriers(spec: ReducedSpec, h) -> np.ndarray:
     """Carrier value per reduced label: product of active gains' powers."""
-    out = np.empty(spec.table_size, dtype=np.complex128)
-    for k, lab in enumerate(spec.labels()):
-        v = 1.0 + 0.0j
-        for (i, j), e in zip(spec.active_coords, lab):
-            v *= h[i - 1, j - 1] ** e
-        out[k] = v
-    return out
+    gains = [h[i - 1, j - 1] for i, j in spec.active_coords]
+    return np.array([math.prod(g ** e for g, e in zip(gains, lab))
+                     for lab in spec.labels()], dtype=np.complex128)
 
 
-def candidate_tables(spec: ReducedSpec) -> np.ndarray:
-    """All integer tables in lexicographic order, one row per candidate.
-
-    Row r is the mixed-radix expansion of r with the first label as the most
-    significant digit, digits mapped to {-3q..3q} ascending: exactly the
-    ordering np.argmin needs for deterministic lexicographic tie-breaks.
-    """
-    m, A = spec.table_size, spec.alphabet_size
-    digits = np.arange(-3 * spec.q_red, 3 * spec.q_red + 1, dtype=np.int64)
-    out = np.empty((spec.n_candidates, m), dtype=np.int64)
-    # the rows as an A x ... x A grid: digit pos varies along grid axis pos
-    grid = out.reshape((A,) * m + (m,))
-    for pos in range(m):
-        grid[..., pos] = digits.reshape((A,) + (1,) * (m - 1 - pos))
-    return out
+def grid_points(spec: ReducedSpec, carriers) -> np.ndarray:
+    """The unit-scale point sum_k t_k c_k of every table t, at t's grid
+    index: one carrier's digits added to every point so far, per carrier."""
+    v = np.arange(-3 * spec.q_red, 3 * spec.q_red + 1, dtype=float)
+    base = v * carriers[0]
+    for c in carriers[1:]:
+        base = (base[:, None] + v * c).ravel()
+    return base
 
 
 def reduced_error_sweep(spec: ReducedSpec, h, P_grid, trials, rng_seed,
                         noisy=True):
     """Monte Carlo detection-error rate per power level.
 
-    Builds the carriers and the candidate set once for the sweep.  At each
-    power level it draws `trials` uniform tables, transmits them at the
-    power-matched scale gamma (with unit complex noise when `noisy`),
-    detects each sample by exhaustive nearest-point search over the
-    candidates scaled by gamma, and counts whole-table mismatches.  Streams
-    are split per power level from one root seed.  `trials` is a count,
-    `rng_seed` a seed, every P a positive real, `noisy` a bool and h 3x3.
+    Builds the carriers and the candidate points once for the sweep.  At
+    each power level it draws `trials` uniform tables, sends them at the
+    power-matched scale gamma (with unit complex noise when `noisy`), and
+    counts the picks of the nearest point scaled by gamma that are not the
+    table sent.  Streams are split per power level from one root seed.
+    `trials` is a count, `rng_seed` a seed, every P a positive real, `noisy`
+    a bool, and h 3x3 with finite reduced carriers of positive normal energy.
     """
     h = gain_matrix(h)
     require_count(trials=trials)
-    # each power level's draw is one (trials, table_size) int64 array
-    most = np.iinfo(np.intp).max // (8 * spec.table_size)
+    m, q3 = spec.table_size, 3 * spec.q_red
+    # each power level's draw is one (trials, m) int64 array
+    most = np.iinfo(np.intp).max // (8 * m)
     if trials > most:
-        raise ParameterError(f"trials must be at most {most} for a "
-                             f"{spec.table_size}-label table, got {trials!r}")
+        raise ParameterError(f"trials must be at most {most} for a {m}-label "
+                             f"table, got {trials!r}")
     require_seed(rng_seed)
     if type(noisy) is not bool:
         raise ParameterError(f"noisy must be a bool, got {noisy!r}")
     P_grid = list(P_grid)
     for P in P_grid:
         require_positive_real(P, "every P in P_grid")
-    cands = candidate_tables(spec)
-    carriers = reduced_carriers(spec, h)
-    # the unit-scale receive points, sorted once for every power point, and
     # the average energy of a uniform random table at unit scale
-    points = _kernels.Candidates(cands @ carriers)
-    energy = (spec.alphabet_size ** 2 - 1) / 12.0 \
-        * np.sum(np.hypot(carriers.real, carriers.imag) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        carriers = reduced_carriers(spec, h)
+        energy = float((spec.alphabet_size ** 2 - 1) / 12.0
+                       * np.sum(np.hypot(carriers.real, carriers.imag) ** 2))
+    if not np.finfo(float).tiny <= energy < math.inf:
+        raise ParameterError(f"h must give finite reduced carriers with a "
+                             f"positive normal energy, got energy {energy!r}")
+    # the unit-scale points, sorted once, and the place values of their grid
+    base = grid_points(spec, carriers)
+    points = _kernels.Candidates(base)
+    place = spec.alphabet_size ** np.arange(m - 1, -1, -1)
     rates = []
     for k, P in enumerate(P_grid):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=rng_seed, spawn_key=(k,)))
         gamma = math.sqrt(P / energy)
         try:
-            tables = rng.integers(-3 * spec.q_red, 3 * spec.q_red + 1,
-                                  size=(trials, spec.table_size),
-                                  dtype=np.int64)
+            tables = rng.integers(-q3, q3 + 1, size=(trials, m), dtype=np.int64)
         except MemoryError:
-            raise ParameterError(
-                f"trials = {trials!r} needs a draw of {trials} x "
-                f"{spec.table_size} int64 symbols, more than numpy could "
-                "allocate") from None
-        ys = gamma * (tables @ carriers)
+            raise ParameterError(f"trials = {trials!r} needs a draw of {trials} x "
+                                 f"{m} int64 symbols, more than numpy could "
+                                 "allocate") from None
+        sent = (tables + q3) @ place
+        ys = gamma * base[sent]
         if noisy:
             ys = ys + complex_awgn(rng, trials)
-        det = cands[_kernels.nearest_point(ys, points, gamma)]
-        err = np.any(det != tables, axis=1)
+        err = _kernels.nearest_point(ys, points, gamma) != sent
         rates.append(float(np.mean(err)))
     return np.asarray(rates)

@@ -66,10 +66,10 @@ def is_finite_real(x) -> bool:
         and abs(x) <= sys.float_info.max
 
 
-def require_positive_real(value, name):
-    if not (is_finite_real(value) and value > 0):
-        raise ParameterError(f"{name} must be finite and > 0 (a real, not a "
-                             f"bool), got {value!r}")
+def require_positive_real(value, name, zero=False):
+    if not (is_finite_real(value) and (value >= 0 if zero else value > 0)):
+        raise ParameterError(f"{name} must be finite and >{'=' * zero} 0 (a "
+                             f"real, not a bool), got {value!r}")
 
 
 def require_gamma(gamma):
@@ -79,15 +79,19 @@ def require_gamma(gamma):
         raise ParameterError(f"gamma must be a nonzero finite number, got {gamma!r}")
 
 
-def require_powers(values, name, zero=False) -> np.ndarray:
-    """values as floats, each finite and > 0 (>= 0 with zero), or ParameterError."""
+def require_powers(values, name, zero=False, shape=None, inf=False) -> np.ndarray:
+    """values as floats, each > 0 (>= 0 with zero) and finite (or inf, with
+    inf), of the given shape if one is given, or ParameterError."""
     try:
         P = np.asarray(values, dtype=float)
     except (TypeError, ValueError, OverflowError):
         P = np.array(np.nan)
-    if not (np.isfinite(P).all() and (P >= 0 if zero else P > 0).all()):
-        raise ParameterError(f"{name} must be finite and >{'=' * zero} 0, "
-                             f"got {values!r}")
+    # nan fails the comparison, and so does -inf
+    if not ((P >= 0 if zero else P > 0).all() and (inf or np.isfinite(P).all())):
+        raise ParameterError(f"{name} must be {'finite and ' * (not inf)}"
+                             f">{'=' * zero} 0, got {values!r}")
+    if shape is not None and P.shape != shape:
+        raise ParameterError(f"{name} must have shape {shape}, got {P.shape}")
     return P
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (GenericityError, ParameterError, SingularChannelError,
-                     SymbolRangeError, require_count)
+                     SymbolRangeError, require_count, require_gamma)
 
 # ============================================================
 # channel
@@ -49,6 +49,7 @@ def gain_matrix(h) -> np.ndarray:
 def illustrating_gains(gamma, h):
     """Copy of h in which receiver 3 sees a gamma-scaled copy of the
     direct/cross pair of receiver 2 (h31 = gamma*h21, h33 = gamma*h23)."""
+    require_gamma(gamma)
     h = gain_matrix(h).copy()
     h[2, 0] = gamma * h[1, 0]
     h[2, 2] = gamma * h[1, 2]

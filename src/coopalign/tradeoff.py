@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (GenericityError, ParameterError, is_finite_real,
-                     require_count, require_gamma, require_power_grid,
+from .errors import (GenericityError, ParameterError, require_count,
+                     require_positive_real, require_power_grid,
                      require_powers, require_seed)
 from .lattice import (channel_inverse, complex_awgn, gain_matrix,
                       illustrating_gains)
@@ -56,9 +56,7 @@ class RateReport:
 
 def optimal_tradeoff(alpha) -> float:
     """Best per-user degrees of freedom at backhaul load slope alpha."""
-    if not (is_finite_real(alpha) and alpha >= 0):
-        raise ParameterError(f"alpha must be finite and >= 0 (a real, not a "
-                             f"bool), got {alpha!r}")
+    require_positive_real(alpha, "alpha", zero=True)
     return min(1.0, (1.0 + alpha) / 2.0)
 
 
@@ -71,30 +69,33 @@ def rx_sum_upper_bound(H, P, Rb_bar):
     """Upper bound on twice the sum rate for receiver-side cooperation:
     sum over receivers l of log2(1 + P(|h_{l,l-1}|^2 + |h_{ll}|^2)), with
     transmitter 0 read as 3, plus 3 times the average backhaul load.  P may
-    be an array, with Rb_bar of the same shape."""
+    be an array, with Rb_bar, each >= 0 (inf admitted), of the same shape."""
     h, P = gain_matrix(H), require_powers(P, "P")
+    Rb_bar = require_powers(Rb_bar, "Rb_bar", zero=True, shape=P.shape, inf=True)
     # the gain powers come from the scalar abs and pow: np.abs of the
     # complex array, or an array ** 2 (a multiply), moves their last bit
     g = [abs(h[i, i - 1]) ** 2 + abs(h[i, i]) ** 2 for i in (1, 2, 0)]
     # receivers 2, 3, 1, added left to right
     return np.log2(1.0 + P * g[0]) + np.log2(1.0 + P * g[1]) \
-        + np.log2(1.0 + P * g[2]) + 3 * np.asarray(Rb_bar)
+        + np.log2(1.0 + P * g[2]) + 3 * Rb_bar
 
 
 def tx_sum_upper_bound(H, P, Rb_bar):
     """Upper bound on twice the sum rate for transmitter-side cooperation:
     sum over receivers of log2(1 + P * (sum_i |h_ki|)^2) plus 3 times the
-    average backhaul load.  P may be an array, with Rb_bar of the same
-    shape."""
+    average backhaul load.  P may be an array, with Rb_bar, each >= 0 (inf
+    admitted), of the same shape."""
     h, P = gain_matrix(H), require_powers(P, "P")
+    Rb_bar = require_powers(Rb_bar, "Rb_bar", zero=True, shape=P.shape, inf=True)
     row_mass = np.hypot(h.real, h.imag).sum(axis=1) ** 2    # sum_{i,j} |h_ki h_kj*|
-    return np.log2(1.0 + P[..., None] * row_mass).sum(-1) + 3 * np.asarray(Rb_bar)
+    return np.log2(1.0 + P[..., None] * row_mass).sum(-1) + 3 * Rb_bar
 
 
 def normalized_bound_slope(bound_fn, H, alpha, P_grid) -> float:
     """Slope of a sum-rate bound with backhaul load alpha*log2(P), fitted
     over the top half of the grid and normalized by 6 log2(P), as the bound
     is on twice the sum of three rates; converges to (1+alpha)/2."""
+    require_positive_real(alpha, "alpha", zero=True)
     P_grid = require_power_grid(P_grid)
     vals = bound_fn(H, P_grid, alpha * np.log2(P_grid))
     return top_half_slope(P_grid, vals) / 6.0
@@ -193,7 +194,6 @@ def decode_coefficients(gamma, h):
     """The proportional gains of h and the coefficients c1, c2, c3 that the
     decoders see after cancellation; raises ParameterError for a bad gamma
     and GenericityError when a gain or a coefficient vanishes."""
-    require_gamma(gamma)
     h = illustrating_gains(gamma, h)
     if np.abs(h).min() == 0:
         raise GenericityError("example needs all gains nonzero")

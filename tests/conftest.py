@@ -5,8 +5,9 @@ machinery: observations are rebuilt with dictionary lookups over explicit
 label tuples, and monomials are evaluated in the complex log domain, so a
 bug in the window arithmetic cannot hide in both sides of a comparison.
 The dense carrier table, whose bits the package's carriers must match, is
-this module's own chain of np.multiply.outer calls, and exact_observations,
-the combination cubes tx-coop must build, is one window read per stream.
+this module's own chain of np.multiply.outer calls, exact_observations,
+the combination cubes tx-coop must build, is one window read per stream, and
+candidate_tables writes out the ML sweep's candidates in its grid order.
 """
 
 import cmath
@@ -195,6 +196,21 @@ def brute_nearest_point(y, points):
         e *= e
         d += e
         out[lo:lo + 256] = np.argmin(d, axis=1)
+    return out
+
+
+def candidate_tables(spec):
+    """Every integer table of a reduced spec, one row per candidate, in the
+    sweep's grid order: row r is the mixed-radix expansion of r in base
+    6q+1, the first label the most significant digit, digits mapped to
+    {-3q..3q} ascending."""
+    m, A = spec.table_size, spec.alphabet_size
+    digits = np.arange(-3 * spec.q_red, 3 * spec.q_red + 1, dtype=np.int64)
+    out = np.empty((spec.n_candidates, m), dtype=np.int64)
+    # the rows as an A x ... x A grid: digit pos varies along grid axis pos
+    grid = out.reshape((A,) * m + (m,))
+    for pos in range(m):
+        grid[..., pos] = digits.reshape((A,) + (1,) * (m - 1 - pos))
     return out
 
 

@@ -3,10 +3,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import make_generic_channel
+from conftest import candidate_tables, make_generic_channel
 from coopalign import _kernels, detection
-from coopalign.detection import (ReducedSpec, candidate_tables,
-                                 reduced_carriers, reduced_error_sweep)
+from coopalign.detection import (ReducedSpec, grid_points, reduced_carriers,
+                                 reduced_error_sweep)
 from coopalign.errors import MLBudgetError, ParameterError
 from coopalign.lattice import random_gains
 
@@ -47,6 +47,7 @@ class TestReduced:
                     assert spec.n_candidates == count
 
     def test_candidate_enumeration_lexicographic(self):
+        # the oracle of the sweep's grid order
         cands = candidate_tables(self.SPEC)
         assert cands.shape == (7 ** 4, 4)
         np.testing.assert_array_equal(cands[0], [-3, -3, -3, -3])
@@ -64,6 +65,43 @@ class TestReduced:
         for pos in range(spec.table_size):
             place = A ** (spec.table_size - 1 - pos)
             np.testing.assert_array_equal(cands[:, pos], r // place % A - 3 * q)
+
+    @pytest.mark.parametrize("spec", [
+        SPEC, ReducedSpec(active_coords=((1, 1), (2, 2)), n_red=1, q_red=2),
+        ReducedSpec(active_coords=((1, 2),), n_red=2, q_red=2),
+        ReducedSpec(active_coords=((3, 2),), n_red=4, q_red=1)])
+    def test_sweep_points_and_indices_follow_the_oracle(self, monkeypatch, spec):
+        # point r is oracle row r times the carriers, up to the rounding of
+        # an m-term sum; a noiseless observation is gamma times the point of
+        # the table sent, whose oracle row is the table drawn from the
+        # power level's stream
+        h = random_gains(np.random.default_rng(4))
+        carriers = reduced_carriers(spec, h)
+        tables = candidate_tables(spec)
+        points = grid_points(spec, carriers)
+        assert points.shape == (spec.n_candidates,)
+        err = np.abs(points - tables @ carriers)
+        assert np.all(err <= 8 * np.finfo(float).eps
+                      * (np.abs(tables) @ np.abs(carriers)))
+        seen, kernel = [], _kernels.nearest_point
+
+        def record(y, candidates, gamma):
+            seen.append((y, gamma))
+            return kernel(y, candidates, gamma)
+
+        monkeypatch.setattr(_kernels, "nearest_point", record)
+        q = spec.q_red
+        rates = reduced_error_sweep(spec, h, [1e2, 1e5], 300, rng_seed=9,
+                                    noisy=False)
+        assert rates.tolist() == [0.0, 0.0] and len(seen) == 2
+        for k, (y, gamma) in enumerate(seen):
+            at = {z: i for i, z in enumerate((gamma * points).tolist())}
+            assert len(at) == spec.n_candidates
+            sent = [at[z] for z in y.tolist()]
+            drawn = np.random.default_rng(
+                np.random.SeedSequence(entropy=9, spawn_key=(k,))).integers(
+                    -3 * q, 3 * q + 1, size=(300, spec.table_size), dtype=np.int64)
+            np.testing.assert_array_equal(tables[sent], drawn)
 
     def test_carriers_match_direct_products(self, rng):
         h = make_generic_channel(rng, n=1)
@@ -132,10 +170,11 @@ def test_sweep_picks_digest(monkeypatch):
     ({"noisy": "no"}, "noisy"), ({"noisy": 0}, "noisy"), ({"noisy": None}, "noisy")])
 def test_sweep_rejects_bad_inputs_before_building_candidates(monkeypatch, kwargs,
                                                              name):
-    def unreachable(spec):
-        raise AssertionError("candidate set built for a rejected sweep")
+    def unreachable(*args):
+        raise AssertionError("carriers or candidates built for a rejected sweep")
 
-    monkeypatch.setattr(detection, "candidate_tables", unreachable)
+    monkeypatch.setattr(detection, "reduced_carriers", unreachable)
+    monkeypatch.setattr(_kernels, "Candidates", unreachable)
     args = {"P_grid": [1e2], "trials": 10, "rng_seed": 1, "noisy": True, **kwargs}
     with pytest.raises(ParameterError, match=name):
         reduced_error_sweep(TestReduced.SPEC, random_gains(np.random.default_rng(0)),
@@ -159,32 +198,32 @@ def test_sweep_takes_every_64_bit_seed(rng_seed):
 
 
 def test_sweep_builds_candidates_once(monkeypatch):
-    # one candidate build and one carrier table per sweep, and one kernel
+    # one carrier table and one candidate build per sweep, and one kernel
     # call per power point over every candidate, which pipebench's traced
     # pair count relies on
-    builds, carrier_calls, calls = [], [], []
-    tables, kernel = detection.candidate_tables, _kernels.nearest_point
-    carriers = detection.reduced_carriers
-
-    def count_builds(spec):
-        builds.append(spec)
-        return tables(spec)
+    carrier_calls, builds, calls = [], [], []
+    carriers, build = detection.reduced_carriers, _kernels.Candidates
+    kernel = _kernels.nearest_point
 
     def count_carriers(spec, h):
         carrier_calls.append(spec)
         return carriers(spec, h)
 
+    def count_builds(base):
+        builds.append(len(base))
+        return build(base)
+
     def count_calls(*args):
         calls.append(len(args[1]))
         return kernel(*args)
 
-    monkeypatch.setattr(detection, "candidate_tables", count_builds)
     monkeypatch.setattr(detection, "reduced_carriers", count_carriers)
+    monkeypatch.setattr(_kernels, "Candidates", count_builds)
     monkeypatch.setattr(_kernels, "nearest_point", count_calls)
     spec = ReducedSpec(active_coords=((1, 1), (2, 2)), n_red=1, q_red=2)
     P_grid = [1e2, 1e3, 1e4, 1e5]
     reduced_error_sweep(spec, random_gains(np.random.default_rng(1)), P_grid,
                         trials=20, rng_seed=1)
-    assert len(builds) == 1
     assert len(carrier_calls) == 1
+    assert builds == [spec.n_candidates]
     assert calls == [spec.n_candidates] * len(P_grid)

@@ -1,5 +1,6 @@
 """The input rules in coopalign.errors, through every entry point that
-applies them: a count, a seed, a finite real, gamma and a power grid.
+applies them: a count, a seed, a finite real, gamma, a power grid, a load
+per power point and the sweep's gains.
 
 Each row of the table is (caller, argument, bad value, error class, field
 named in the message).  Library calls raise ParameterError and configs
@@ -15,7 +16,8 @@ from coopalign import _kernels
 from coopalign.detection import ReducedSpec, reduced_error_sweep
 from coopalign.errors import ConfigError, ParameterError
 from coopalign.harness import ExperimentConfig
-from coopalign.lattice import SubstreamTable, channel_is_generic, random_gains
+from coopalign.lattice import (SubstreamTable, channel_is_generic,
+                               illustrating_gains, random_gains)
 from coopalign.tradeoff import (RateReport, centralized_report,
                                 decode_coefficients, illustrating_example,
                                 lemma1_check, normalized_bound_slope,
@@ -60,6 +62,8 @@ CALLS = {
         lambda v: reduced_error_sweep(SPEC, H, [1e4], 4, v),
     ("reduced_error_sweep", "P_grid"):
         lambda v: reduced_error_sweep(SPEC, H, [v], 4, 0),
+    ("reduced_error_sweep", "h"):
+        lambda v: reduced_error_sweep(SPEC, np.full((3, 3), v), [1e4], 4, 0),
     ("lemma1_check", "K"): lambda v: lemma1_check(v, 2, trials=2),
     ("lemma1_check", "n"): lambda v: lemma1_check(2, v, trials=2),
     ("lemma1_check", "trials"): lambda v: lemma1_check(2, 2, trials=v),
@@ -69,6 +73,7 @@ CALLS = {
         lambda v: verify_diagonalization(STREAMS, BUILT, H, v),
     ("nearest_point", "gamma"):
         lambda v: _kernels.nearest_point(np.array([0.1 + 0j]), CANDIDATES, v),
+    ("illustrating_gains", "gamma"): lambda v: illustrating_gains(v, H),
     ("decode_coefficients", "gamma"): lambda v: decode_coefficients(v, H),
     ("illustrating_example", "gamma"):
         lambda v: illustrating_example(v, H, GRID),
@@ -76,6 +81,10 @@ CALLS = {
         lambda v: RateReport(v, np.zeros((4, 3)), np.zeros(4)),
     ("normalized_bound_slope", "P_grid"):
         lambda v: normalized_bound_slope(rx_sum_upper_bound, H, 0.5, v),
+    ("normalized_bound_slope", "alpha"):
+        lambda v: normalized_bound_slope(rx_sum_upper_bound, H, v, GRID),
+    ("rx_sum_upper_bound", "Rb_bar"): lambda v: rx_sum_upper_bound(H, GRID, v),
+    ("tx_sum_upper_bound", "Rb_bar"): lambda v: tx_sum_upper_bound(H, GRID, v),
     ("optimal_tradeoff", "alpha"): optimal_tradeoff,
 }
 
@@ -91,6 +100,12 @@ TOO_MANY_TRIALS = [2 ** 58, 2 ** 62]
 UNALLOCATABLE_TRIALS = [2 ** 58 - 1]
 GRIDS = [0, [1e8, 1e6, 1e4, 1e2], [1e2, 1e2, 1e4, 1e6], [1e2, 1e3, 1e4],
          [-1, 1e3, 1e4, 1e5], [1e2, 1e3, 1e4, 10 ** 400]]
+# one load per point of GRID: nan, negative, the wrong shape, or no number
+LOADS = [math.nan, -1.0, [0.0, 1.0, 2.0, -0.5], [1.0, 2.0, 3.0, math.nan],
+         [1.0, 2.0], np.zeros((4, 1)), 0.0, "abc", 10 ** 400]
+# gains whose reduced carriers all vanish or underflow (energy 0) or
+# overflow (not finite); the rule raises no warning either way
+SWEEP_GAINS = [0.0, 1e-100, 1e-200, 1e200, math.inf, math.nan]
 
 
 def _rows(error, sites, values):
@@ -121,8 +136,15 @@ ROWS = (
                              ("verify_diagonalization", "P", "P"),
                              ("nearest_point", "gamma", "gamma")],
             POSITIVE_REAL)
-    + _rows(ParameterError, [("optimal_tradeoff", "alpha", "alpha")], ALPHA)
+    + _rows(ParameterError, [("optimal_tradeoff", "alpha", "alpha"),
+                             ("normalized_bound_slope", "alpha", "alpha")],
+            ALPHA)
+    + _rows(ParameterError, [("rx_sum_upper_bound", "Rb_bar", "Rb_bar"),
+                             ("tx_sum_upper_bound", "Rb_bar", "Rb_bar")], LOADS)
+    + _rows(ParameterError, [("reduced_error_sweep", "h", "h")], SWEEP_GAINS)
     + _rows(ConfigError, [("config", "gamma", "gamma")], GAMMA)
+    + _rows(ParameterError, [("illustrating_gains", "gamma", "gamma")],
+            GAMMA + [math.nan, complex(math.nan, 0), math.inf])
     + _rows(ParameterError, [("decode_coefficients", "gamma", "gamma"),
                              ("illustrating_example", "gamma", "gamma")],
             GAMMA)
@@ -198,3 +220,11 @@ def test_lemma1_refuses_bad_powers(P_vec):
 @pytest.mark.parametrize("P_vec", [0.0, [0.0], [1.0], [1.0, 2.0]])
 def test_lemma1_admits_one_power_or_k(P_vec):
     assert lemma1_check(K=2, n=2, P_vec=P_vec, trials=3).all_passed
+
+
+@pytest.mark.parametrize("bound", [rx_sum_upper_bound, tx_sum_upper_bound])
+def test_an_infinite_load_gives_an_infinite_bound(bound):
+    # alpha * log2(P) past the float range is inf: a true, if empty, bound,
+    # which bounds-only reports as a failed trial naming dof
+    got = bound(H, GRID, [0.0, 1.0, 2.0, math.inf])
+    assert np.isfinite(got[:3]).all() and got[3] == math.inf
