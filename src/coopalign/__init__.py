@@ -19,8 +19,7 @@ from .errors import (ConfigError, CoopAlignError, GenericityError,
                      SingularChannelError, SymbolRangeError)
 from .indices import AXIS, COORD_NAMES, window
 from .lattice import (SubstreamTable, channel_inverse, channel_is_generic,
-                      illustrating_gains, monomial_table, random_gains,
-                      require_generic)
+                      illustrating_gains, random_gains, require_generic)
 from .rx_protocol import run_rx_protocol
 from .tradeoff import (centralized_report, illustrating_example, lemma1_check,
                        normalized_bound_slope, optimal_tradeoff,
@@ -32,8 +31,7 @@ __all__ = [
     "AXIS", "COORD_NAMES", "window",
     "BackhaulLedger", "BackhaulMessage",
     "SubstreamTable", "channel_inverse", "channel_is_generic",
-    "illustrating_gains", "monomial_table", "random_gains",
-    "require_generic",
+    "illustrating_gains", "random_gains", "require_generic",
     "run_rx_protocol",
     "run_tx_backhaul", "verify_diagonalization",
     "centralized_report", "illustrating_example", "lemma1_check",

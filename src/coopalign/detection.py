@@ -97,7 +97,8 @@ def reduced_error_sweep(spec: ReducedSpec, h, P_grid, trials, rng_seed,
     counts the picks of the nearest point scaled by gamma that are not the
     table sent.  Streams are split per power level from one root seed.
     `trials` is a count, `rng_seed` a seed, every P a positive real, `noisy`
-    a bool, and h 3x3 with finite reduced carriers of positive normal energy.
+    a bool, and h 3x3 with finite reduced carriers of positive normal energy
+    that give every P a finite gamma.
     """
     h = gain_matrix(h)
     require_count(trials=trials)
@@ -121,15 +122,21 @@ def reduced_error_sweep(spec: ReducedSpec, h, P_grid, trials, rng_seed,
     if not np.finfo(float).tiny <= energy < math.inf:
         raise ParameterError(f"h must give finite reduced carriers with a "
                              f"positive normal energy, got energy {energy!r}")
+    # P / energy can overflow though the energy is normal
+    gammas = [math.sqrt(float(P) / energy) for P in P_grid]
+    for P, gamma in zip(P_grid, gammas):
+        if gamma == math.inf:
+            raise ParameterError(f"P and h must give a finite gamma = "
+                                 f"sqrt(P / energy), got P = {P!r} and "
+                                 f"energy {energy!r}")
     # the unit-scale points, sorted once, and the place values of their grid
     base = grid_points(spec, carriers)
     points = _kernels.Candidates(base)
     place = spec.alphabet_size ** np.arange(m - 1, -1, -1)
     rates = []
-    for k, P in enumerate(P_grid):
+    for k, gamma in enumerate(gammas):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=rng_seed, spawn_key=(k,)))
-        gamma = math.sqrt(P / energy)
         try:
             tables = rng.integers(-q3, q3 + 1, size=(trials, m), dtype=np.int64)
         except MemoryError:

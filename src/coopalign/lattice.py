@@ -162,7 +162,12 @@ class SubstreamTable:
 
 def stream_params(streams) -> tuple:
     """(n, q) of three users' tables given in user order that share one
-    lattice depth and one symbol half-width."""
+    lattice depth and one symbol half-width; anything else raises
+    ParameterError."""
+    if not (isinstance(streams, (tuple, list)) and len(streams) == 3
+            and all(isinstance(s, SubstreamTable) for s in streams)):
+        raise ParameterError(f"streams must be three SubstreamTables, got "
+                             f"{type(streams).__name__}")
     a, b, c = streams
     if (a.owner, b.owner, c.owner) != (1, 2, 3):
         raise ParameterError("streams must be given in user order (1, 2, 3)")
@@ -191,9 +196,10 @@ def _products(factors):
 
 
 # the most carriers, (N+1)^9, that rx-coop and tx-coop run on: N = 5.  A
-# random-channel trial peaks at 73 MiB RSS at N = 4 and 220 MiB at N = 5,
-# about 19 B more per carrier, most of it the screen's 16-B carrier table,
-# so N = 6 would take about 0.75 GiB per trial and per pool worker.
+# random-channel rx-coop or tx-coop trial peaks at 73 MiB RSS at N = 4 and
+# 220 MiB at N = 5, about 19 B more per carrier, most of it the screen's
+# 16-B carrier table, so N = 6 would take about 0.75 GiB per trial and per
+# pool worker.
 MAX_CARRIERS = 6 ** 9
 
 
@@ -208,17 +214,17 @@ def monomial_table(h, upper) -> np.ndarray:
 
 
 def carrier_sums(h, cubes) -> np.ndarray:
-    """For each cube c on {1..u}^9, the sum over labels s of
-    prod_k g_k^(s_k) c[s], the g_k being the nine gains of h in label order.
+    """For each cube c, on {1..u_1} x ... x {1..u_9}, the sum over labels s
+    of prod_k g_k^(s_k) c[s], the g_k being the nine gains of h in label
+    order; u is the largest extent over all the cubes.
 
     The sum is nested, sum_s1 g_1^s1 sum_s2 g_2^s2 ... c[s], and contracted
     leading axis first on planes of real and imaginary parts: each term is
     one np.multiply by a real scalar and one in-place add, so no loop can
-    fuse or reorder, and the bits do not depend on numpy's SIMD level.  The
-    first two contractions run per label on the second axis, so no (u^8,)
-    plane is held.  Each cube's trailing all-zero slabs, on every axis, are
-    dropped first: their terms are products with an exact 0, which leave an
-    accumulator that starts at +0.0, and so is never -0.0, unchanged.
+    fuse or reorder, and the bits do not depend on numpy's SIMD level.  Each
+    cube's trailing all-zero slabs, on every axis, are dropped first: their
+    terms are products with an exact 0, which leave an accumulator that
+    starts at +0.0, and so is never -0.0, unchanged.
 
     The nesting forms no carrier, so a zero carrier is found from the
     powers: GenericityError is raised when the product of the nine gains'
@@ -226,7 +232,7 @@ def carrier_sums(h, cubes) -> np.ndarray:
     or the product underflows), or when a power or a sum is not finite (a
     carrier is not finite, or a sum overflows).
     """
-    u = cubes[0].shape[0]
+    u = max(max(c.shape) for c in cubes)
     with np.errstate(over="ignore", invalid="ignore"):
         p = _powers(h, np.arange(1, u + 1))
         if math.prod(float(np.hypot(g.real, g.imag).min()) for g in p) == 0:
@@ -257,35 +263,22 @@ def _nested_sum(c, coef):
     coef[k][j] is (real, imaginary) of gain k's power j + 1."""
     if not c.size:
         return 0j
-    coef = [z[:m] for z, m in zip(coef, c.shape)]
-    c = c.reshape(c.shape[0], c.shape[1], -1)
-    tmp = np.empty(c.shape[2])
-    row = np.empty((2, c.shape[2]))
-    acc = np.zeros((2, c.shape[2]))
-    for j2, z2 in enumerate(coef[1]):
-        row.fill(0.0)
-        for j1, z1 in enumerate(coef[0]):
-            _add_product(row, c[j1, j2, None], z1, tmp)
-        _add_product(acc, row, z2, tmp)
-    for zs in coef[2:]:
-        acc = acc.reshape(2, len(zs), -1)
+    # the planes (re, im) of the sum so far, the cube its one real plane
+    acc = c.reshape(1, -1)
+    for zs, m in zip(coef, c.shape):
+        acc = acc.reshape(len(acc), m, -1)
+        out = np.empty(acc.shape[2])
         nxt = np.zeros((2, acc.shape[2]))
-        for j, z in enumerate(zs):
-            _add_product(nxt, acc[:, j], z, tmp[:acc.shape[2]])
+        # nxt += (a + ib) x, for x = acc[:, j], as one rounded multiply by a
+        # real scalar, then one in-place add, at a time, re part first:
+        # re += x re * a, im += x re * b, re += x im * -b, im += x im * a
+        for j, (a, b) in enumerate(zs[:m]):
+            for part, w in zip(acc[:, j], ((a, b), (-b, a))):
+                for k in (0, 1):
+                    np.multiply(part, w[k], out=out)
+                    nxt[k] += out
         acc = nxt
     return complex(*acc[:, 0])
-
-
-def _add_product(acc, x, z, tmp):
-    """acc += z * x on planes (re, im), for z = (a, b) and x given as the
-    planes (re,) of a real row or (re, im): acc re += x re * a + x im * -b,
-    acc im += x re * b + x im * a, one rounded product and one add at a
-    time."""
-    a, b = z
-    for part, w in zip(x, ((a, b), (-b, a))):
-        for k in (0, 1):
-            np.multiply(part, w[k], out=tmp)
-            acc[k] += tmp
 
 
 GENERIC_TOL = 1e-9

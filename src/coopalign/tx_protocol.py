@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backhaul import BackhaulLedger, Layout, NodeState, Step, run_round
-from .errors import require_positive_real
+from .errors import ParameterError, require_positive_real
 from .indices import AXIS, COORD_NAMES
 from .lattice import (carrier_sums, channel_inverse, gain_matrix, gains_times,
                       stream_params)
@@ -147,21 +147,30 @@ def verify_diagonalization(all_streams, built, h, P) -> DiagonalizationCheck:
     lattice.gains_times, is compared against the interference-free
     prediction; the mismatch is reported relative to the peak predicted
     signal magnitude, so it measures how exactly the cross-user carriers
-    telescope away.  Both sets of carrier sums are lattice.carrier_sums: a
-    transmit carrier that is zero or not finite, or a sum that overflows,
-    raises GenericityError.  Magnitudes come from the real and imaginary
-    parts (np.hypot, re * re + im * im), because numpy's complex abs moves
-    its last bit with the SIMD level.  A bad gain shape or P raises ParameterError.
+    telescope away.  Both sets of carrier sums come from one
+    lattice.carrier_sums call: a transmit carrier that is zero or not
+    finite, or a sum that overflows, raises GenericityError.  Magnitudes
+    come from the real and imaginary parts (np.hypot, re * re + im * im),
+    because numpy's complex abs moves its last bit with the SIMD level.
+    Streams that lattice.stream_params refuses, built cubes other than three
+    of shape (n+1,)^9, a bad gain shape or a bad P raise ParameterError.
     """
+    n, _ = stream_params(all_streams)
+    shape = (n + 1,) * 9
+    if not (isinstance(built, (tuple, list)) and len(built) == 3
+            and all(isinstance(c, np.ndarray) and c.shape == shape
+                    for c in built)):
+        raise ParameterError(f"built must be three cubes of shape {shape}")
     h = gain_matrix(h)
     require_positive_real(P, "P")
     hinv = channel_inverse(h)
-    raw = carrier_sums(hinv, built)
+    sums = carrier_sums(hinv, [*built, *(s.values for s in all_streams)])
+    raw = sums[:3]
     # scale the realised samples to average power P
     mean_pow = float(np.mean(raw.real * raw.real + raw.imag * raw.imag))
     scale = float(np.sqrt(P / mean_pow)) if mean_pow > 0 else 1.0
     x = scale * raw
-    predicted = scale * carrier_sums(hinv, [s.values for s in all_streams])
+    predicted = scale * sums[3:]
     # fall back to pre-cancellation mass when the predicted signal is zero
     denom = float(np.hypot(predicted.real, predicted.imag).max())
     if denom == 0.0:

@@ -130,6 +130,31 @@ def dense_cube_sum(h, u, t):
     return np.sum(oracle_monomial_table(h, u) * t)
 
 
+def oracle_nested_sum(h, c):
+    """The carrier sum of one integer cube c in Python floats, with the
+    rounding order carrier_sums promises: contracted leading axis first,
+    every accumulator from +0.0, and per term x = (re, im) and power
+    (a, b): re += re x * a, im += re x * b, re += im x * -b,
+    im += im x * a.  The powers are numpy's g ** [1..u_k], as the package
+    takes them; the cube enters as its real part, imaginary part 0.0."""
+    gains = np.asarray(h, dtype=np.complex128).ravel()
+    re = [float(v) for v in c.ravel().tolist()]
+    im = [0.0] * len(re)
+    for g, m in zip(gains, c.shape):
+        rest = len(re) // m
+        nre, nim = [0.0] * rest, [0.0] * rest
+        for j, z in enumerate((g ** np.arange(1, m + 1)).tolist()):
+            a, b = z.real, z.imag
+            for r in range(rest):
+                xr, xi = re[j * rest + r], im[j * rest + r]
+                nre[r] += xr * a
+                nim[r] += xr * b
+                nre[r] += xi * -b
+                nim[r] += xi * a
+        re, im = nre, nim
+    return complex(re[0], im[0])
+
+
 def oracle_channel_is_generic(h, n):
     """The genericity screen's rule with no search.
 

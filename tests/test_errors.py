@@ -1,6 +1,7 @@
 """The input rules in coopalign.errors, through every entry point that
 applies them: a count, a seed, a finite real, gamma, a power grid, a load
-per power point and the sweep's gains.
+per power point and the sweep's gains and gamma; and the one intake of
+three users' streams and of tx-coop's built cubes.
 
 Each row of the table is (caller, argument, bad value, error class, field
 named in the message).  Library calls raise ParameterError and configs
@@ -18,6 +19,7 @@ from coopalign.errors import ConfigError, ParameterError
 from coopalign.harness import ExperimentConfig
 from coopalign.lattice import (SubstreamTable, channel_is_generic,
                                illustrating_gains, random_gains)
+from coopalign.rx_protocol import run_rx_protocol
 from coopalign.tradeoff import (RateReport, centralized_report,
                                 decode_coefficients, illustrating_example,
                                 lemma1_check, normalized_bound_slope,
@@ -64,6 +66,15 @@ CALLS = {
         lambda v: reduced_error_sweep(SPEC, H, [v], 4, 0),
     ("reduced_error_sweep", "h"):
         lambda v: reduced_error_sweep(SPEC, np.full((3, 3), v), [1e4], 4, 0),
+    ("reduced_error_sweep", "gamma"):
+        lambda v: reduced_error_sweep(SPEC, np.full((3, 3), v[0]), [v[1]], 4,
+                                      0),
+    ("run_rx_protocol", "streams"): lambda v: run_rx_protocol(STREAM_SETS[v]),
+    ("run_tx_backhaul", "streams"): lambda v: run_tx_backhaul(STREAM_SETS[v]),
+    ("verify_diagonalization", "streams"):
+        lambda v: verify_diagonalization(STREAM_SETS[v], BUILT, H, 1e6),
+    ("verify_diagonalization", "built"):
+        lambda v: verify_diagonalization(STREAMS, BUILT_SETS[v], H, 1e6),
     ("lemma1_check", "K"): lambda v: lemma1_check(v, 2, trials=2),
     ("lemma1_check", "n"): lambda v: lemma1_check(2, v, trials=2),
     ("lemma1_check", "trials"): lambda v: lemma1_check(2, 2, trials=v),
@@ -106,6 +117,21 @@ LOADS = [math.nan, -1.0, [0.0, 1.0, 2.0, -0.5], [1.0, 2.0, 3.0, math.nan],
 # gains whose reduced carriers all vanish or underflow (energy 0) or
 # overflow (not finite); the rule raises no warning either way
 SWEEP_GAINS = [0.0, 1e-100, 1e-200, 1e200, math.inf, math.nan]
+# (all nine gains, P) whose reduced energy is normal but P / energy
+# overflows, so gamma = sqrt(P / energy) is inf
+SWEEP_GAMMA = [(1e-77, 1e4), (1e-76, 1e10)]
+# anything but three SubstreamTables in user order of one depth and width,
+# by name
+STREAM_SETS = {
+    "empty": [], "None": None, "reversed": STREAMS[::-1], "two": STREAMS[:2],
+    "four": STREAMS + STREAMS[:1], "arrays": tuple(s.values for s in STREAMS),
+    "depths": STREAMS[:2] + (SubstreamTable.random(3, 2, 5,
+                                                   np.random.default_rng(3)),)}
+# anything but three (N+1,)^9 cubes, here (2,)^9, by name
+BUILT_SETS = {
+    "None": None, "two": BUILT[:2], "four": BUILT + BUILT[:1],
+    "streams": tuple(s.values for s in STREAMS),
+    "lists": [c.tolist() for c in BUILT]}
 
 
 def _rows(error, sites, values):
@@ -142,6 +168,14 @@ ROWS = (
     + _rows(ParameterError, [("rx_sum_upper_bound", "Rb_bar", "Rb_bar"),
                              ("tx_sum_upper_bound", "Rb_bar", "Rb_bar")], LOADS)
     + _rows(ParameterError, [("reduced_error_sweep", "h", "h")], SWEEP_GAINS)
+    + _rows(ParameterError, [("reduced_error_sweep", "gamma", "P and h")],
+            SWEEP_GAMMA)
+    + _rows(ParameterError, [("run_rx_protocol", "streams", "streams"),
+                             ("run_tx_backhaul", "streams", "streams"),
+                             ("verify_diagonalization", "streams", "streams")],
+            list(STREAM_SETS))
+    + _rows(ParameterError, [("verify_diagonalization", "built", "built")],
+            list(BUILT_SETS))
     + _rows(ConfigError, [("config", "gamma", "gamma")], GAMMA)
     + _rows(ParameterError, [("illustrating_gains", "gamma", "gamma")],
             GAMMA + [math.nan, complex(math.nan, 0), math.inf])

@@ -10,7 +10,7 @@ import pytest
 from conftest import (dense_cube_sum, exact_observations,
                       narrowest_cube_dtype, oracle_channel_is_generic,
                       oracle_monomial, oracle_monomial_table,
-                      oracle_observations)
+                      oracle_nested_sum, oracle_observations)
 from coopalign import lattice
 from coopalign.errors import GenericityError, ParameterError, SymbolRangeError
 from coopalign.lattice import (GENERIC_TOL, SubstreamTable, carrier_sums,
@@ -251,6 +251,33 @@ class TestCarrierSums:
         want = np.array([lattice._nested_sum(c, coef) for c in cubes])
         assert got.tobytes() == want.tobytes()
         assert all(lattice._trim_zero_slabs(c).size < c.size for c in cubes)
+
+    @pytest.mark.parametrize("u", [1, 2, 3])
+    def test_bytes_match_the_python_float_oracle(self, rng, u):
+        # the rounding order pinned term by term on cubes of both integer
+        # types, whole and with trailing zero slabs; the goldens pin it only
+        # at the configs they run
+        h = np.linalg.inv(random_gains(rng))
+        cubes = []
+        for dt in (np.int16, np.int64):
+            for axes in ((), rng.choice(9, 3, replace=False)):
+                c = rng.integers(-15, 16, (u,) * 9, dtype=dt)
+                for axis in axes:
+                    c[(slice(None),) * axis
+                      + (slice(int(rng.integers(u > 1, u)), None),)] = 0
+                cubes.append(c)
+        got = carrier_sums(h, cubes)
+        want = np.array([oracle_nested_sum(h, c) for c in cubes])
+        assert got.tobytes() == want.tobytes()
+
+    def test_extent_is_the_largest_over_the_cubes(self, rng):
+        # verify_diagonalization sums (n,)^9 streams with (n+1,)^9 built
+        # cubes in one call: a smaller cube first cuts no label off the rest
+        h = np.linalg.inv(random_gains(rng))
+        cubes = [rng.integers(-15, 16, (u,) * 9) for u in (1, 3, 2)]
+        got = carrier_sums(h, cubes)
+        want = np.array([oracle_nested_sum(h, c) for c in cubes])
+        assert got.tobytes() == want.tobytes()
 
     def test_non_finite_power_on_zero_slabs_raises(self, rng):
         # g_11^2 overflows and meets only the zero slab of axis 0; in the

@@ -277,7 +277,9 @@ class TestDiagonalization:
 
     def test_bounded_memory_at_depth_4(self, rng):
         # the dense carrier table and each carrier product were 31 MB at
-        # N = 4; the nested sums hold a few (5^7,) planes.  With the cyclic
+        # N = 4; the nested sums hold one contraction's planes at a time,
+        # the largest the (2, 5^2 4^6) float64 planes, 1.6 MB, that the
+        # leading axis of a trimmed built cube folds into.  With the cyclic
         # collector off, built cubes that a reference cycle kept alive
         # would stay traced after the call
         streams = _streams(rng, 4)
