@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -236,8 +237,68 @@ def _back_substitute(block, carry, slab_axis):
         block[tuple(dst)] += block[tuple(src)]
 
 
-def run_round(steps, nodes, round_index, slab, ledger, first=False):
-    """Run every step of one round on slab ``slab``, logging each message.
+class DigestWorker:
+    """One thread that hashes an exchange's large payloads beside it.
+
+    ``take`` hands the thread a payload of more than DIGEST_CHUNK entries
+    when it holds no other, as a copy, since the destination goes on to
+    finish in place the block that the payload may view.  The payload's
+    message keeps its place in the ledger and gets its digest when the
+    thread is joined.  Use the worker as a ``with`` block around the
+    exchange: leaving the block joins the thread and raises its error, so no
+    thread outlives an exchange.
+    """
+
+    def __init__(self):
+        self._job = None          # (thread, ledger, index, fields, result)
+
+    def take(self, ledger, fields, payload):
+        """Whether the thread took ``payload``, whose message is
+        BackhaulMessage(*fields, digest)."""
+        if payload.size <= DIGEST_CHUNK:
+            return False
+        if self._job is not None:
+            if self._job[0].is_alive():
+                return False
+            self.join()
+        result = []
+        thread = threading.Thread(target=_digest_into,
+                                  args=(result, payload.copy()))
+        thread.start()
+        self._job = (thread, ledger, len(ledger.messages), fields, result)
+        ledger.messages.append(None)
+        return True
+
+    def join(self):
+        """Wait for the thread, if it holds a payload, and put that
+        payload's message in place, or raise the thread's error."""
+        if self._job is None:
+            return
+        thread, ledger, index, fields, result = self._job
+        self._job = None
+        thread.join()
+        if isinstance(result[0], Exception):
+            raise result[0]
+        ledger.messages[index] = BackhaulMessage(*fields, result[0])
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.join()
+
+
+def _digest_into(result, payload):
+    try:
+        result.append(payload_digest(payload))
+    except Exception as exc:  # raised in the exchange by DigestWorker.join
+        result.append(exc)
+
+
+def run_round(steps, nodes, round_index, slab, ledger, first=False,
+              worker=None):
+    """Run every step of one round on slab ``slab``, logging each message;
+    ``worker``, a DigestWorker, may hash the large payloads.
 
     A payload outside its alphabet raises ProtocolError at the sender, and
     a stored entry outside its bound at the destination.
@@ -253,9 +314,10 @@ def run_round(steps, nodes, round_index, slab, ledger, first=False):
             raise ProtocolError(f"payload entry outside half-width {hw} on "
                                 f"link {step.source}->{step.destination}",
                                 round_index=round_index, node=step.source)
-        ledger.add(BackhaulMessage(
-            step.source, step.destination, round_index, payload.size, hw,
-            payload_digest(payload)))
+        fields = (step.source, step.destination, round_index, payload.size,
+                  hw)
+        if worker is None or not worker.take(ledger, fields, payload):
+            ledger.add(BackhaulMessage(*fields, payload_digest(payload)))
         # only the digest is kept: the destination finishes the block in place
         for term in step.receive:
             dst.add_term(block, term, slab, round_index)

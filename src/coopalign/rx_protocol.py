@@ -48,7 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backhaul import BackhaulLedger, Layout, NodeState, Step, run_round
+from .backhaul import (BackhaulLedger, DigestWorker, Layout, NodeState, Step,
+                       run_round)
 from .errors import ParameterError
 from .indices import AXIS, COORD_NAMES
 from .lattice import stream_params
@@ -189,7 +190,9 @@ def run_rx_protocol(all_streams) -> RxProtocolResult:
     nodes = receiver_nodes(all_streams)
     n = all_streams[0].n
     ledger = BackhaulLedger()
-    for r in range(n):
-        run_round(RX_STEPS, nodes, r, n - r, ledger, first=r == 0)
+    with DigestWorker() as worker:
+        for r in range(n):
+            run_round(RX_STEPS, nodes, r, n - r, ledger, first=r == 0,
+                      worker=worker)
     recovered = tuple(resolved_symbols(nodes[i]) for i in (1, 2, 3))
     return RxProtocolResult(recovered=recovered, ledger=ledger)

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backhaul import BackhaulLedger, Layout, NodeState, Step, run_round
+from .backhaul import (BackhaulLedger, DigestWorker, Layout, NodeState, Step,
+                       run_round)
 from .errors import ParameterError, require_positive_real
 from .indices import AXIS, COORD_NAMES
 from .lattice import (carrier_sums, channel_inverse, gain_matrix, gains_times,
@@ -103,9 +104,10 @@ def transmitter_nodes(all_streams):
     return nodes
 
 
-def tx_round(nodes, r, ledger):
-    """Run round r (slab r) of the exchange, logging to the ledger."""
-    run_round(TX_STEPS, nodes, r, r, ledger, first=r == 1)
+def tx_round(nodes, r, ledger, worker=None):
+    """Run round r (slab r) of the exchange, logging to the ledger; a
+    DigestWorker ``worker`` may hash the large payloads."""
+    run_round(TX_STEPS, nodes, r, r, ledger, first=r == 1, worker=worker)
 
 
 @dataclass
@@ -122,8 +124,9 @@ def run_tx_backhaul(all_streams) -> TxProtocolResult:
     n, _ = stream_params(all_streams)
     nodes = transmitter_nodes(all_streams)
     ledger = BackhaulLedger()
-    for r in range(1, n + 2):
-        tx_round(nodes, r, ledger)
+    with DigestWorker() as worker:
+        for r in range(1, n + 2):
+            tx_round(nodes, r, ledger, worker=worker)
     built = tuple(nodes[m].tables["built"] for m in (1, 2, 3))
     return TxProtocolResult(built=built, ledger=ledger)
 

@@ -1,15 +1,21 @@
 import hashlib
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from coopalign import backhaul, tx_protocol
 from coopalign.backhaul import (DIGEST_CHUNK, BackhaulLedger,
                                 BackhaulMessage, Layout, NodeState, Step,
                                 payload_digest, run_round)
 from coopalign.errors import ParameterError, ProtocolError
 from coopalign.indices import AXIS
-from coopalign.lattice import STEP_TERMS
+from coopalign.lattice import STEP_TERMS, SubstreamTable
+from coopalign.rx_protocol import run_rx_protocol
+from coopalign.tx_protocol import run_tx_backhaul
 
 
 def _msg(src, dst, length, hw, rnd=0):
@@ -128,3 +134,114 @@ class TestLedger:
         assert led.total_symbols == 0
         assert led.per_link_bits() == {}
         assert led.trace_records() == []
+
+
+# ============================================================
+# the digest thread of an exchange
+# ============================================================
+
+
+def _streams(rng, n):
+    return tuple(SubstreamTable.random(i, n, 5, rng) for i in (1, 2, 3))
+
+
+def _inline_trace(monkeypatch, run, streams):
+    # the exchange with every payload hashed on the calling thread
+    with monkeypatch.context() as m:
+        m.setattr(backhaul.DigestWorker, "take", lambda *args: False)
+        return run(streams).ledger.trace_records()
+
+
+def _off_main(monkeypatch, before):
+    """Make the digest call ``before()`` first on any thread but the main
+    one; returns the sizes of the payloads hashed there."""
+    sizes = []
+    digest = backhaul.payload_digest
+
+    def patched(a):
+        if threading.current_thread() is not threading.main_thread():
+            sizes.append(a.size)
+            before()
+        return digest(a)
+
+    monkeypatch.setattr(backhaul, "payload_digest", patched)
+    return sizes
+
+
+@pytest.mark.parametrize("run,n", [(run_tx_backhaul, 3),
+                                   (run_tx_backhaul, 4),
+                                   (run_rx_protocol, 4)],
+                         ids=["tx-3", "tx-4", "rx-4"])
+def test_slow_digest_thread_hashes_the_payload_as_sent(rng, monkeypatch, run,
+                                                       n):
+    # the thread sleeps before it hashes, so the destination has long
+    # finished in place the block a tx payload views; the trace must still
+    # be the one of the exchange that hashes every payload inline
+    streams = _streams(rng, n)
+    want = _inline_trace(monkeypatch, run, streams)
+    sizes = _off_main(monkeypatch, lambda: time.sleep(0.02))
+    threads = threading.active_count()
+    assert run(streams).ledger.trace_records() == want
+    assert sizes and min(sizes) > DIGEST_CHUNK
+    assert threading.active_count() == threads
+
+
+def test_concurrent_exchanges_keep_their_traces(rng, monkeypatch):
+    # six threads on two cores, switching every 10 us: three tx exchanges,
+    # each with its own digest thread, must each log the inline trace
+    streams = [_streams(rng, 3) for _ in range(3)]
+    want = [_inline_trace(monkeypatch, run_tx_backhaul, s) for s in streams]
+    got = [None] * 3
+
+    def exchange(k):
+        got[k] = run_tx_backhaul(streams[k]).ledger.trace_records()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runners = [threading.Thread(target=exchange, args=(k,))
+                   for k in range(3)]
+        for t in runners:
+            t.start()
+        for t in runners:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def test_protocol_error_mid_round_joins_the_digest_thread(rng, monkeypatch):
+    # a stored entry of transmitter 3's slab (2,1) = 1 is lowered after
+    # round 1; round 2's 2->1 step then stores an entry past +-3q at
+    # transmitter 1, as it does with every payload hashed inline, while the
+    # slow digest thread still holds a payload
+    streams = _streams(rng, 3)
+    tx_round = tx_protocol.tx_round
+
+    def corrupting(nodes, r, *args, **kwargs):
+        tx_round(nodes, r, *args, **kwargs)
+        if r == 1:
+            nodes[3].tables["built"][2, 2, 0, 0, 2, 2, 1, 2, 1] -= 15
+
+    monkeypatch.setattr(tx_protocol, "tx_round", corrupting)
+    sizes = _off_main(monkeypatch, lambda: time.sleep(0.05))
+    threads = threading.active_count()
+    with pytest.raises(ProtocolError, match="stored entry outside half-width "
+                       "15") as err:
+        run_tx_backhaul(streams)
+    assert (err.value.round_index, err.value.node) == (2, 1)
+    assert sizes
+    assert threading.active_count() == threads
+
+
+def test_digest_thread_error_reaches_the_caller(rng, monkeypatch):
+    def fail():
+        raise RuntimeError("digest failed")
+
+    sizes = _off_main(monkeypatch, fail)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="digest failed"):
+        run_tx_backhaul(_streams(rng, 3))
+    assert sizes
+    assert threading.active_count() == threads

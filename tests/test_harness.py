@@ -666,14 +666,17 @@ class TestRunExperiment:
 
 # sha256 of the deterministic backhaul trace, recorded before the rx and tx
 # protocols moved onto the shared exchange engine (rx-coop at N = 3: before
-# the receivers held their tables slab-major); tx leaves out its float
-# airtime record
+# the receivers held their tables slab-major; tx-coop at N = 3 and 4, whose
+# 4^8- and 5^8-entry payloads an exchange's digest thread may hash: before
+# that thread existed); tx leaves out its float airtime record
 GOLDEN_TRACE = {
     ("rx-coop", 1): "cfac58ee216162f1b0ba8fcf4458381cd7bfa3850498c6373cd33f5099d43fa1",
     ("rx-coop", 2): "bc86763455bbf30bcfef384c41ef508642d9eb623d49a7b6f4140bb7b09b15bd",
     ("rx-coop", 3): "9bc71790a07ba62ece812bbe2d83d7e75104703a69383881245697e677d0e936",
     ("tx-coop", 1): "43ceb03effb6db3bc8da1bfe0fc9bc3e61ae1d921dc3d650b0cd68ce4db251ba",
     ("tx-coop", 2): "ecaecfe9bda023e1e35ec5de4fd67164af1f0810e5d90a7b3603e2901e78bc6e",
+    ("tx-coop", 3): "908b3511c051bc90e6db0e9e7a1daca50882de5f0cd3dece38448666a7f71e29",
+    ("tx-coop", 4): "48628935524d06046fec59f21ca08230f79d99551c54db4b2de4f85595c511fe",
 }
 
 
