@@ -10,15 +10,14 @@ a term is written
 
     (sign, table, ((coordinate name, shift), ...), slab offset)
 
-and reads ``table`` of its node at label u + shift on the named
-coordinates, with the slab coordinate pinned to the round's slab plus the
-offset.  Reads outside a table are zero.  The destination's result is the
-block it stores as its slab of the round.
+and reads ``table`` of its node on the round's slab plus the offset, at
+label u + shift on the named coordinates.  Reads outside a table are zero.
+The destination's result is the block it stores as its slab of the round.
 
-Where a node's tables and a step's block hold their labels is the node's
-Layout, planned once per lattice depth: it turns each term's coordinate
-shifts into shifts of the held table's axes, so every read is one
-``indices.window`` over the table as it is held.
+Every node holds its tables slab-major, the slab coordinate first, and a
+Layout, planned once per lattice depth, turns each term's coordinate shifts
+into shifts of a slab's axes: every read is one ``indices.window`` over one
+slab.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ParameterError, ProtocolError
-from .indices import AXIS, window
+from .indices import AXIS, free_coords, window
 from .lattice import STEP_TERMS
 
 
@@ -148,17 +147,15 @@ class Step:
 
 
 class Layout(NamedTuple):
-    """Where a node holds its tables and a step's block.
+    """How a node holds a slab of its tables and a step's block.
 
-    Each table is held with its slab coordinate on axis ``slab_axis``; a
-    term reads it with ``indices.window``, that axis pinned and the others
-    shifted by ``reads[table, coordinate shifts]``, into the block held in
-    shape ``block``.  Viewed as (side,)*8 over the free coordinates in
-    canonical order, the block holds the payload's labels at ``labels``, and
-    a slab of the store table, so viewed, holds them at ``region``.
+    A term reads one slab with ``indices.window``, its axes shifted by
+    ``reads[table, coordinate shifts]``, into the block held in shape
+    ``block``.  Viewed as (side,)*8 over the free coordinates, the block
+    holds the payload's labels at ``labels``, and a slab of the store table,
+    so viewed, holds them at ``region``.
     """
 
-    slab_axis: int
     block: tuple
     side: int
     labels: tuple
@@ -192,21 +189,21 @@ class NodeState:
         """Add one term, read around ``slab``, into the block ``out``."""
         sign, name, shifts, offset = term
         table = self.tables[name]
-        axis = self.layout.slab_axis
-        pinned = slab + offset
-        if (name == self.store and 1 <= pinned <= table.shape[axis]
-                and pinned not in self.slabs):
-            raise ProtocolError(f"slab {pinned} read before it was stored",
+        at = slab + offset
+        if not 1 <= at <= len(table):
+            return
+        if name == self.store and at not in self.slabs:
+            raise ProtocolError(f"slab {at} read before it was stored",
                                 round_index=round_index, node=self.node)
-        w = window(table.shape, out.shape[0], self.layout.reads[name, shifts],
-                   {axis: pinned})
+        held = table[at - 1]
+        w = window(held.shape, out.shape[0], self.layout.reads[name, shifts])
         if w is None:
             return
         src, dst = w
         if sign > 0:
-            out[dst] += table[src]
+            out[dst] += held[src]
         else:
-            out[dst] -= table[src]
+            out[dst] -= held[src]
 
     def store_slab(self, slab, block, round_index):
         """Store the canonical payload-shaped ``block`` as slab ``slab``."""
@@ -216,20 +213,26 @@ class NodeState:
                 f"half-width {self.bound}", round_index=round_index,
                 node=self.node)
         lay = self.layout
-        held = self.tables[self.store][(slice(None),) * lay.slab_axis
-                                       + (slab - 1,)]
+        held = self.tables[self.store][slab - 1]
         held.reshape((lay.side,) * 8)[lay.region] = block
         self.slabs.add(slab)
 
+    def stored(self):
+        """The store table's labels in canonical axis order, a view."""
+        lay = self.layout
+        held = self.tables[self.store].reshape((-1,) + (lay.side,) * 8)
+        return np.moveaxis(held[(slice(None),) + lay.region], 0,
+                           AXIS[self.slab_coord])
 
-def _back_substitute(block, carry, slab_axis):
-    """In place: b[u] = block[u] + b[u + carry], zero outside the block."""
-    free = [ax for ax in range(block.ndim + 1) if ax != slab_axis]
-    shifts = {free.index(AXIS[c]): d for c, d in carry}
-    w = window(block.shape, block.shape[0], shifts, {})
+
+def _back_substitute(block, carry, free):
+    """In place: b[u] = block[u] + b[u + carry], zero outside the block,
+    whose axes are the coordinates ``free``."""
+    shifts = {free.index(c): d for c, d in carry}
+    w = window(block.shape, block.shape[0], shifts)
     if w is None:
         return
-    sweep = free.index(AXIS[carry[0][0]])
+    sweep = free.index(carry[0][0])
     src, dst = list(w[0]), list(w[1])
     # the read lands one step further down the sweep, already final
     for k in range(block.shape[sweep] - 1, 0, -1):
@@ -295,10 +298,9 @@ def _digest_into(result, payload):
         result.append(exc)
 
 
-def run_round(steps, nodes, round_index, slab, ledger, first=False,
-              worker=None):
+def run_round(steps, nodes, round_index, slab, ledger, worker, first=False):
     """Run every step of one round on slab ``slab``, logging each message;
-    ``worker``, a DigestWorker, may hash the large payloads.
+    ``worker``, the exchange's DigestWorker, may hash the large payloads.
 
     A payload outside its alphabet raises ProtocolError at the sender, and
     a stored entry outside its bound at the destination.
@@ -316,12 +318,12 @@ def run_round(steps, nodes, round_index, slab, ledger, first=False,
                                 round_index=round_index, node=step.source)
         fields = (step.source, step.destination, round_index, payload.size,
                   hw)
-        if worker is None or not worker.take(ledger, fields, payload):
+        if not worker.take(ledger, fields, payload):
             ledger.add(BackhaulMessage(*fields, payload_digest(payload)))
         # only the digest is kept: the destination finishes the block in place
         for term in step.receive:
             dst.add_term(block, term, slab, round_index)
         result = dst.layout.cut(block)
         if step.carry:
-            _back_substitute(result, step.carry, AXIS[dst.slab_coord])
+            _back_substitute(result, step.carry, free_coords(dst.slab_coord))
         dst.store_slab(slab, result, round_index)

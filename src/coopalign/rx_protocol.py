@@ -51,7 +51,7 @@ import numpy as np
 from .backhaul import (BackhaulLedger, DigestWorker, Layout, NodeState, Step,
                        run_round)
 from .errors import ParameterError
-from .indices import AXIS, COORD_NAMES
+from .indices import AXIS, free_coords
 from .lattice import stream_params
 
 # terms: (sign, table, ((coordinate, shift), ...), slab offset); offset 0 is
@@ -82,8 +82,7 @@ RX_STEPS = (
 )
 
 
-# the coordinates a receiver's tables hold after (3,1), in this order
-FREE = tuple(c for c in COORD_NAMES if c != (3, 1))
+FREE = free_coords((3, 1))
 
 
 def _node_terms(steps):
@@ -124,7 +123,7 @@ def receiver_plans(n):
     plans = {}
     for i in (1, 2, 3):
         # a read at shift d of a table padded by pad lies d + pad layers up
-        reads = {(name, shifts): {1: _flat(
+        reads = {(name, shifts): {0: _flat(
                      [p + dict(shifts).get(c, 0)
                       for c, p in zip(FREE, PADS[i, name])], side)}
                  for at, (_, name, shifts, _) in _node_terms(RX_STEPS)
@@ -135,7 +134,7 @@ def receiver_plans(n):
         embeds = tuple(_flat([1 - p - (c == (i, j))
                               for c, p in zip(((3, 1),) + FREE, pads)], side)
                        for j in (1, 2, 3))
-        layout = Layout(slab_axis=0, block=(side ** 8,), side=side,
+        layout = Layout(block=(side ** 8,), side=side,
                         labels=(slice(n),) * 8,
                         region=tuple(slice(p, p + n)
                                      for p in PADS[i, "resolved"]),
@@ -170,14 +169,6 @@ def receiver_nodes(all_streams):
     return nodes
 
 
-def resolved_symbols(node):
-    """A receiver's resolved table as an (N,)^9 view in canonical order."""
-    lay = node.layout
-    table = node.tables["resolved"]
-    held = table.reshape((table.shape[0],) + (lay.side,) * 8)
-    return np.moveaxis(held[(slice(None),) + lay.region], 0, AXIS[(3, 1)])
-
-
 @dataclass
 class RxProtocolResult:
     recovered: tuple              # three (N,)^9 integer arrays, user order
@@ -192,7 +183,7 @@ def run_rx_protocol(all_streams) -> RxProtocolResult:
     ledger = BackhaulLedger()
     with DigestWorker() as worker:
         for r in range(n):
-            run_round(RX_STEPS, nodes, r, n - r, ledger, first=r == 0,
-                      worker=worker)
-    recovered = tuple(resolved_symbols(nodes[i]) for i in (1, 2, 3))
+            run_round(RX_STEPS, nodes, r, n - r, ledger, worker,
+                      first=r == 0)
+    recovered = tuple(nodes[i].stored() for i in (1, 2, 3))
     return RxProtocolResult(recovered=recovered, ledger=ledger)

@@ -73,11 +73,14 @@ def rx_sum_upper_bound(H, P, Rb_bar):
     h, P = gain_matrix(H), require_powers(P, "P")
     Rb_bar = require_powers(Rb_bar, "Rb_bar", zero=True, shape=P.shape, inf=True)
     # the gain powers come from the scalar abs and pow: np.abs of the
-    # complex array, or an array ** 2 (a multiply), moves their last bit
-    g = [abs(h[i, i - 1]) ** 2 + abs(h[i, i]) ** 2 for i in (1, 2, 0)]
-    # receivers 2, 3, 1, added left to right
-    return np.log2(1.0 + P * g[0]) + np.log2(1.0 + P * g[1]) \
-        + np.log2(1.0 + P * g[2]) + 3 * Rb_bar
+    # complex array, or an array ** 2 (a multiply), moves their last bit;
+    # here and in the reports below, a huge gain overflows to an inf that
+    # run_trial refuses as a row
+    with np.errstate(over="ignore"):
+        g = [abs(h[i, i - 1]) ** 2 + abs(h[i, i]) ** 2 for i in (1, 2, 0)]
+        # receivers 2, 3, 1, added left to right
+        return np.log2(1.0 + P * g[0]) + np.log2(1.0 + P * g[1]) \
+            + np.log2(1.0 + P * g[2]) + 3 * Rb_bar
 
 
 def tx_sum_upper_bound(H, P, Rb_bar):
@@ -87,8 +90,10 @@ def tx_sum_upper_bound(H, P, Rb_bar):
     admitted), of the same shape."""
     h, P = gain_matrix(H), require_powers(P, "P")
     Rb_bar = require_powers(Rb_bar, "Rb_bar", zero=True, shape=P.shape, inf=True)
-    row_mass = np.hypot(h.real, h.imag).sum(axis=1) ** 2    # sum_{i,j} |h_ki h_kj*|
-    return np.log2(1.0 + P[..., None] * row_mass).sum(-1) + 3 * Rb_bar
+    with np.errstate(over="ignore"):
+        # sum_{i,j} |h_ki h_kj*|
+        row_mass = np.hypot(h.real, h.imag).sum(axis=1) ** 2
+        return np.log2(1.0 + P[..., None] * row_mass).sum(-1) + 3 * Rb_bar
 
 
 def normalized_bound_slope(bound_fn, H, alpha, P_grid) -> float:
@@ -273,11 +278,13 @@ def centralized_report(h, P_grid) -> RateReport:
     # after inversion: unit receiver noise plus unit quantization noise on
     # the two forwarded observations; |.| from the parts, here and in
     # tx_sum_upper_bound: numpy's complex abs moves its last bit with SIMD
-    noise_rows = 2.0 * np.sum(np.hypot(hinv.real, hinv.imag) ** 2, axis=1)
-    row_pow = np.sum(np.hypot(h[1:].real, h[1:].imag) ** 2, axis=1)
     P = P_grid[:, None]
-    rates = np.log2(1.0 + P / noise_rows)
-    up = np.log2(1.0 + P * row_pow + 1.0)
+    with np.errstate(over="ignore", divide="ignore"):
+        noise_rows = 2.0 * np.sum(np.hypot(hinv.real, hinv.imag) ** 2,
+                                  axis=1)
+        row_pow = np.sum(np.hypot(h[1:].real, h[1:].imag) ** 2, axis=1)
+        rates = np.log2(1.0 + P / noise_rows)
+        up = np.log2(1.0 + P * row_pow + 1.0)
     rb = (up.sum(axis=1) + rates[:, 1:].sum(axis=1)) / 3
     return RateReport(P_grid=P_grid, rates=rates, rb_bar=rb)
 
@@ -286,6 +293,7 @@ def tdma_report(h, P_grid) -> RateReport:
     """No-cooperation baseline: each user active a third of the time at
     three times the power, zero backhaul."""
     h, P_grid = gain_matrix(h), require_powers(P_grid, "P")
-    g = [abs(h[k, k]) ** 2 for k in range(3)]
-    rates = np.log2(1.0 + (3 * P_grid[:, None]) * g) / 3
+    with np.errstate(over="ignore"):
+        g = [abs(h[k, k]) ** 2 for k in range(3)]
+        rates = np.log2(1.0 + (3 * P_grid[:, None]) * g) / 3
     return RateReport(P_grid=P_grid, rates=rates, rb_bar=np.zeros(P_grid.size))

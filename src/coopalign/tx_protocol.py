@@ -26,7 +26,6 @@ that cancellation.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +33,7 @@ import numpy as np
 from .backhaul import (BackhaulLedger, DigestWorker, Layout, NodeState, Step,
                        run_round)
 from .errors import ParameterError, require_positive_real
-from .indices import AXIS, COORD_NAMES
+from .indices import AXIS, free_coords
 from .lattice import (carrier_sums, channel_inverse, gain_matrix, gains_times,
                       stream_params)
 
@@ -73,49 +72,46 @@ TX_STEPS = (
 OWN_PADDED = ((3, 1), (3, 2), (3, 3))
 
 
-@functools.lru_cache(maxsize=None)
-def transmitter_layout(n):
-    """The transmitters' layout at depth n: tables in canonical axis order,
-    one table axis per coordinate, and the (N+1)^8 block as the payload."""
-    whole = (slice(None),) * 8
-    return Layout(slab_axis=AXIS[(2, 1)], block=(n + 1,) * 8, side=n + 1,
-                  labels=whole, region=whole,
-                  reads={(name, shifts): {AXIS[c]: d for c, d in shifts}
-                         for step in TX_STEPS
-                         for _, name, shifts, _ in step.send + step.receive})
-
-
 def transmitter_nodes(all_streams):
     """Fresh transmitter states holding each user's own symbols, zero-padded
-    on OWN_PADDED."""
+    on OWN_PADDED, and an empty built table, in one layout whose slab axes
+    are the free coordinates and whose (N+1)^8 block is the payload."""
     n, q = stream_params(all_streams)
     dtype = all_streams[0].values.dtype
-    shape = tuple(n + (c in OWN_PADDED) for c in COORD_NAMES)
+    free = free_coords((2, 1))
+    reads = {(name, shifts): {free.index(c): d for c, d in shifts}
+             for step in TX_STEPS
+             for _, name, shifts, _ in step.send + step.receive}
+    whole = (slice(None),) * 8
+    layout = Layout(block=(n + 1,) * 8, side=n + 1, labels=whole,
+                    region=whole, reads=reads)
+    shape = (n,) + tuple(n + (c in OWN_PADDED) for c in free)
     nodes = {}
     for m in (1, 2, 3):
         own = np.zeros(shape, dtype=dtype)
-        own[(slice(n),) * 9] = all_streams[m - 1].values
+        own[(slice(n),) * 9] = np.moveaxis(all_streams[m - 1].values,
+                                           AXIS[(2, 1)], 0)
         nodes[m] = NodeState(node=m, q=q, bound=3 * q, slab_coord=(2, 1),
                              store="built",
                              tables={"own": own,
                                      "built": np.zeros((n + 1,) * 9,
                                                        dtype=dtype)},
-                             layout=transmitter_layout(n))
+                             layout=layout)
     return nodes
 
 
-def tx_round(nodes, r, ledger, worker=None):
-    """Run round r (slab r) of the exchange, logging to the ledger; a
-    DigestWorker ``worker`` may hash the large payloads."""
-    run_round(TX_STEPS, nodes, r, r, ledger, first=r == 1, worker=worker)
+def tx_round(nodes, r, ledger, worker):
+    """Run round r (slab r) of the exchange, logging to the ledger; the
+    exchange's DigestWorker ``worker`` may hash the large payloads."""
+    run_round(TX_STEPS, nodes, r, r, ledger, worker, first=r == 1)
 
 
 @dataclass
 class TxProtocolResult:
-    """Outcome of the N+1 rounds: the nodes' own built cubes, not copies."""
+    """Outcome of the N+1 rounds: views of the nodes' built tables."""
 
     built: tuple                  # three (N+1,)^9 cubes of the streams' type,
-                                  # receiver order
+                                  # canonical order, receiver order
     ledger: BackhaulLedger
 
 
@@ -126,8 +122,8 @@ def run_tx_backhaul(all_streams) -> TxProtocolResult:
     ledger = BackhaulLedger()
     with DigestWorker() as worker:
         for r in range(1, n + 2):
-            tx_round(nodes, r, ledger, worker=worker)
-    built = tuple(nodes[m].tables["built"] for m in (1, 2, 3))
+            tx_round(nodes, r, ledger, worker)
+    built = tuple(nodes[m].stored() for m in (1, 2, 3))
     return TxProtocolResult(built=built, ledger=ledger)
 
 

@@ -87,7 +87,7 @@ def exact_observations(streams) -> tuple:
     for i in (1, 2, 3):
         acc = np.zeros((n + 1,) * 9, dtype=streams[0].values.dtype)
         for j, stream in enumerate(streams, 1):
-            src, dst = window((n,) * 9, n + 1, {AXIS[(i, j)]: -1}, {})
+            src, dst = window((n,) * 9, n + 1, {AXIS[(i, j)]: -1})
             acc[dst] += stream.values[src]
         out.append(acc)
     return tuple(out)

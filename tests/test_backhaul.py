@@ -9,13 +9,12 @@ import pytest
 
 from coopalign import backhaul, tx_protocol
 from coopalign.backhaul import (DIGEST_CHUNK, BackhaulLedger,
-                                BackhaulMessage, Layout, NodeState, Step,
-                                payload_digest, run_round)
+                                BackhaulMessage, DigestWorker, Layout,
+                                NodeState, Step, payload_digest, run_round)
 from coopalign.errors import ParameterError, ProtocolError
-from coopalign.indices import AXIS
 from coopalign.lattice import STEP_TERMS, SubstreamTable
-from coopalign.rx_protocol import run_rx_protocol
-from coopalign.tx_protocol import run_tx_backhaul
+from coopalign.rx_protocol import RX_STEPS, receiver_nodes, run_rx_protocol
+from coopalign.tx_protocol import TX_STEPS, run_tx_backhaul, transmitter_nodes
 
 
 def _msg(src, dst, length, hw, rnd=0):
@@ -28,8 +27,8 @@ def _one_link(value, halfwidth=1):
     """Node 1 sends its one-entry table (alphabet +-halfwidth*q, q = 5) to
     node 2, which stores it within +-q; returns the nodes and the ledger."""
     whole = (slice(None),) * 8
-    layout = Layout(slab_axis=AXIS[(3, 1)], block=(1,) * 8, side=1,
-                    labels=whole, region=whole, reads={("own", ()): {}})
+    layout = Layout(block=(1,) * 8, side=1, labels=whole, region=whole,
+                    reads={("own", ()): {}})
     nodes = {i: NodeState(node=i, q=5, bound=5, slab_coord=(3, 1),
                           store="kept",
                           tables={"own": np.full((1,) * 9, value, np.int64),
@@ -39,7 +38,8 @@ def _one_link(value, halfwidth=1):
     step = Step(1, 2, send=((+1, "own", (), 0),), receive=(),
                 halfwidth=(halfwidth, halfwidth))
     ledger = BackhaulLedger()
-    run_round((step,), nodes, 0, 1, ledger)
+    with DigestWorker() as worker:
+        run_round((step,), nodes, 0, 1, ledger, worker)
     return nodes, ledger
 
 
@@ -104,6 +104,29 @@ def test_range_checked_at_edge(halfwidth, node, text):
         with pytest.raises(ProtocolError, match=text) as err:
             _one_link(edge + (1 if edge > 0 else -1), halfwidth)
         assert (err.value.round_index, err.value.node) == (0, node)
+
+
+@pytest.mark.parametrize("build,steps,outside,unstored", [
+    # round 1 reads transmitter 3's built slab 0, below its table, and
+    # round 2 its slab 1
+    pytest.param(transmitter_nodes, TX_STEPS, (1, 1), (2, 2), id="tx"),
+    # round 0 reads receiver 3's resolved slab N+1 = 3, above its table,
+    # and round 1 its slab 2
+    pytest.param(receiver_nodes, RX_STEPS, (2, 0), (1, 1), id="rx"),
+])
+def test_store_read_outside_its_table_is_zero(rng, build, steps, outside,
+                                              unstored):
+    # (slab, round) of each read; node 3's first read of its store table
+    node = build(_streams(rng, 2))[3]
+    term = next(t for t in steps[0].send if t[1] == node.store)
+    out = np.zeros(node.layout.block, dtype=node.tables[node.store].dtype)
+    node.add_term(out, term, *outside)
+    assert not out.any()
+    slab, round_index = unstored
+    with pytest.raises(ProtocolError, match=f"slab {slab + term[3]} read "
+                       "before it was stored") as err:
+        node.add_term(out, term, slab, round_index)
+    assert (err.value.round_index, err.value.node) == (round_index, 3)
 
 
 class TestLedger:
@@ -222,7 +245,7 @@ def test_protocol_error_mid_round_joins_the_digest_thread(rng, monkeypatch):
     def corrupting(nodes, r, *args, **kwargs):
         tx_round(nodes, r, *args, **kwargs)
         if r == 1:
-            nodes[3].tables["built"][2, 2, 0, 0, 2, 2, 1, 2, 1] -= 15
+            nodes[3].stored()[2, 2, 0, 0, 2, 2, 1, 2, 1] -= 15
 
     monkeypatch.setattr(tx_protocol, "tx_round", corrupting)
     sizes = _off_main(monkeypatch, lambda: time.sleep(0.05))

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -590,6 +591,22 @@ class TestRunExperiment:
         assert on_disk["status"] == "incomplete"
         assert column in on_disk["error"]
         assert len(on_disk["channels"]) == on_disk["failed_trial"]["trial"]
+
+    @pytest.mark.parametrize("scheme", ["bounds-only", "tdma", "centralized"])
+    def test_huge_gain_fails_its_trial_without_a_warning(self, tmp_path,
+                                                          capsys, scheme):
+        # a gain of 1e200 overflows a gain power, or the inverse's noise
+        # underflows to zero: the row check must refuse the inf rate before
+        # any RuntimeWarning ends the run with exit 2
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "scheme": scheme, "N": 1, "trials": 1, "channel_mode": "fixed",
+            "fixed_channel": _with_gain(1, 1, 1e200),
+            "output_dir": str(tmp_path / "o")}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["run", "--config", str(path)]) == 1
+        assert "error: trial 0: " in capsys.readouterr().err
 
     def test_csv_schema_and_sorting(self, tmp_path):
         cfg = _cfg(output_dir=str(tmp_path / "run"))

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import exact_observations, rx_index, stream_sets
-from coopalign.backhaul import BackhaulLedger, run_round
+from coopalign.backhaul import BackhaulLedger, DigestWorker, run_round
 from coopalign.errors import ParameterError, ProtocolError
 from coopalign.indices import AXIS
 from coopalign.lattice import SubstreamTable
 from coopalign import rx_protocol
 from coopalign.rx_protocol import (FREE, PADS, RX_STEPS, receiver_nodes,
-                                   resolved_symbols, run_rx_protocol)
+                                   run_rx_protocol)
 
 
 def _streams(rng, n, q=5):
@@ -41,7 +41,9 @@ def _corrupted_nodes(streams, delta):
 
 
 def _rx_round(nodes, r, n):
-    run_round(RX_STEPS, nodes, r, n - r, BackhaulLedger(), first=r == 0)
+    with DigestWorker() as worker:
+        run_round(RX_STEPS, nodes, r, n - r, BackhaulLedger(), worker,
+                  first=r == 0)
 
 
 def _interference_sums(node, slab, n):
@@ -144,7 +146,7 @@ class TestStateMachine:
         _rx_round(nodes, 0, 2)
         for i in (1, 2, 3):
             own = streams[i - 1].values
-            got = resolved_symbols(nodes[i])
+            got = nodes[i].stored()
             np.testing.assert_array_equal(
                 got[:, :, :, :, :, :, 1], own[:, :, :, :, :, :, 1])
             assert not got[:, :, :, :, :, :, 0].any()

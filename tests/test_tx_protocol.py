@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from conftest import (exact_observations, make_generic_channel,
                       narrowest_cube_dtype, oracle_monomial,
                       oracle_observations, stream_sets)
-from coopalign.backhaul import BackhaulLedger
+from coopalign.backhaul import BackhaulLedger, DigestWorker
 from coopalign.errors import (GenericityError, ParameterError, ProtocolError,
                               SingularChannelError)
 from coopalign.indices import AXIS
@@ -108,7 +108,8 @@ class TestExchange:
         nodes = transmitter_nodes(_streams(rng, 2))
         ledger = BackhaulLedger()
         for r in range(1, 4):
-            tx_round(nodes, r, ledger)
+            with DigestWorker() as worker:
+                tx_round(nodes, r, ledger, worker)
             for node in nodes.values():
                 assert node.slabs == set(range(1, r + 1))
             assert len(ledger.messages) == 3 * r
@@ -119,18 +120,20 @@ class TestExchange:
         nodes = transmitter_nodes(streams)
         held = (slice(n),) * 9
         for m, stream in zip((1, 2, 3), streams):
+            # slab-major: (2,1) first, the padded (3,j) last
             own = nodes[m].tables["own"]
             assert own.shape == (n,) * 6 + (n + 1,) * 3
             assert own.dtype == stream.values.dtype
-            np.testing.assert_array_equal(own[held], stream.values)
+            np.testing.assert_array_equal(
+                own[held], np.moveaxis(stream.values, AXIS[(2, 1)], 0))
             padded = np.ones(own.shape, dtype=bool)
             padded[held] = False
             assert not own[padded].any()
 
     def test_skipping_a_round_raises(self, rng):
         nodes = transmitter_nodes(_streams(rng, 1))
-        with pytest.raises(ProtocolError) as err:
-            tx_round(nodes, 2, BackhaulLedger())
+        with pytest.raises(ProtocolError) as err, DigestWorker() as worker:
+            tx_round(nodes, 2, BackhaulLedger(), worker)
         assert (err.value.round_index, err.value.node) == (2, 3)
 
     def test_out_of_range_symbol_refused_at_send(self, rng):
@@ -140,8 +143,8 @@ class TestExchange:
         nodes[3].tables["own"][(0,) * 9] = 16
         ledger = BackhaulLedger()
         with pytest.raises(ProtocolError, match="half-width 15 on link 3->2") \
-                as err:
-            tx_round(nodes, 1, ledger)
+                as err, DigestWorker() as worker:
+            tx_round(nodes, 1, ledger, worker)
         assert (err.value.round_index, err.value.node) == (1, 3)
         assert ledger.messages == []
 
